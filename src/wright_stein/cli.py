@@ -30,6 +30,9 @@ EXIT_REJECTED = 1
 EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
 
+# Largest grid a start:stop:step spec may expand to.
+MAX_GRID_POINTS = 1_000_000
+
 
 def _fmt(v: float) -> str:
     return f"{v:.17g}"
@@ -38,7 +41,10 @@ def _fmt(v: float) -> str:
 def _parse_number(text: str) -> float:
     text = text.strip()
     if "/" in text:
-        return float(Fraction(text))
+        try:
+            return float(Fraction(text))
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {text!r}") from None
     return float(text)
 
 
@@ -47,11 +53,16 @@ def _parse_grid(spec: str) -> np.ndarray:
     if len(parts) != 3:
         raise ValueError(f"grid spec must be start:stop:step, got {spec!r}")
     start, stop, step = (_parse_number(p) for p in parts)
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise ValueError(f"grid start, stop and step must be finite, got {spec!r}")
     if step <= 0:
         raise ValueError(f"grid step must be positive, got {step}")
     if stop < start:
         raise ValueError(f"grid stop {stop} is below start {start}")
-    n = int(math.floor((stop - start) / step + 1e-9)) + 1
+    span = (stop - start) / step + 1e-9
+    if not span < MAX_GRID_POINTS:  # also an overflow to inf
+        raise ValueError(f"grid {spec!r} exceeds {MAX_GRID_POINTS} points")
+    n = int(math.floor(span)) + 1
     return start + step * np.arange(n)
 
 
@@ -145,7 +156,11 @@ def _cmd_eval(args, cfg: QuadratureConfig) -> int:
     if not needs_beta and args.beta is not None:
         print(f"error: --beta is not accepted for {args.function}", file=sys.stderr)
         return EXIT_USAGE
-    beta = _parse_number(args.beta) if args.beta is not None else None
+    try:
+        beta = _parse_number(args.beta) if args.beta is not None else None
+    except ValueError as e:
+        print(f"error: --beta: {e}", file=sys.stderr)
+        return EXIT_USAGE
 
     try:
         if args.function in ("ai", "bi"):
@@ -215,7 +230,7 @@ def _cmd_sample(args, cfg: QuadratureConfig) -> int:
 
 def parse_samples_csv(text: str):
     """Values from one-per-line CSV; # comments ignored.  Raises ValueError
-    carrying the 1-based line number on malformed content."""
+    carrying the 1-based line number on malformed or non-finite content."""
     vals = []
     for i, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -225,7 +240,14 @@ def parse_samples_csv(text: str):
             vals.append(float(line))
         except ValueError:
             raise ValueError(f"line {i}: cannot parse {line!r} as a number") from None
-    return np.array(vals)
+    arr = np.array(vals)
+    # One check on the array; the line lookup runs only on failure.
+    if not np.isfinite(arr).all():
+        for i, raw in enumerate(text.splitlines(), start=1):
+            line = raw.strip()
+            if line and not line.startswith("#") and not math.isfinite(float(line)):
+                raise ValueError(f"line {i}: non-finite value {line!r}")
+    return arr
 
 
 def _cmd_gof(args, cfg: QuadratureConfig) -> int:
@@ -299,7 +321,11 @@ def main(argv=None) -> int:
                 parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as e:
         return int(e.code) if e.code is not None else EXIT_USAGE
-    cfg = _config()
+    try:
+        cfg = _config()
+    except ValueError as e:  # includes DomainError
+        print(f"error: WRIGHT_STEIN_TRUNC: {e}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         if args.verb == "eval":
             return _cmd_eval(args, cfg)

@@ -47,8 +47,8 @@ class QuadratureConfig:
     def __post_init__(self):
         if not (self.abs_tol > 0 and self.rel_tol > 0):
             raise DomainError("abs_tol and rel_tol must be positive")
-        if self.truncation_point <= 0:
-            raise DomainError("truncation_point must be positive")
+        if not 0 < self.truncation_point < math.inf:
+            raise DomainError("truncation_point must be positive and finite")
         if self.max_subdivisions < 1:
             raise DomainError("max_subdivisions must be a positive integer")
 

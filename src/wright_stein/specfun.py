@@ -181,11 +181,6 @@ def _airy_series_core(x: np.ndarray):
     return ai, aip, bi, bip
 
 
-def _airy_series_dd(x: np.ndarray):
-    """Series branch keeping double-double (hi, lo) pairs, for table builds."""
-    return _airy_series_core(x)
-
-
 def _airy_series(x: np.ndarray):
     """Maclaurin branch collapsed to doubles: (ai, aip, bi, bip)."""
     ai, aip, bi, bip = _airy_series_core(x)
@@ -282,7 +277,7 @@ def _cheb_coefs() -> np.ndarray:
         # a first-order Taylor step (y'' = x y supplies the derivatives).
         # Without this the f' * (node displacement) error dominates.
         delta = xs_ld - xs.astype(ld)
-        hl = _airy_series_dd(xs)
+        hl = _airy_series_core(xs)
         ai = hl[0][0].astype(ld) + hl[0][1].astype(ld)
         aip = hl[1][0].astype(ld) + hl[1][1].astype(ld)
         bi = hl[2][0].astype(ld) + hl[2][1].astype(ld)
@@ -521,7 +516,8 @@ def green_pass(
     exponentials in relative (non-positive exponent) form so nothing can
     overflow.  The Airy evaluations at the quadrature nodes are shared
     across right-hand sides.  Returns a dict with the Airy fields at the
-    grid, P and S of shape (len(rhs_fns), n), and an error estimate.
+    grid, P and S of shape (len(rhs_fns), n), and an error estimate per
+    right-hand side, shape (len(rhs_fns),).
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 1:
@@ -539,7 +535,7 @@ def green_pass(
 
     from .numerics import _GL7_W, _GL7_X, _GL15_W, _GL15_X, _check_finite
 
-    err = 0.0
+    err = np.zeros(m)
     evals = 0
 
     cellP = np.zeros((m, max(n - 1, 0)))
@@ -574,7 +570,7 @@ def green_pass(
                 i15 = half * (vals[:k15].reshape(nodes15.shape) @ _GL15_W)
                 i7 = half * (vals[k15:].reshape(nodes7.shape) @ _GL7_W)
                 tgt[:] = i15
-                err += float(np.sum(np.abs(i15 - i7)))
+                err[j] += float(np.sum(np.abs(i15 - i7)))
 
     # Prefix seeds over [0, grid[0]].
     z0 = float(zg[0])
@@ -587,7 +583,7 @@ def green_pass(
 
             r0 = integrate(f_seed_p, 0.0, float(grid[0]), cfg)
             P[j, 0] = r0.value
-            err += r0.error_estimate
+            err[j] += r0.error_estimate
             evals += r0.evaluations
 
     decay = np.exp(zg[:-1] - zg[1:])
@@ -605,7 +601,7 @@ def green_pass(
 
         rS = integrate(f_seed_s, float(grid[-1]), float(g_cut), cfg)
         S[j, -1] = rS.value
-        err += rS.error_estimate + math.exp(-45.0)
+        err[j] += rS.error_estimate + math.exp(-45.0)
         evals += rS.evaluations
 
     for i in range(n - 2, -1, -1):

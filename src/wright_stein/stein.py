@@ -11,6 +11,11 @@ grid (O(n) quadrature cells) with every Ai/Bi cross product carried in
 exponentially scaled form.  f' comes from the differentiated formula, whose
 boundary terms cancel; f'' comes from the ODE itself.
 
+The Airy kernel depends only on the grid, not on h, so a family of test
+functions is solved in one Green's pass: every h (and, on the symmetric line,
+every mirrored h(-s)) is one right-hand side of the same pass, and each
+solution is bitwise independent of the other members of the family.
+
 Two implementation details worth knowing:
 
 * E[h(Y)] is computed as the ratio of the two suffix integrals
@@ -318,13 +323,19 @@ def expectation_mwright(h, negate: bool = False, cfg: QuadratureConfig = DEFAULT
 
 
 def _halfline_solve(
-    h_fn: Callable,
+    hs: list[TestFunction],
     grid: np.ndarray,
     cfg: QuadratureConfig,
     residual_tol: float,
     delta: float = PROBE_DELTA,
-) -> dict:
-    """Solve the half-line Stein equation on a grid; see module docstring."""
+) -> list[dict]:
+    """Solve the half-line Stein equation on a grid for each test function in
+    ``hs``, all in one Green's pass; see module docstring.
+
+    The pass carries the right-hand sides [h_1, ..., h_k, 1].  Each h is then
+    finished on its own rows (expectation ratio, f, f', f'', probe residual),
+    so its result is bitwise independent of the rest of the batch.
+    """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise DomainError("solver grid must be a non-empty 1-d array")
@@ -376,98 +387,102 @@ def _halfline_solve(
         )
     tp = np.unique(np.concatenate([grid] + [g[1].ravel() for g in groups]))
 
-    hv = _vectorized(h_fn)
     ones = lambda t: np.ones_like(t)
-    out = green_pass(tp, [h_fn, ones], _SCALE, cfg)
+    out = green_pass(tp, [tf.fn for tf in hs] + [ones], _SCALE, cfg)
     ag = out["airy"]
-    P_h, P_1 = out["P"]
-    S_h, S_1 = out["S"]
+    P_1, S_1 = out["P"][-1], out["S"][-1]
 
-    # Full-line Ai-weighted integrals of h and 1, for the expectation ratio.
+    # Full-line Ai-weighted integral of r, for the expectation ratio: the
+    # suffix from tp[0], plus the head over [0, tp[0]] when the grid starts
+    # past 0.
     z0 = float(ag.zeta[0])
-    Ih = float(S_h[0]) * math.exp(-z0)
-    I1 = float(S_1[0]) * math.exp(-z0)
-    n_eval = out["evaluations"]
-    if tp[0] > 0:
-        for j, fn in enumerate((hv, ones)):
-            def head(ts, fn=fn):
+
+    def full_line(S_r, r):
+        total = float(S_r[0]) * math.exp(-z0)
+        if tp[0] > 0:
+            def head(ts):
                 a = airy_many(_SCALE * ts)
-                return a.ai * fn(ts)
+                return a.ai * r(ts)
 
-            r = integrate(head, 0.0, float(tp[0]), cfg)
-            if j == 0:
-                Ih += r.value
-            else:
-                I1 += r.value
-            n_eval += r.evaluations
-    Eh = Ih / I1
-    S0_eff = Ih - Eh * I1  # zero up to rounding, by construction
+            total += integrate(head, 0.0, float(tp[0]), cfg).value
+        return total
 
-    P = P_h - Eh * P_1
-    S = S_h - Eh * S_1
-    f_tp = _PREF_F * (ag.ai_scaled * P + ag.bi_scaled * S)
-    fp_tp = _PREF_FP * (ag.ai_prime_scaled * P + ag.bi_prime_scaled * S)
-    h_tp = hv(tp)
-    ht_tp = h_tp - Eh
-    fpp_tp = (tp / 3.0) * f_tp + ht_tp
-
-    for name, arr in (("f", f_tp), ("f_prime", fp_tp), ("f_double_prime", fpp_tp)):
-        bad = ~np.isfinite(arr)
-        if bad.any():
-            x_bad = float(tp[bad][0])
-            raise NonFiniteError(
-                f"non-finite {name} at x={x_bad!r} during Stein solve", x=x_bad
-            )
-
+    I1 = full_line(S_1, ones)
     idx_grid = np.searchsorted(tp, grid)
 
-    # Independent ODE residual from probe re-evaluations of f.
-    resid = np.empty(grid.size)
-    for mask, probe_mat, coef, steps_sq in groups:
-        pidx = np.searchsorted(tp, probe_mat.ravel()).reshape(probe_mat.shape)
-        fd2 = (f_tp[pidx] @ coef) / steps_sq
-        resid[mask] = np.abs(
-            fd2 - (grid[mask] / 3.0) * f_tp[idx_grid[mask]] - ht_tp[idx_grid[mask]]
-        )
-    residual_sup = float(np.max(resid))
-    if residual_sup > residual_tol:
-        raise SolverAccuracyError(
-            f"Stein solve residual {residual_sup:.3e} exceeds tolerance {residual_tol:.1e}",
-            diagnostics={
-                "residual_sup": residual_sup,
-                "argmax_x": float(grid[int(np.argmax(resid))]),
+    results = []
+    for j, tf in enumerate(hs):
+        hv = _vectorized(tf.fn)
+        Ih = full_line(out["S"][j], hv)
+        Eh = Ih / I1
+        S0_eff = Ih - Eh * I1  # zero up to rounding, by construction
+
+        P = out["P"][j] - Eh * P_1
+        S = out["S"][j] - Eh * S_1
+        f_tp = _PREF_F * (ag.ai_scaled * P + ag.bi_scaled * S)
+        fp_tp = _PREF_FP * (ag.ai_prime_scaled * P + ag.bi_prime_scaled * S)
+        ht_tp = hv(tp) - Eh
+        fpp_tp = (tp / 3.0) * f_tp + ht_tp
+
+        for name, arr in (("f", f_tp), ("f_prime", fp_tp), ("f_double_prime", fpp_tp)):
+            bad = ~np.isfinite(arr)
+            if bad.any():
+                x_bad = float(tp[bad][0])
+                raise NonFiniteError(
+                    f"non-finite {name} at x={x_bad!r} during Stein solve for "
+                    f"h={tf.label}",
+                    x=x_bad,
+                )
+
+        # Independent ODE residual from probe re-evaluations of f.
+        resid = np.empty(grid.size)
+        for mask, probe_mat, coef, steps_sq in groups:
+            pidx = np.searchsorted(tp, probe_mat.ravel()).reshape(probe_mat.shape)
+            fd2 = (f_tp[pidx] @ coef) / steps_sq
+            resid[mask] = np.abs(
+                fd2 - (grid[mask] / 3.0) * f_tp[idx_grid[mask]] - ht_tp[idx_grid[mask]]
+            )
+        residual_sup = float(np.max(resid))
+        error_estimate = float(out["error_estimate"][j] + out["error_estimate"][-1])
+        if residual_sup > residual_tol:
+            raise SolverAccuracyError(
+                f"Stein solve for h={tf.label}: residual {residual_sup:.3e} "
+                f"exceeds tolerance {residual_tol:.1e}",
+                diagnostics={
+                    "h": tf.label,
+                    "residual_sup": residual_sup,
+                    "argmax_x": float(grid[int(np.argmax(resid))]),
+                    "expectation_h": Eh,
+                    "quadrature_error_estimate": error_estimate,
+                },
+            )
+
+        # Values at x = 0 (from arrays when 0 is a grid point, else from the
+        # boundary formula: only the suffix term survives at 0).
+        if grid[0] == 0.0:
+            f0 = float(f_tp[idx_grid[0]])
+            fp0 = float(fp_tp[idx_grid[0]])
+        else:
+            a0 = airy_many(np.zeros(1))
+            f0 = _PREF_F * float(a0.bi[0]) * S0_eff
+            fp0 = _PREF_FP * float(a0.bi_prime[0]) * S0_eff
+        boundary_residual = fp0 / GAMMA_2_3 - f0 / GAMMA_1_3
+
+        results.append(
+            {
+                "grid": grid,
+                "f": f_tp[idx_grid],
+                "f_prime": fp_tp[idx_grid],
+                "f_double_prime": fpp_tp[idx_grid],
+                "htilde": ht_tp[idx_grid],
                 "expectation_h": Eh,
-                "quadrature_error_estimate": out["error_estimate"],
-            },
+                "residuals": resid,
+                "residual_sup": residual_sup,
+                "boundary_residual": boundary_residual,
+                "error_estimate": error_estimate,
+            }
         )
-
-    # Values at x = 0 (from arrays when 0 is a grid point, else from the
-    # boundary formula: only the suffix term survives at 0).
-    if grid[0] == 0.0:
-        f0 = float(f_tp[idx_grid[0]])
-        fp0 = float(fp_tp[idx_grid[0]])
-    else:
-        a0 = airy_many(np.zeros(1))
-        f0 = _PREF_F * float(a0.bi[0]) * S0_eff
-        fp0 = _PREF_FP * float(a0.bi_prime[0]) * S0_eff
-    boundary_residual = fp0 / GAMMA_2_3 - f0 / GAMMA_1_3
-
-    return {
-        "grid": grid,
-        "f": f_tp[idx_grid],
-        "f_prime": fp_tp[idx_grid],
-        "f_double_prime": fpp_tp[idx_grid],
-        "htilde": ht_tp[idx_grid],
-        "expectation_h": Eh,
-        "S0_eff": S0_eff,
-        "residuals": resid,
-        "residual_sup": residual_sup,
-        "boundary_residual": boundary_residual,
-        "f0": f0,
-        "fp0": fp0,
-        "error_estimate": out["error_estimate"],
-        "evaluations": n_eval,
-    }
+    return results
 
 
 def _bound_constants() -> tuple[float, float, float]:
@@ -497,17 +512,7 @@ def _bound_report(f, fp, fpp, htilde_sup: float) -> BoundReport:
     return BoundReport(sup_f, sup_fp, sup_fpp, b1, b2, b3, ok, _BOUND_NOTE)
 
 
-def solve_stein(
-    h,
-    grid: np.ndarray | None = None,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
-    residual_tol: float = RESIDUAL_TOL,
-) -> SteinSolution:
-    """Solve f'' - (1/3) x f = h - E[h(Y)] on a half-line grid."""
-    tf = _as_test_function(h)
-    if grid is None:
-        grid = default_grid()
-    sol = _halfline_solve(tf.fn, grid, cfg, residual_tol)
+def _halfline_solution(tf: TestFunction, sol: dict) -> SteinSolution:
     ht_sup = float(np.max(np.abs(sol["htilde"])))
     report = _bound_report(sol["f"], sol["f_prime"], sol["f_double_prime"], ht_sup)
     return SteinSolution(
@@ -527,48 +532,24 @@ def solve_stein(
     )
 
 
-def solve_stein_sym(
-    h,
-    grid: np.ndarray | None = None,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
-    residual_tol: float = RESIDUAL_TOL,
-) -> SteinSolution:
-    """Solve f'' - (1/3)|x| f = h^ on a symmetric grid containing 0.
-
-    h^ recenters h by E[h(Y)] on [0, inf) and by E[h(-Y)] on (-inf, 0); the
-    negative side reduces to a mirrored half-line solve with h(-s).
-    """
-    tf = _as_test_function(h)
-    if grid is None:
-        grid = default_grid(symmetric=True)
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or np.any(np.diff(grid) <= 0):
-        raise DomainError("symmetric grid must be 1-d and strictly increasing")
-    if 0.0 not in grid or grid[0] >= 0 or grid[-1] <= 0:
-        raise DomainError("symmetric grid must contain 0 and points of both signs")
-    if max(-grid[0], grid[-1]) > X_MAX_CAP:
-        raise DomainError(f"solver refuses |x|_max > {X_MAX_CAP}")
-
-    pos_grid = grid[grid >= 0]
-    # Mirror grid includes 0 so that for even h both half-line problems are
-    # literally identical (bitwise-equal solutions).
-    neg_mirror = np.concatenate(([0.0], -grid[grid < 0][::-1]))
-
-    h_fn = tf.fn
-    hv = _vectorized(h_fn)
+def _mirrored(tf: TestFunction) -> TestFunction:
+    """s -> h(-s) on s >= 0: the right-hand side of the negative side."""
+    hv = _vectorized(tf.fn)
 
     def h_neg(s):
         return hv(-np.asarray(s, dtype=float))
 
-    sp = _halfline_solve(h_fn, pos_grid, cfg, residual_tol)
-    sn = _halfline_solve(h_neg, neg_mirror, cfg, residual_tol)
+    return TestFunction(h_neg, tf.sup_norm, f"{tf.label}(-x)", tf.even)
 
+
+def _symmetric_solution(tf: TestFunction, grid: np.ndarray, sp: dict, sn: dict) -> SteinSolution:
+    """Glue the positive-side and mirrored negative-side solves."""
     f = np.concatenate((sn["f"][1:][::-1], sp["f"]))
     fp = np.concatenate((-sn["f_prime"][1:][::-1], sp["f_prime"]))
     fpp = np.concatenate((sn["f_double_prime"][1:][::-1], sp["f_double_prime"]))
     resid = np.concatenate((sn["residuals"][1:][::-1], sp["residuals"]))
 
-    h_at_0 = float(hv(np.zeros(1))[0])
+    h_at_0 = float(_vectorized(tf.fn)(np.zeros(1))[0])
     fpp_zero_plus = h_at_0 - sp["expectation_h"]
     fpp_zero_minus = h_at_0 - sn["expectation_h"]
 
@@ -577,7 +558,7 @@ def solve_stein_sym(
     )
     report = _bound_report(f, fp, fpp, ht_sup)
 
-    sol = SteinSolution(
+    return SteinSolution(
         grid=grid,
         f=f,
         f_prime=fp,
@@ -597,7 +578,77 @@ def solve_stein_sym(
         label=tf.label,
         _mirror_f_zero=float(sn["f"][0]),
     )
-    return sol
+
+
+def _solve_batch(
+    hs,
+    grid: np.ndarray | None,
+    cfg: QuadratureConfig,
+    residual_tol: float,
+    symmetric: bool,
+) -> list[SteinSolution]:
+    """Solve the Stein equation for every test function in ``hs`` on one grid.
+
+    Right-hand sides with the same probe set share one Green's pass.  The
+    half-line kind runs one pass.  The symmetric kind runs one pass over
+    [h_1..h_k, h_1(-.)..h_k(-.)] when the mirrored negative half-grid equals
+    the positive half-grid bitwise (the default grid, and any grid symmetric
+    about 0), and one pass per side otherwise.  Every solution is bitwise
+    independent of the other members of ``hs``.
+    """
+    tfs = [_as_test_function(h) for h in hs]
+    if grid is None:
+        grid = default_grid(symmetric)
+    if not symmetric:
+        sols = _halfline_solve(tfs, grid, cfg, residual_tol)
+        return [_halfline_solution(tf, sol) for tf, sol in zip(tfs, sols)]
+
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or np.any(np.diff(grid) <= 0):
+        raise DomainError("symmetric grid must be 1-d and strictly increasing")
+    if 0.0 not in grid or grid[0] >= 0 or grid[-1] <= 0:
+        raise DomainError("symmetric grid must contain 0 and points of both signs")
+    if max(-grid[0], grid[-1]) > X_MAX_CAP:
+        raise DomainError(f"solver refuses |x|_max > {X_MAX_CAP}")
+
+    pos_grid = grid[grid >= 0]
+    # Mirror grid includes 0 so that for even h both half-line problems are
+    # literally identical (bitwise-equal solutions).
+    neg_mirror = np.concatenate(([0.0], -grid[grid < 0][::-1]))
+    mirrored = [_mirrored(tf) for tf in tfs]
+    if pos_grid.tobytes() == neg_mirror.tobytes():
+        both = _halfline_solve(tfs + mirrored, pos_grid, cfg, residual_tol)
+        sps, sns = both[: len(tfs)], both[len(tfs):]
+    else:
+        sps = _halfline_solve(tfs, pos_grid, cfg, residual_tol)
+        sns = _halfline_solve(mirrored, neg_mirror, cfg, residual_tol)
+    return [
+        _symmetric_solution(tf, grid, sp, sn) for tf, sp, sn in zip(tfs, sps, sns)
+    ]
+
+
+def solve_stein(
+    h,
+    grid: np.ndarray | None = None,
+    cfg: QuadratureConfig = DEFAULT_CONFIG,
+    residual_tol: float = RESIDUAL_TOL,
+) -> SteinSolution:
+    """Solve f'' - (1/3) x f = h - E[h(Y)] on a half-line grid."""
+    return _solve_batch([h], grid, cfg, residual_tol, symmetric=False)[0]
+
+
+def solve_stein_sym(
+    h,
+    grid: np.ndarray | None = None,
+    cfg: QuadratureConfig = DEFAULT_CONFIG,
+    residual_tol: float = RESIDUAL_TOL,
+) -> SteinSolution:
+    """Solve f'' - (1/3)|x| f = h^ on a symmetric grid containing 0.
+
+    h^ recenters h by E[h(Y)] on [0, inf) and by E[h(-Y)] on (-inf, 0); the
+    negative side reduces to a mirrored half-line solve with h(-s).
+    """
+    return _solve_batch([h], grid, cfg, residual_tol, symmetric=True)[0]
 
 
 def check_domain(obj, boundary_tol: float = 1e-8, zero_tol: float = 1e-10) -> DomainCheck:

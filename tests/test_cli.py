@@ -1,7 +1,10 @@
 import math
+import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wright_stein.cli import main, parse_samples_csv
 from wright_stein.mwright import sample
@@ -65,6 +68,11 @@ class TestEval:
         assert run(capsys, ["eval", "ai", "0:1"])[0] == 2
         assert run(capsys, ["eval", "ai", "0:1:-0.5"])[0] == 2
         assert run(capsys, ["eval", "ai", "1:0:0.5"])[0] == 2
+        assert run(capsys, ["eval", "ai", "0:inf:1"])[0] == 2
+        assert run(capsys, ["eval", "ai", "0:1:nan"])[0] == 2
+        assert run(capsys, ["eval", "ai", "0:1:1/0"])[0] == 2
+        assert run(capsys, ["eval", "ai", "0:1000000:1"])[0] == 2  # 10^6 + 1 points
+        assert run(capsys, ["eval", "ai", "0:1e300:1e-300"])[0] == 2
 
     def test_seventeen_digit_roundtrip(self, capsys):
         code, out, _ = run(capsys, ["eval", "bi", "0.7:0.7:1"])
@@ -227,3 +235,66 @@ class TestEnvironment:
         assert code == 0
         line = [l for l in out.splitlines() if l.startswith("# boundary_residual=")][0]
         assert abs(float(line.split("=")[1])) <= 1e-8
+
+
+class TestExitCodeContract:
+    @pytest.mark.parametrize("value", ["abc", "0", "-1", "nan", "inf"])
+    def test_bad_truncation_is_usage_error(self, monkeypatch, capsys, value):
+        monkeypatch.setenv("WRIGHT_STEIN_TRUNC", value)
+        code, _, err = run(capsys, ["eval", "ai", "0:1:0.5"])
+        assert code == 2
+        assert "WRIGHT_STEIN_TRUNC" in err
+
+    def test_bad_beta_is_usage_error(self, capsys):
+        assert run(capsys, ["eval", "ml", "--beta", "abc", "0:1:1"])[0] == 2
+        assert run(capsys, ["eval", "ml", "--beta", "1/0", "0:1:1"])[0] == 2
+
+    def test_non_finite_samples_rejected_with_line(self, tmp_path, capsys):
+        vals = sample(2000, seed=12).values
+        p = tmp_path / "nonfinite.csv"
+        p.write_text(
+            "# draws\n"
+            + "\n".join(repr(float(v)) for v in vals)
+            + "\n" + "nan\n" * 30 + "inf\n" * 5
+        )
+        code, out, err = run(capsys, ["gof", str(p)])
+        assert code == 2
+        assert "line 2002" in err
+        assert out == ""
+
+    def test_parse_rejects_infinity(self):
+        with pytest.raises(ValueError, match="line 3"):
+            parse_samples_csv("1.0\n# c\n-inf\n2.0\n")
+
+
+_GRID_PART = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.integers(-10**7, 10**7).map(str),
+    st.fractions(max_denominator=50).map(str),
+    st.text(alphabet="0123456789.-+e/:naif ", max_size=8),
+)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(start=_GRID_PART, stop=_GRID_PART, step=_GRID_PART, fn=st.sampled_from(["ai", "bi"]))
+def test_arbitrary_grid_specs_keep_exit_contract(start, stop, step, fn):
+    code = main(["eval", fn, f"--grid={start}:{stop}:{step}", "-o", os.devnull])
+    assert code in (0, 1, 2, 3)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(trunc=st.one_of(
+    st.text(st.characters(codec="utf-8", exclude_characters="\x00"), max_size=12),
+    st.floats().map(repr),
+))
+def test_arbitrary_truncation_strings_keep_exit_contract(trunc):
+    saved = os.environ.get("WRIGHT_STEIN_TRUNC")
+    os.environ["WRIGHT_STEIN_TRUNC"] = trunc
+    try:
+        code = main(["eval", "ai", "0:1:0.5", "-o", os.devnull])
+    finally:
+        if saved is None:
+            del os.environ["WRIGHT_STEIN_TRUNC"]
+        else:
+            os.environ["WRIGHT_STEIN_TRUNC"] = saved
+    assert code in (0, 2)

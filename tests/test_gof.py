@@ -214,3 +214,31 @@ class TestReportSerialization:
         assert csv.splitlines()[0] == "label,mean,std_error,standardized"
         assert "# verdict=consistent" in csv
         assert "# sign_balance" in csv
+
+
+class TestOnePassPerFamily:
+    @pytest.mark.parametrize("symmetric", [False, True])
+    def test_one_green_pass_per_call(self, hs, monkeypatch, symmetric):
+        from wright_stein import stein
+
+        calls = []
+        real = stein.green_pass
+
+        def counting(grid, rhs_fns, *args, **kwargs):
+            calls.append(len(rhs_fns))
+            return real(grid, rhs_fns, *args, **kwargs)
+
+        monkeypatch.setattr(stein, "green_pass", counting)
+        test = discrepancy_sym if symmetric else discrepancy
+        test(sample(200, seed=5, symmetric=symmetric), hs)
+        # One pass carrying every h (and every mirrored h) plus the constant.
+        assert calls == [2 * len(hs) + 1 if symmetric else len(hs) + 1]
+
+
+class TestNonFiniteSamples:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("test", [discrepancy, discrepancy_sym])
+    def test_rejected(self, hs, test, bad):
+        vals = np.concatenate((sample(300, seed=6).values, [bad]))
+        with pytest.raises(DomainError, match="finite"):
+            test(vals, hs[:2])

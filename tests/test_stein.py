@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from wright_stein import stein as stein_mod
 from wright_stein.errors import DomainError, SolverAccuracyError
 from wright_stein.mwright import density, density_sym
-from wright_stein.numerics import GAMMA_1_3, GAMMA_2_3, integrate
+from wright_stein.numerics import DEFAULT_CONFIG, GAMMA_1_3, GAMMA_2_3, integrate
 from wright_stein.specfun import airy_many, scorer_gi
 from wright_stein.stein import (
+    RESIDUAL_TOL,
     TestFunction,
     check_domain,
     expectation_mwright,
@@ -393,3 +395,71 @@ class TestGeneralParticularSolution:
             general_particular_solution(0.0, lambda t: t, 1.0)
         with pytest.raises(DomainError):
             general_particular_solution(1.0, lambda t: t, -1.0)
+
+
+class TestBatchedSolve:
+    """One Green's pass serves a whole test-function family, bitwise."""
+
+    @staticmethod
+    def family():
+        from wright_stein.cli import _solve_family
+
+        return list(_solve_family().values())
+
+    @staticmethod
+    def assert_same(a, b):
+        for name in ("grid", "f", "f_prime", "f_double_prime", "residuals"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), (a.label, name)
+        for name in (
+            "kind", "label", "expectation_h", "expectation_h_neg", "residual_sup",
+            "boundary_residual", "f_zero", "fp_zero_plus", "fp_zero_minus",
+            "fpp_zero_plus", "fpp_zero_minus", "bound_report", "_mirror_f_zero",
+        ):
+            assert getattr(a, name) == getattr(b, name), (a.label, name)
+
+    def test_halfline_family_matches_single_solves(self):
+        fam = self.family()
+        assert len(fam) == 17
+        batch = stein_mod._solve_batch(fam, None, DEFAULT_CONFIG, RESIDUAL_TOL, False)
+        for tf, sol in zip(fam, batch):
+            self.assert_same(sol, solve_stein(tf))
+
+    def test_symmetric_default_family_matches_two_halfline_solves(self):
+        # On a grid symmetric about 0 both sides share one pass; each side
+        # must equal its own separate half-line solve.
+        fam = self.family()
+        grid = stein_mod.default_grid(symmetric=True)
+        half = grid[grid >= 0]
+        batch = stein_mod._solve_batch(fam, None, DEFAULT_CONFIG, RESIDUAL_TOL, True)
+        for tf, sol in zip(fam, batch):
+            pos = solve_stein(tf, half)
+            neg = solve_stein(
+                TestFunction(lambda s, fn=tf.fn: fn(-np.asarray(s)), tf.sup_norm, "m"),
+                half,
+            )
+            k = half.size - 1
+            assert sol.f[k:].tobytes() == pos.f.tobytes()
+            assert sol.f[:k].tobytes() == neg.f[1:][::-1].tobytes()
+            assert sol.f_prime[:k].tobytes() == (-neg.f_prime[1:][::-1]).tobytes()
+            assert sol.residuals.tobytes() == np.concatenate(
+                (neg.residuals[1:][::-1], pos.residuals)
+            ).tobytes()
+            assert sol.expectation_h == pos.expectation_h
+            assert sol.expectation_h_neg == neg.expectation_h
+            assert sol.fp_zero_minus == -neg.f_prime[0]
+
+    def test_symmetric_asymmetric_grid_family_matches_single_solves(self):
+        fam = self.family()
+        grid = np.arange(-60, 121) * 0.05
+        batch = stein_mod._solve_batch(fam, grid, DEFAULT_CONFIG, RESIDUAL_TOL, True)
+        for tf, sol in zip(fam, batch):
+            self.assert_same(sol, solve_stein_sym(tf, grid))
+
+    def test_failing_member_is_named(self):
+        wild = TestFunction(lambda x: np.cos(40.0 * x), 1.0, "cos40", even=True)
+        with pytest.raises(SolverAccuracyError) as exc:
+            stein_mod._solve_batch(
+                [H_COS, wild, H_SIN], None, DEFAULT_CONFIG, RESIDUAL_TOL, False
+            )
+        assert "h=cos40" in str(exc.value)
+        assert exc.value.diagnostics["h"] == "cos40"
