@@ -20,7 +20,13 @@ import numpy as np
 
 from . import gof as gof_mod
 from . import mwright, specfun, stein
-from .errors import DomainError, RangeError, SolverAccuracyError, WrightSteinError
+from .errors import (
+    AiryOverflowError,
+    DomainError,
+    RangeError,
+    SolverAccuracyError,
+    WrightSteinError,
+)
 from .numerics import QuadratureConfig
 
 __all__ = ["main", "build_parser"]
@@ -166,15 +172,20 @@ def _cmd_eval(args, cfg: QuadratureConfig) -> int:
         if args.function in ("ai", "bi"):
             a = specfun.airy_many(xs)
             vals = a.ai if args.function == "ai" else a.bi
+            bad = ~np.isfinite(vals)
+            if bad.any():
+                raise AiryOverflowError(
+                    f"unscaled {args.function} overflows at x={float(xs[bad][0])!r}"
+                )
         elif args.function == "gi":
-            vals = np.array([specfun.scorer_gi(float(x)) for x in xs])
+            vals = specfun.scorer_gi(xs)
         elif args.function == "ml":
             vals = np.array([specfun.mittag_leffler(beta, float(x)) for x in xs])
         elif args.function == "mwright":
             vals = np.asarray(mwright.density(beta, xs))
         else:
             vals = np.asarray(mwright.density_sym(beta, xs))
-    except (DomainError, RangeError) as e:
+    except (AiryOverflowError, DomainError, RangeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_REJECTED
 

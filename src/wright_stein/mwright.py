@@ -26,7 +26,7 @@ from .numerics import (
     gamma_fn,
     integrate,
 )
-from .specfun import airy_ai_tail_integral, airy_many, mittag_leffler, wright_m_series
+from .specfun import _green_at, _ones, airy_many, mittag_leffler, wright_m_series
 
 __all__ = [
     "WrightParameter",
@@ -97,19 +97,18 @@ def density_sym(p, x):
     return float(out[0]) if scalar else out
 
 
-def cdf(x: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """CDF of M_{1/3}: integral of the density over [0, x].
+def cdf(x, cfg: QuadratureConfig = DEFAULT_CONFIG):
+    """CDF of M_{1/3}: integral of the density over [0, x]; accepts scalars
+    or arrays of x.
 
     Computed from the Airy tail integral (1 - 3 * int_u^inf Ai with
-    u = x 3^(-1/3)), which stays accurate where the tail is tiny.
+    u = x 3^(-1/3)), which stays accurate where the tail is tiny.  All points
+    share one Green's pass.
     """
-    x = float(x)
-    if x < 0:
-        raise DomainError(f"cdf requires x >= 0, got {x}")
-    if x == 0.0:
-        return 0.0
-    u = x / _CBRT3
-    return 1.0 - 3.0 * airy_ai_tail_integral(u)
+    xs = np.asarray(x, dtype=float)
+    tail = _green_at(xs / _CBRT3, _ones, 1.0, cfg, "cdf")[2]
+    out = np.where(xs == 0.0, 0.0, 1.0 - 3.0 * tail)
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)

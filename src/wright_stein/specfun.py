@@ -28,7 +28,16 @@ import numpy as np
 from scipy.special import gammaln, gammasgn
 
 from .errors import AiryOverflowError, DomainError, RangeError
-from .numerics import QuadratureConfig, _vectorized, integrate
+from .numerics import (
+    _GL7_W,
+    _GL7_X,
+    _GL15_W,
+    _GL15_X,
+    QuadratureConfig,
+    _check_finite,
+    _vectorized,
+    integrate,
+)
 
 __all__ = [
     "AiryValues",
@@ -41,10 +50,10 @@ __all__ = [
     "mittag_leffler",
     "wright_m_series",
     "AIRY_SWITCH",
+    "GREEN_U_MAX",
 ]
 
 AIRY_SWITCH = 9.0
-AIRY_MAX_UNSCALED = 200.0
 
 # ---------------------------------------------------------------------------
 # Double-double kernels (vectorized).  Standard Dekker/Knuth error-free
@@ -405,97 +414,80 @@ class AiryValues:
 def airy(x: float) -> AiryValues:
     """Airy bundle at a single non-negative point.
 
-    Raises DomainError for x < 0 and AiryOverflowError for x > 200, where
-    the unscaled Bi exceeds double range; use airy_many / scaled fields for
-    extreme arguments.
+    Raises DomainError for x < 0 and AiryOverflowError when an unscaled
+    field leaves double range, which Bi and Bi' do from x ~ 104.3; use
+    airy_many / scaled fields for extreme arguments.
     """
     x = float(x)
-    if x < 0:
+    if not x >= 0:
         raise DomainError(f"airy requires x >= 0, got {x}")
-    if x > AIRY_MAX_UNSCALED:
-        raise AiryOverflowError(
-            f"unscaled Bi overflows for x={x} > {AIRY_MAX_UNSCALED}; "
-            "use airy_many and the scaled fields"
-        )
     a = airy_many(np.array([x]))
+    if not np.isfinite([a.ai, a.ai_prime, a.bi, a.bi_prime]).all():
+        raise AiryOverflowError(
+            f"unscaled Bi overflows at x={x!r}; use airy_many and the scaled fields"
+        )
     return AiryValues(*(float(v[0]) for v in a))
 
 
 # ---------------------------------------------------------------------------
-# Scorer's function Gi
+# Green's integrals: Scorer's Gi and the Stein solver kernel
 # ---------------------------------------------------------------------------
 
-
-def _scorer_parts(x: float, cfg: QuadratureConfig) -> tuple[float, float, float]:
-    """Scaled Green's integrals at x: P = e^-zeta(x) * int_0^x Bi,
-    S = e^+zeta(x) * int_x^inf Ai, plus a combined error estimate.
-
-    Both integrands carry only non-positive exponents, so nothing overflows.
-    """
-    zx = float((2.0 / 3.0) * x * math.sqrt(x))
-    err = 0.0
-
-    if x > 0:
-        def f_pre(ts):
-            a = airy_many(ts)
-            return a.bi_scaled * np.exp(a.zeta - zx)
-
-        rp = integrate(f_pre, 0.0, x, cfg)
-        P = rp.value
-        err += rp.error_estimate
-    else:
-        P = 0.0
-
-    t_cut = (1.5 * (zx + 45.0)) ** (2.0 / 3.0)
-
-    def f_suf(ts):
-        a = airy_many(ts)
-        return a.ai_scaled * np.exp(zx - a.zeta)
-
-    rs = integrate(f_suf, x, t_cut, cfg)
-    S = rs.value
-    # Tail beyond the cutoff: integrand < ai_scaled(t_cut) e^{-45}, decaying
-    # faster than e^{-sqrt(t_cut)(t - t_cut)}.
-    tail = math.exp(-45.0) / math.sqrt(t_cut)
-    err += rs.error_estimate + tail
-    return P, S, err
-
+# Quadrature cells are graded in zeta = (2/3) u^(3/2), the exponent of the
+# Airy kernels: a cell spans at most _ZETA_STEP, so neither kernel changes by
+# more than e^_ZETA_STEP across it.  The tail ends _ZETA_CUT e-folds past the
+# last grid point.
+_ZETA_STEP = 1.0
+_ZETA_CUT = 45.0
+# Largest scale * x a Green's pass accepts: beyond ~1e10 a zeta step of 1
+# falls below the rounding of zeta itself and the grading collapses.
+GREEN_U_MAX = 1e8
+# Points per pass in _green_at; a pass holds ~4.5 kB per point at its peak.
+_GREEN_CHUNK = 4096
 
 _SCORER_CFG = QuadratureConfig(abs_tol=1e-12, rel_tol=1e-12, max_subdivisions=4000)
 
 
-def scorer_gi(x: float, cfg: QuadratureConfig = _SCORER_CFG) -> float:
-    """Scorer's function Gi(x) = Ai(x) int_0^x Bi + Bi(x) int_x^inf Ai."""
-    x = float(x)
-    if x < 0:
-        raise DomainError(f"scorer_gi requires x >= 0, got {x}")
-    P, S, _ = _scorer_parts(x, cfg)
-    a = airy_many(np.array([x]))
-    return float(a.ai_scaled[0] * P + a.bi_scaled[0] * S)
+def _zeta_gap(ua, ub, du):
+    """zeta(ua) - zeta(ub) from du = ua - ub, without the cancellation of
+    subtracting two large zetas.  Passing du computed from the exact offset
+    keeps the rounding of ua and ub out of the exponent."""
+    ra, rb = np.sqrt(ua), np.sqrt(ub)
+    return (2.0 / 3.0) * du * (ua + ra * rb + ub) / (ra + rb)
 
 
-def scorer_gi_prime(x: float, cfg: QuadratureConfig = _SCORER_CFG) -> float:
-    """Gi'(x) = Ai'(x) int_0^x Bi + Bi'(x) int_x^inf Ai.
+def _cell_edges(grid: np.ndarray, scale: float):
+    """Cell edges of a Green's pass: 0, the grid and the tail cutoff, with
+    each cell wider than _ZETA_STEP in zeta split equally in zeta.
 
-    Obtained by differentiating the defining integral form of Gi directly;
-    the boundary cross terms cancel through the Wronskian.
+    A cell wider than 2 * _ZETA_CUT is graded over _ZETA_CUT from each end
+    only.  The cell left in between is returned marked in ``dropped``: both
+    kernels there are below e^-_ZETA_CUT of their values at the ends of the
+    cell it was cut from, so it contributes nothing but its decay.  The
+    edges depend on grid and scale alone, never on a right-hand side.
     """
-    x = float(x)
-    if x < 0:
-        raise DomainError(f"scorer_gi_prime requires x >= 0, got {x}")
-    P, S, _ = _scorer_parts(x, cfg)
-    a = airy_many(np.array([x]))
-    return float(a.ai_prime_scaled[0] * P + a.bi_prime_scaled[0] * S)
-
-
-def airy_ai_tail_integral(x: float, cfg: QuadratureConfig = _SCORER_CFG) -> float:
-    """int_x^inf Ai(t) dt, computed without subtracting from 1/3."""
-    x = float(x)
-    if x < 0:
-        raise DomainError("airy_ai_tail_integral requires x >= 0")
-    _, S, _ = _scorer_parts(x, cfg)
-    zx = (2.0 / 3.0) * x * math.sqrt(x)
-    return float(S * math.exp(-zx))
+    u_last = scale * grid[-1]
+    t_cut = (1.5 * ((2.0 / 3.0) * u_last * math.sqrt(u_last) + _ZETA_CUT)) ** (
+        2.0 / 3.0
+    ) / scale
+    edges = np.concatenate(([0.0] if grid[0] > 0 else [], grid, [t_cut]))
+    u = scale * edges
+    z = (2.0 / 3.0) * u * np.sqrt(u)
+    span = _zeta_gap(u[1:], u[:-1], scale * np.diff(edges))
+    pieces, middles = [edges], []
+    for i in np.nonzero(span > _ZETA_STEP)[0]:
+        if span[i] <= 2 * _ZETA_CUT:
+            n = math.ceil(span[i] / _ZETA_STEP)
+            zs = z[i] + span[i] * np.arange(1, n) / n
+        else:
+            ks = _ZETA_STEP * np.arange(1, round(_ZETA_CUT / _ZETA_STEP) + 1)
+            zs = np.concatenate((z[i] + ks, z[i + 1] - ks[::-1]))
+        ts = (1.5 * zs) ** (2.0 / 3.0) / scale
+        if span[i] > 2 * _ZETA_CUT:
+            middles.append(ts[ks.size - 1])
+        pieces.append(ts[(ts > edges[i]) & (ts < edges[i + 1])])
+    edges = np.unique(np.concatenate(pieces))
+    return edges, np.isin(edges[:-1], middles)
 
 
 def green_pass(
@@ -512,12 +504,26 @@ def green_pass(
         P_i = int_0^{g_i}   Bi(scale*t) r(t) dt * e^{-zeta(u_i)}
         S_i = int_{g_i}^inf Ai(scale*t) r(t) dt * e^{+zeta(u_i)}
 
-    in one O(n) pass of per-cell Gauss-Legendre quadrature, carrying all
-    exponentials in relative (non-positive exponent) form so nothing can
-    overflow.  The Airy evaluations at the quadrature nodes are shared
-    across right-hand sides.  Returns a dict with the Airy fields at the
-    grid, P and S of shape (len(rhs_fns), n), and an error estimate per
-    right-hand side, shape (len(rhs_fns),).
+    and the full-line integral int_0^inf Ai(scale*t) r(t) dt, in one O(n)
+    pass of per-cell GL15/GL7 quadrature.  The cells are the grid cells, a
+    head [0, g_0] and a tail reaching 45 e-folds of the Ai kernel past the
+    last grid point, each split into cells equally spaced in zeta where it
+    spans more than one e-fold (see ``_cell_edges``); dense grids keep their
+    own cells.  Every exponential is carried in relative, non-positive form,
+    so nothing overflows, and exponent differences are formed without
+    cancellation, so far-out points keep full accuracy.
+
+    One Airy evaluation at all quadrature nodes serves every right-hand side.
+    The cells depend on grid and scale only, so each right-hand side's result
+    is bitwise independent of the others.  A cell whose embedded
+    |GL15 - GL7| estimate for one right-hand side exceeds
+    ``max(cfg.abs_tol, cfg.rel_tol * |value|)`` is redone by the adaptive
+    integrator for that right-hand side alone.
+
+    Returns a dict with the Airy fields at the grid, P and S of shape
+    (len(rhs_fns), n), ``full_line`` of shape (len(rhs_fns),), an error
+    estimate per right-hand side, shape (len(rhs_fns),), and the number of
+    integrand evaluations.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 1:
@@ -527,107 +533,133 @@ def green_pass(
     if grid[0] < 0:
         raise DomainError("green_pass grid must be non-negative")
 
+    if scale * grid[-1] > GREEN_U_MAX:
+        raise RangeError(
+            f"Green's integrals support scale * x <= {GREEN_U_MAX:g}, "
+            f"got {scale * grid[-1]:g}"
+        )
+
     rvs = [_vectorized(r) for r in rhs_fns]
     m = len(rvs)
     ag = airy_many(scale * grid)
-    zg = ag.zeta
-    n = grid.size
+    edges, dropped = _cell_edges(grid, scale)
+    ue = scale * edges
+    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
 
-    from .numerics import _GL7_W, _GL7_X, _GL15_W, _GL15_X, _check_finite
+    # One row per cell: its 15 GL15 nodes, then its 7 GL7 nodes.
+    gl_x = np.concatenate((_GL15_X, _GL7_X))
+    nodes = (0.5 * (edges[1:] + edges[:-1]))[:, None] + half * gl_x
+    an = airy_many(scale * nodes)
+    evals = nodes.size * m
 
+    # Kernels relative to the owning cell's edge: P to its right edge, S to
+    # its left, every exponent <= 0.  Exponents come from each node's offset
+    # within its cell, so far-out nodes lose nothing to their rounding.
+    wP = an.bi_scaled * np.exp(-_zeta_gap(ue[1:, None], an.x, scale * half * (1 - gl_x)))
+    wS = an.ai_scaled * np.exp(-_zeta_gap(an.x, ue[:-1, None], scale * half * (1 + gl_x)))
+    wP[dropped] = wS[dropped] = 0.0
+
+    def kernel_p(a, i):
+        return a.bi_scaled * np.exp(-_zeta_gap(ue[i + 1], a.x, ue[i + 1] - a.x))
+
+    def kernel_s(a, i):
+        return a.ai_scaled * np.exp(-_zeta_gap(a.x, ue[i], a.x - ue[i]))
+
+    cellP = np.empty((m, half.size))
+    cellS = np.empty((m, half.size))
     err = np.zeros(m)
-    evals = 0
-
-    cellP = np.zeros((m, max(n - 1, 0)))
-    cellS = np.zeros((m, max(n - 1, 0)))
-    if n > 1:
-        lo, hi = grid[:-1], grid[1:]
-        half = 0.5 * (hi - lo)
-        mid = 0.5 * (hi + lo)
-        nodes15 = mid[:, None] + half[:, None] * _GL15_X[None, :]
-        nodes7 = mid[:, None] + half[:, None] * _GL7_X[None, :]
-        nodes = np.concatenate((nodes15.ravel(), nodes7.ravel()))
-        an = airy_many(scale * nodes)
-        zn = an.zeta
-        k15 = nodes15.size
-        evals += nodes.size * m
-
-        # Exponentials relative to the owning cell's edge; all <= 1.
-        expP = np.exp(
-            zn - np.concatenate((np.repeat(zg[1:], 15), np.repeat(zg[1:], 7)))
-        )
-        expS = np.exp(
-            np.concatenate((np.repeat(zg[:-1], 15), np.repeat(zg[:-1], 7))) - zn
-        )
-        wP = an.bi_scaled * expP
-        wS = an.ai_scaled * expS
-
-        for j, rv in enumerate(rvs):
-            hv = rv(nodes)
-            _check_finite(nodes, hv)
-            pv, sv = wP * hv, wS * hv
-            for tgt, vals in ((cellP[j], pv), (cellS[j], sv)):
-                i15 = half * (vals[:k15].reshape(nodes15.shape) @ _GL15_W)
-                i7 = half * (vals[k15:].reshape(nodes7.shape) @ _GL7_W)
-                tgt[:] = i15
-                err[j] += float(np.sum(np.abs(i15 - i7)))
-
-    # Prefix seeds over [0, grid[0]].
-    z0 = float(zg[0])
-    P = np.zeros((m, n))
-    if grid[0] > 0:
-        for j, rv in enumerate(rvs):
-            def f_seed_p(ts, rv=rv):
-                a = airy_many(scale * ts)
-                return a.bi_scaled * rv(ts) * np.exp(a.zeta - z0)
-
-            r0 = integrate(f_seed_p, 0.0, float(grid[0]), cfg)
-            P[j, 0] = r0.value
-            err[j] += r0.error_estimate
-            evals += r0.evaluations
-
-    decay = np.exp(zg[:-1] - zg[1:])
-    for i in range(n - 1):
-        P[:, i + 1] = P[:, i] * decay[i] + cellP[:, i]
-
-    # Suffix seeds over [grid[-1], cutoff].
-    zn_last = float(zg[-1])
-    g_cut = ((1.5 * (zn_last + 45.0)) ** (2.0 / 3.0)) / scale
-    S = np.zeros((m, n))
     for j, rv in enumerate(rvs):
-        def f_seed_s(ts, rv=rv):
-            a = airy_many(scale * ts)
-            return a.ai_scaled * rv(ts) * np.exp(zn_last - a.zeta)
+        hv = rv(nodes.ravel())
+        _check_finite(nodes.ravel(), hv)
+        hv = hv.reshape(nodes.shape)
+        for tgt, w, kernel in ((cellP[j], wP, kernel_p), (cellS[j], wS, kernel_s)):
+            vals = w * hv
+            i15 = half[:, 0] * (vals[:, :15] @ _GL15_W)
+            e = np.abs(i15 - half[:, 0] * (vals[:, 15:] @ _GL7_W))
+            for i in np.nonzero(e > np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(i15)))[0]:
+                r = integrate(
+                    lambda ts, k=kernel, rv=rv, i=i: k(airy_many(scale * ts), i) * rv(ts),
+                    float(edges[i]), float(edges[i + 1]), cfg,
+                )
+                i15[i], e[i] = r.value, r.error_estimate
+                evals += r.evaluations
+            tgt[:] = i15
+            err[j] += float(np.sum(e))
+    # Beyond the cutoff and in each dropped cell the kernels are below e^-45
+    # of their values at the nearest kept edge.
+    err += math.exp(-_ZETA_CUT) * (1 + np.count_nonzero(dropped))
 
-        rS = integrate(f_seed_s, float(grid[-1]), float(g_cut), cfg)
-        S[j, -1] = rS.value
-        err[j] += rS.error_estimate + math.exp(-45.0)
-        evals += rS.evaluations
-
-    for i in range(n - 2, -1, -1):
+    decay = np.exp(-_zeta_gap(ue[1:], ue[:-1], scale * 2.0 * half[:, 0]))
+    P = np.zeros((m, edges.size))
+    S = np.zeros((m, edges.size))
+    for i in range(edges.size - 1):
+        P[:, i + 1] = P[:, i] * decay[i] + cellP[:, i]
+    for i in range(edges.size - 2, -1, -1):
         S[:, i] = cellS[:, i] + decay[i] * S[:, i + 1]
 
+    at_grid = np.searchsorted(edges, grid)
     return {
         "grid": grid,
         "airy": ag,
-        "P": P,
-        "S": S,
+        "P": P[:, at_grid],
+        "S": S[:, at_grid],
+        "full_line": S[:, 0],  # edges[0] = 0, where e^zeta = 1
         "error_estimate": err,
         "evaluations": evals,
     }
 
 
-def _gi_on_grid(xs: np.ndarray) -> np.ndarray:
-    """Gi on a sorted grid via one cumulative pass (used by norm search)."""
-    out = green_pass(xs, [lambda t: np.ones_like(t)], 1.0)
-    a = out["airy"]
-    return a.ai_scaled * out["P"][0] + a.bi_scaled * out["S"][0]
+def _ones(t):
+    return np.ones_like(t)
 
 
-def _gi_prime_on_grid(xs: np.ndarray) -> np.ndarray:
-    out = green_pass(xs, [lambda t: np.ones_like(t)], 1.0)
-    a = out["airy"]
-    return a.ai_prime_scaled * out["P"][0] + a.bi_prime_scaled * out["S"][0]
+def _green_at(x, r: Callable, scale: float, cfg: QuadratureConfig, name: str):
+    """Green's passes at arbitrary points x >= 0 (any shape and order).
+
+    Returns floats for a scalar x, else arrays shaped like x: Ai P + Bi S,
+    Ai' P + Bi' S (formed from the scaled fields) and int_x^inf Ai(scale t)
+    r(t) dt.  Gi and Gi' are the first two at r = 1, scale = 1.  The sorted
+    distinct points go through one pass per _GREEN_CHUNK of them, which
+    bounds the memory of the ~22 quadrature nodes per point.
+    """
+    xs = np.asarray(x, dtype=float)
+    if not np.all((xs >= 0) & np.isfinite(xs)):
+        raise DomainError(f"{name} requires finite x >= 0")
+    uniq, inv = np.unique(xs.ravel(), return_inverse=True)
+    parts = []
+    for chunk in np.array_split(uniq, max(1, -(-uniq.size // _GREEN_CHUNK))):
+        out = green_pass(chunk, [r], scale, cfg)
+        a, P, S = out["airy"], out["P"][0], out["S"][0]
+        parts.append((
+            a.ai_scaled * P + a.bi_scaled * S,
+            a.ai_prime_scaled * P + a.bi_prime_scaled * S,
+            S * np.exp(-a.zeta),
+        ))
+    combos = (np.concatenate(c)[inv].reshape(xs.shape) for c in zip(*parts))
+    return tuple(float(c) if c.ndim == 0 else c for c in combos)
+
+
+def scorer_gi(x, cfg: QuadratureConfig = _SCORER_CFG):
+    """Scorer's function Gi(x) = Ai(x) int_0^x Bi + Bi(x) int_x^inf Ai.
+
+    Accepts scalars (returns a float) or arrays of x.
+    """
+    return _green_at(x, _ones, 1.0, cfg, "scorer_gi")[0]
+
+
+def scorer_gi_prime(x, cfg: QuadratureConfig = _SCORER_CFG):
+    """Gi'(x) = Ai'(x) int_0^x Bi + Bi'(x) int_x^inf Ai, for scalars or arrays.
+
+    Obtained by differentiating the defining integral form of Gi directly;
+    the boundary cross terms cancel through the Wronskian.
+    """
+    return _green_at(x, _ones, 1.0, cfg, "scorer_gi_prime")[1]
+
+
+def airy_ai_tail_integral(x, cfg: QuadratureConfig = _SCORER_CFG):
+    """int_x^inf Ai(t) dt, computed without subtracting from 1/3; scalars or
+    arrays of x."""
+    return _green_at(x, _ones, 1.0, cfg, "airy_ai_tail_integral")[2]
 
 
 def _grid_max(values_fn, lo=0.0, hi=40.0, n=8001, rounds=2):
@@ -646,9 +678,9 @@ def _grid_max(values_fn, lo=0.0, hi=40.0, n=8001, rounds=2):
 
 @lru_cache(maxsize=1)
 def _scorer_norm_detail():
-    gi_argmax, gi_norm = _grid_max(_gi_on_grid)
-    xgi_argmax, xgi_norm = _grid_max(lambda xs: xs * _gi_on_grid(xs))
-    gip_argmax, gip_norm = _grid_max(_gi_prime_on_grid)
+    gi_argmax, gi_norm = _grid_max(scorer_gi)
+    xgi_argmax, xgi_norm = _grid_max(lambda xs: xs * scorer_gi(xs))
+    gip_argmax, gip_norm = _grid_max(scorer_gi_prime)
     return {
         "gi_norm": gi_norm,
         "gi_argmax": gi_argmax,

@@ -52,7 +52,7 @@ from .numerics import (
     integrate,
 )
 from .mwright import density
-from .specfun import _scorer_norm_detail, airy_many, green_pass
+from .specfun import _green_at, _ones, _scorer_norm_detail, airy_many, green_pass
 
 __all__ = [
     "TestFunction",
@@ -387,33 +387,17 @@ def _halfline_solve(
         )
     tp = np.unique(np.concatenate([grid] + [g[1].ravel() for g in groups]))
 
-    ones = lambda t: np.ones_like(t)
-    out = green_pass(tp, [tf.fn for tf in hs] + [ones], _SCALE, cfg)
+    out = green_pass(tp, [tf.fn for tf in hs] + [_ones], _SCALE, cfg)
     ag = out["airy"]
     P_1, S_1 = out["P"][-1], out["S"][-1]
 
-    # Full-line Ai-weighted integral of r, for the expectation ratio: the
-    # suffix from tp[0], plus the head over [0, tp[0]] when the grid starts
-    # past 0.
-    z0 = float(ag.zeta[0])
-
-    def full_line(S_r, r):
-        total = float(S_r[0]) * math.exp(-z0)
-        if tp[0] > 0:
-            def head(ts):
-                a = airy_many(_SCALE * ts)
-                return a.ai * r(ts)
-
-            total += integrate(head, 0.0, float(tp[0]), cfg).value
-        return total
-
-    I1 = full_line(S_1, ones)
+    I1 = float(out["full_line"][-1])
     idx_grid = np.searchsorted(tp, grid)
 
     results = []
     for j, tf in enumerate(hs):
         hv = _vectorized(tf.fn)
-        Ih = full_line(out["S"][j], hv)
+        Ih = float(out["full_line"][j])
         Eh = Ih / I1
         S0_eff = Ih - Eh * I1  # zero up to rounding, by construction
 
@@ -733,25 +717,9 @@ def general_particular_solution(
     at k = 1 and f = -1/pi it reproduces Scorer's Gi.
     """
     k = float(k)
-    if k <= 0:
-        raise DomainError(f"general_particular_solution requires k > 0, got {k}")
-    xs = np.asarray(x, dtype=float)
-    scalar = xs.ndim == 0
-    xs1 = np.atleast_1d(xs)
-    if np.any(xs1 < 0):
-        raise DomainError("general_particular_solution requires x >= 0")
-    order = np.argsort(xs1, kind="stable")
-    sorted_x = xs1[order]
-    uniq, inv = np.unique(sorted_x, return_inverse=True)
-
+    if not 0 < k < math.inf:
+        raise DomainError(f"general_particular_solution requires finite k > 0, got {k}")
     fn = f.fn if isinstance(f, TestFunction) else f
-    c = k ** (2.0 / 3.0)
-    out = green_pass(uniq, [fn], c, cfg)
-    ag = out["airy"]
-    q_uniq = -(k ** (-2.0 / 3.0)) * math.pi * (
-        ag.ai_scaled * out["P"][0] + ag.bi_scaled * out["S"][0]
-    )
-    q_sorted = q_uniq[inv]
-    q = np.empty_like(q_sorted)
-    q[order] = q_sorted
-    return float(q[0]) if scalar else q
+    return -(k ** (-2.0 / 3.0)) * math.pi * _green_at(
+        x, fn, k ** (2.0 / 3.0), cfg, "general_particular_solution"
+    )[0]

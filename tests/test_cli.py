@@ -64,6 +64,12 @@ class TestEval:
         code, _, err = run(capsys, ["eval", "ai", "--beta", "0.5", "0:1:1"])
         assert code == 2
 
+    def test_bi_overflow_exit_one(self, capsys):
+        code, out, err = run(capsys, ["eval", "bi", "150:150:1"])
+        assert code == 1
+        assert "x=150.0" in err
+        assert out == ""
+
     def test_grid_spec_errors(self, capsys):
         assert run(capsys, ["eval", "ai", "0:1"])[0] == 2
         assert run(capsys, ["eval", "ai", "0:1:-0.5"])[0] == 2

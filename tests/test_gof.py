@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -233,6 +234,23 @@ class TestOnePassPerFamily:
         test(sample(200, seed=5, symmetric=symmetric), hs)
         # One pass carrying every h (and every mirrored h) plus the constant.
         assert calls == [2 * len(hs) + 1 if symmetric else len(hs) + 1]
+
+    @pytest.mark.parametrize("symmetric", [False, True])
+    def test_no_adaptive_quadrature(self, hs, monkeypatch, symmetric):
+        # Every Green's integral, tail and head included, comes from the
+        # one vectorized pass: no module calls the adaptive integrator.
+        vals = sample(200, seed=5, symmetric=symmetric)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return integrate(*args, **kwargs)
+
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("wright_stein") and getattr(mod, "integrate", None) is integrate:
+                monkeypatch.setattr(mod, "integrate", counting)
+        (discrepancy_sym if symmetric else discrepancy)(vals, hs)
+        assert calls == []
 
 
 class TestNonFiniteSamples:

@@ -125,6 +125,17 @@ class TestCdf:
         with pytest.raises(DomainError):
             cdf(-1.0)
 
+    def test_vectorized(self):
+        xs = np.array([[3.0, 0.0], [0.5, 12.0]])
+        vals = cdf(xs)
+        assert vals.shape == xs.shape
+        ref = np.array([[cdf(float(x)) for x in row] for row in xs])
+        assert np.max(np.abs(vals - ref)) <= 1e-15
+        assert isinstance(cdf(2.0), float)
+        for bad in (np.array([1.0, -1.0]), np.array([1.0, np.nan])):
+            with pytest.raises(DomainError):
+                cdf(bad)
+
 
 class TestNormalization:
     @pytest.mark.parametrize("beta", [0.0, THIRD, 0.5])

@@ -3,6 +3,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import kv
 
 from wright_stein.errors import AiryOverflowError, DomainError, RangeError
@@ -91,6 +93,13 @@ class TestAiryPointValues:
         a = airy_many(np.array([500.0]))
         assert np.isfinite(a.ai_scaled[0]) and np.isfinite(a.bi_scaled[0])
 
+    def test_overflow_error_where_bi_leaves_double_range(self):
+        # e^zeta overflows once zeta > 709.78, at x ~ 104.3.
+        assert math.isfinite(airy(104.0).bi)
+        for x in (104.5, 150.0):
+            with pytest.raises(AiryOverflowError, match=f"x={x!r}"):
+                airy(x)
+
     def test_zeta_field(self):
         v = airy(4.0)
         assert v.zeta == pytest.approx((2.0 / 3.0) * 8.0, rel=1e-15)
@@ -157,8 +166,13 @@ class TestScorer:
         assert got == pytest.approx(airy(0.0).bi / 3.0, abs=1e-12)
 
     def test_vs_oracle(self):
-        for x in [0.0, 0.25, 1.0, 2.5, 5.0, 10.0, 25.0, 40.0]:
+        xs = [0.0, 0.25, 1.0, 2.5, 5.0, 10.0, 25.0, 40.0]
+        for x in xs:
             assert abs(scorer_gi(x) - float(mp.scorergi(x))) <= 1e-9
+        # An array goes through one pass and keeps its shape and order.
+        got = scorer_gi(np.array(xs[::-1]))
+        ref = np.array([float(mp.scorergi(x)) for x in xs[::-1]])
+        assert np.max(np.abs(got / ref - 1.0)) <= 1e-14
 
     def test_asymptotic_at_20(self):
         assert abs(20.0 * math.pi * scorer_gi(20.0) - 1.0) <= 1e-3
@@ -209,6 +223,38 @@ class TestScorer:
         assert airy_ai_tail_integral(0.0) == pytest.approx(1.0 / 3.0, abs=1e-10)
         ref = float(mp.quad(lambda t: mp.airyai(t), [2.0, mp.inf]))
         assert airy_ai_tail_integral(2.0) == pytest.approx(ref, rel=1e-9)
+
+    @pytest.mark.parametrize("x", [250.0, 300.0, 1e3, 1e4])
+    def test_far_oracle(self, x):
+        # Past x ~ 250 an adaptive rule on [0, x] used to miss the Bi peak
+        # within ~1/sqrt(x) of x and return half of Gi.
+        assert scorer_gi(x) == pytest.approx(float(mp.scorergi(x)), rel=1e-12)
+        # Gi' = Ai' P + Bi' S cancels by a factor ~x^(3/2).
+        ref = float(mp.diff(mp.scorergi, x))
+        assert abs(scorer_gi_prime(x) - ref) <= 1e-15 * x**1.5 * abs(ref)
+        # The tail integral is ~e^-zeta(x): below double range here.
+        with mp.workdps(60):
+            tail = float(mp.quad(mp.airyai, [x, x + 1.0 / math.sqrt(x), mp.inf]))
+        assert airy_ai_tail_integral(x) == tail == 0.0
+
+    @pytest.mark.parametrize("x", [25.0, 40.0, 100.0])
+    def test_ai_tail_integral_far(self, x):
+        # 1/3 - int_0^x Ai cancels ~zeta(x) / ln(10) digits.
+        with mp.workdps(30 + int(x**1.5 / 3.0)):
+            ref = float(mp.mpf(1) / 3 - mp.airyai(x, derivative=-1))
+        assert airy_ai_tail_integral(x) == pytest.approx(ref, rel=1e-13)
+
+    def test_range_cap(self):
+        assert math.pi * 1e8 * scorer_gi(1e8) == pytest.approx(1.0, rel=1e-15)
+        with pytest.raises(RangeError):
+            scorer_gi(1.5e8)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(x=st.floats(20.0, 1e4))
+def test_scorer_asymptotic_series(x):
+    # pi x Gi(x) = 1 + 2/x^3 + 40/x^6 + O(x^-9).
+    assert abs(math.pi * x * scorer_gi(x) - (1.0 + 2.0 / x**3)) <= 50.0 / x**6 + 1e-12
 
 
 class TestMittagLeffler:

@@ -1,8 +1,10 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
+from wright_stein import specfun
 from wright_stein import stein as stein_mod
 from wright_stein.errors import DomainError, SolverAccuracyError
 from wright_stein.mwright import density, density_sym
@@ -376,6 +378,14 @@ class TestGeneralParticularSolution:
         )
         assert np.max(np.abs(q - sol_cos.f[::40])) <= 1e-9
 
+    @pytest.mark.parametrize("grid", [[1.0, 30.0], [2.0, 250.0]])
+    def test_reproduces_scorer_on_sparse_grids(self, grid):
+        # Each grid cell spans tens to thousands of e-folds of the kernels.
+        neg_inv_pi = lambda t: -np.ones_like(np.asarray(t, dtype=float)) / math.pi
+        q = general_particular_solution(1.0, neg_inv_pi, np.array(grid))
+        ref = np.array([float(mp.scorergi(x)) for x in grid])
+        assert np.max(np.abs(q / ref - 1.0)) <= 1e-12
+
     def test_zero_rhs(self):
         z = lambda t: np.zeros_like(np.asarray(t, dtype=float))
         assert general_particular_solution(2.0, z, 1.5) == 0.0
@@ -454,6 +464,32 @@ class TestBatchedSolve:
         batch = stein_mod._solve_batch(fam, grid, DEFAULT_CONFIG, RESIDUAL_TOL, True)
         for tf, sol in zip(fam, batch):
             self.assert_same(sol, solve_stein_sym(tf, grid))
+
+    def test_kinked_tail_member_falls_back_alone(self, monkeypatch):
+        # The kink at 13.3 lies inside a graded tail cell of the default
+        # grid, where GL15 and GL7 disagree: that cell is redone adaptively
+        # for this h only.
+        kink = TestFunction(lambda x: np.minimum(1.0, np.abs(x - 13.3)), 1.0, "kink")
+        calls = []
+        real = specfun.integrate
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(specfun, "integrate", counting)
+        cos_sol, kink_sol, sin_sol = stein_mod._solve_batch(
+            [H_COS, kink, H_SIN], None, DEFAULT_CONFIG, RESIDUAL_TOL, False
+        )
+        assert calls
+        monkeypatch.setattr(specfun, "integrate", real)
+        self.assert_same(cos_sol, solve_stein(H_COS))
+        self.assert_same(sin_sol, solve_stein(H_SIN))
+        # Reference with the kink on a cell edge: no cell sees it.
+        eh = kink_sol.expectation_h
+        xs = np.array([kink_sol.grid[200], 12.0, 13.3])
+        q = general_particular_solution(3.0**-0.5, lambda t: kink.fn(t) - eh, xs)
+        assert np.max(np.abs(q[:2] - kink_sol.f[[200, -1]])) <= 1e-9
 
     def test_failing_member_is_named(self):
         wild = TestFunction(lambda x: np.cos(40.0 * x), 1.0, "cos40", even=True)
