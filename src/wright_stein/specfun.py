@@ -250,17 +250,22 @@ def _airy_asymptotic(x: np.ndarray):
 
 
 # Piecewise-Chebyshev cache of Ai, Ai', Bi, Bi' on [0, AIRY_SWITCH].
-# Built once from the double-double Maclaurin series; evaluation then costs
-# a degree-20 Clenshaw recurrence instead of ~35 double-double iterations.
+# Built once from the double-double Maclaurin series in extended precision
+# and rounded to doubles; evaluation then costs one degree-18 Clenshaw
+# recurrence in doubles instead of ~35 double-double iterations.
 # The cache stores the unscaled entire functions (Chebyshev converges
 # spectrally for them; the scaled fields carry a u^(3/2) branch point at 0),
 # and scaling by e^(+-zeta) happens at evaluation time.  Per interval the
 # dynamic range is at most e^2.4, so interval-relative accuracy carries over
-# to value-relative accuracy.  A shipped test asserts cache-vs-series
-# agreement near 1e-14 relative.
+# to value-relative accuracy.  Shipped tests assert cache-vs-series
+# agreement near 1e-14 and cache-vs-mpmath agreement to 1e-15 relative.
 _N_CHEB_INT = 36
 _CHEB_DEG = 18
 _CHEB_EDGES = np.linspace(0.0, AIRY_SWITCH, _N_CHEB_INT + 1)
+# Interval midpoints and half-widths; the edges are multiples of 1/4, so
+# both are exact and so is the map to t in [-1, 1].
+_CHEB_MID = 0.5 * (_CHEB_EDGES[1:] + _CHEB_EDGES[:-1])
+_CHEB_HALF = 0.5 * (_CHEB_EDGES[1:] - _CHEB_EDGES[:-1])
 
 
 @lru_cache(maxsize=1)
@@ -300,28 +305,40 @@ def _cheb_coefs() -> np.ndarray:
         )
         for j, vals in enumerate(corrected):
             coefs[i, j] = dct @ vals
-    return coefs
+    # Coefficient-major doubles, (degree, function, interval), so each
+    # Clenshaw step gathers one contiguous (4, _N_CHEB_INT) slab.
+    return np.ascontiguousarray(coefs.astype(float).transpose(2, 1, 0))
 
 
 def _airy_entire_cached(u: np.ndarray):
     """Unscaled (ai, aip, bi, bip) for u in [0, AIRY_SWITCH).
 
-    Clenshaw runs in extended precision; the growing pair needs absolute
-    accuracy at the few-ulp level near the top of [0, 5].
+    One Clenshaw recurrence in doubles over all points and all four
+    functions, each point gathering its own interval's coefficients.
     """
     coefs = _cheb_coefs()
     idx = np.clip(
         np.searchsorted(_CHEB_EDGES, u, side="right") - 1, 0, _N_CHEB_INT - 1
     )
-    out = np.empty((4, u.size))
-    ld = np.longdouble
-    for i in np.unique(idx):
-        m = idx == i
-        a, b = _CHEB_EDGES[i], _CHEB_EDGES[i + 1]
-        t = (u[m].astype(ld) - ld(0.5) * ld(a + b)) / (ld(0.5) * ld(b - a))
-        for j in range(4):
-            out[j, m] = np.polynomial.chebyshev.chebval(t, coefs[i, j]).astype(float)
+    t = (u - _CHEB_MID[idx]) / _CHEB_HALF[idx]
+    t2 = 2.0 * t
+    # numpy.polynomial.chebyshev.chebval's recurrence, vectorized over points.
+    c0 = np.take(coefs[-2], idx, axis=1)
+    c1 = np.take(coefs[-1], idx, axis=1)
+    for k in range(_CHEB_DEG - 2, -1, -1):
+        c0, c1 = np.take(coefs[k], idx, axis=1) - c1, c0 + c1 * t2
+    out = c0 + c1 * t
     return out[0], out[1], out[2], out[3]
+
+
+def _times_exp(scaled, z, ez):
+    """scaled * e^z for scaled > 0, given ez = exp(z).  Where e^z alone
+    overflows but the product still fits (Bi up to x ~ 104.43 while e^zeta
+    ends at x ~ 104.27), the product is formed as exp(z + log(scaled))."""
+    v = scaled * ez
+    far = np.isinf(v)
+    v[far] = np.exp(z[far] + np.log(scaled[far]))
+    return v
 
 
 class AiryArrays(NamedTuple):
@@ -378,8 +395,8 @@ def airy_many(xs) -> AiryArrays:
             ez = np.exp(z)
             ai[hi] = a_s / ez
             aip[hi] = ap_s / ez
-            bi[hi] = b_s * ez
-            bip[hi] = bp_s * ez
+            bi[hi] = _times_exp(b_s, z, ez)
+            bip[hi] = _times_exp(bp_s, z, ez)
 
     def r(v):
         return v.reshape(shape)
@@ -415,8 +432,8 @@ def airy(x: float) -> AiryValues:
     """Airy bundle at a single non-negative point.
 
     Raises DomainError for x < 0 and AiryOverflowError when an unscaled
-    field leaves double range, which Bi and Bi' do from x ~ 104.3; use
-    airy_many / scaled fields for extreme arguments.
+    field leaves double range: Bi' does from x ~ 104.22 and Bi from
+    x ~ 104.43.  Use airy_many / scaled fields for extreme arguments.
     """
     x = float(x)
     if not x >= 0:
@@ -424,7 +441,8 @@ def airy(x: float) -> AiryValues:
     a = airy_many(np.array([x]))
     if not np.isfinite([a.ai, a.ai_prime, a.bi, a.bi_prime]).all():
         raise AiryOverflowError(
-            f"unscaled Bi overflows at x={x!r}; use airy_many and the scaled fields"
+            f"unscaled Bi or Bi' overflows at x={x!r}; "
+            "use airy_many and the scaled fields"
         )
     return AiryValues(*(float(v[0]) for v in a))
 
@@ -662,25 +680,33 @@ def airy_ai_tail_integral(x, cfg: QuadratureConfig = _SCORER_CFG):
     return _green_at(x, _ones, 1.0, cfg, "airy_ai_tail_integral")[2]
 
 
-def _grid_max(values_fn, lo=0.0, hi=40.0, n=8001, rounds=2):
-    """Deterministic grid search with local refinement; returns (x*, max)."""
-    for _ in range(rounds + 1):
-        xs = np.linspace(lo, hi, n)
-        vals = np.abs(values_fn(xs))
+def _grid_max(values_fn, xs, vals, rounds=2):
+    """Deterministic grid search with local refinement; returns (x*, max).
+
+    ``vals`` are the values of ``values_fn`` on the first-round grid ``xs``,
+    so searches over several functions can share that pass; each refinement
+    round evaluates ``values_fn`` on 201 points around the current maximizer.
+    """
+    while True:
+        vals = np.abs(vals)
         i = int(np.argmax(vals))
         x_star, v_star = float(xs[i]), float(vals[i])
+        if rounds == 0:
+            return x_star, v_star
+        rounds -= 1
         step = xs[1] - xs[0]
-        lo = max(0.0, x_star - 2 * step)
-        hi = x_star + 2 * step
-        n = 201
-    return x_star, v_star
+        xs = np.linspace(max(0.0, x_star - 2 * step), x_star + 2 * step, 201)
+        vals = values_fn(xs)
 
 
 @lru_cache(maxsize=1)
 def _scorer_norm_detail():
-    gi_argmax, gi_norm = _grid_max(scorer_gi)
-    xgi_argmax, xgi_norm = _grid_max(lambda xs: xs * scorer_gi(xs))
-    gip_argmax, gip_norm = _grid_max(scorer_gi_prime)
+    # One pass on [0, 40] yields Gi and Gi' for all three first rounds.
+    xs = np.linspace(0.0, 40.0, 8001)
+    gi, gip, _ = _green_at(xs, _ones, 1.0, _SCORER_CFG, "scorer_gi")
+    gi_argmax, gi_norm = _grid_max(scorer_gi, xs, gi)
+    xgi_argmax, xgi_norm = _grid_max(lambda xs: xs * scorer_gi(xs), xs, xs * gi)
+    gip_argmax, gip_norm = _grid_max(scorer_gi_prime, xs, gip)
     return {
         "gi_norm": gi_norm,
         "gi_argmax": gi_argmax,

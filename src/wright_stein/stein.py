@@ -130,6 +130,22 @@ class BoundReport:
     note: str = ""
 
 
+def _by_side(pos_fn, neg_fn):
+    """x -> pos_fn(|x|) where x >= 0 (-0.0 included), else neg_fn(|x|);
+    each branch runs on its own side's points only."""
+
+    def at(x):
+        x = np.asarray(x, dtype=float)
+        ax = np.abs(x)
+        pos = x >= 0
+        out = np.empty_like(ax)
+        out[pos] = pos_fn(ax[pos])
+        out[~pos] = neg_fn(ax[~pos])
+        return out
+
+    return at
+
+
 @dataclass
 class SteinSolution:
     """Grid representation of a Stein-equation solution.
@@ -198,18 +214,10 @@ class SteinSolution:
         if self.kind == "half-line":
             return self._splines["f"], self._splines["fpp"]
 
-        f_pos, fpp_pos = self._splines["f"], self._splines["fpp"]
-        f_neg, fpp_neg = self._splines["f_neg"], self._splines["fpp_neg"]
-
-        def f_at(x):
-            x = np.asarray(x, dtype=float)
-            return np.where(x >= 0, f_pos(np.abs(x)), f_neg(np.abs(x)))
-
-        def fpp_at(x):
-            x = np.asarray(x, dtype=float)
-            return np.where(x >= 0, fpp_pos(np.abs(x)), fpp_neg(np.abs(x)))
-
-        return f_at, fpp_at
+        return (
+            _by_side(self._splines["f"], self._splines["f_neg"]),
+            _by_side(self._splines["fpp"], self._splines["fpp_neg"]),
+        )
 
     def to_csv(self) -> str:
         buf = io.StringIO()

@@ -1,6 +1,7 @@
 import math
 import os
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -69,6 +70,15 @@ class TestEval:
         assert code == 1
         assert "x=150.0" in err
         assert out == ""
+
+    def test_bi_near_overflow(self, capsys):
+        # e^zeta alone overflows here, but Bi(104.3) ~ 4.47e307 fits.
+        code, out, _ = run(capsys, ["eval", "bi", "104.3:104.3:1"])
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert rows[0, 1] == pytest.approx(float(mp.airybi(104.3)), rel=1e-12)
+        code, out, err = run(capsys, ["eval", "bi", "104.5:104.5:1"])
+        assert code == 1 and "x=104.5" in err and out == ""
 
     def test_grid_spec_errors(self, capsys):
         assert run(capsys, ["eval", "ai", "0:1"])[0] == 2

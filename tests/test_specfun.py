@@ -9,7 +9,9 @@ from scipy.special import kv
 
 from wright_stein.errors import AiryOverflowError, DomainError, RangeError
 from wright_stein.numerics import GAMMA_2_3, gamma_fn
+from wright_stein import specfun
 from wright_stein.specfun import (
+    _CHEB_EDGES,
     AIRY_SWITCH,
     _airy_asymptotic,
     _airy_series,
@@ -100,6 +102,17 @@ class TestAiryPointValues:
             with pytest.raises(AiryOverflowError, match=f"x={x!r}"):
                 airy(x)
 
+    def test_bi_fits_where_e_zeta_overflows(self):
+        # e^zeta overflows from x ~ 104.27, Bi only from x ~ 104.43 and
+        # Bi' from x ~ 104.22.
+        a = airy_many(np.array([104.3, 104.4, 104.5]))
+        for x, got in zip((104.3, 104.4), a.bi[:2]):
+            assert got == pytest.approx(float(mp.airybi(x)), rel=1e-12)
+        assert a.bi[2] == np.inf
+        assert not np.isfinite(a.bi_prime).any()
+        with pytest.raises(AiryOverflowError, match="x=104.3"):
+            airy(104.3)
+
     def test_zeta_field(self):
         v = airy(4.0)
         assert v.zeta == pytest.approx((2.0 / 3.0) * 8.0, rel=1e-15)
@@ -150,6 +163,37 @@ class TestAiryStructure:
         for d, c in zip(direct, (cached.ai, cached.ai_prime, cached.bi, cached.bi_prime)):
             rel = np.abs(c - d) / np.maximum(np.abs(d), 1e-300)
             assert np.max(rel) <= 5e-14
+
+    def test_cheb_cache_vs_oracle_relative(self):
+        # Dense points, every interval edge and the top of the cache range.
+        xs = np.concatenate((
+            np.linspace(0.0, AIRY_SWITCH, 2001, endpoint=False),
+            _CHEB_EDGES[_CHEB_EDGES < AIRY_SWITCH],
+            [AIRY_SWITCH - 1e-12],
+        ))
+        a = airy_many(xs)
+        with mp.workdps(30):
+            for got, fn, d in (
+                (a.ai, mp.airyai, 0),
+                (a.ai_prime, mp.airyai, 1),
+                (a.bi, mp.airybi, 0),
+                (a.bi_prime, mp.airybi, 1),
+            ):
+                ref = np.array([float(fn(mp.mpf(x), d)) for x in xs])
+                assert np.max(np.abs(got / ref - 1.0)) <= 1e-15
+
+    def test_cheb_cache_keeps_shape_and_order(self):
+        rng = np.random.default_rng(7)
+        xs = rng.uniform(0.0, AIRY_SWITCH, (3, 50))
+        flat = airy_many(np.sort(xs.ravel()))
+        order = np.argsort(xs.ravel())
+        a = airy_many(xs)
+        for name in ("ai", "ai_prime", "bi", "bi_prime", "ai_scaled", "bi_scaled"):
+            got = getattr(a, name)
+            assert got.shape == xs.shape
+            want = np.empty(xs.size)
+            want[order] = getattr(flat, name)
+            assert np.array_equal(got.ravel(), want)
 
     def test_bessel_cross_check(self):
         # Ai(x) = (1/pi) sqrt(x/3) K_{1/3}(zeta) for x > 0.
@@ -214,6 +258,39 @@ class TestScorer:
         assert d["gi_argmax"] > 0
         assert gi_norm >= GI_AT_ZERO
         assert gi_norm == pytest.approx(float(mp.scorergi(d["gi_argmax"])), abs=1e-9)
+
+    def test_norm_search_shares_first_round(self, monkeypatch):
+        def separate(values_fn, lo=0.0, hi=40.0, n=8001, rounds=2):
+            # The search as three independent runs, each with its own pass
+            # over the first-round grid.
+            for _ in range(rounds + 1):
+                xs = np.linspace(lo, hi, n)
+                vals = np.abs(values_fn(xs))
+                i = int(np.argmax(vals))
+                x_star, v_star = float(xs[i]), float(vals[i])
+                step = xs[1] - xs[0]
+                lo, hi, n = max(0.0, x_star - 2 * step), x_star + 2 * step, 201
+            return x_star, v_star
+
+        points = []
+        real = specfun.green_pass
+
+        def counting(grid, *args, **kwargs):
+            points.append(len(grid))
+            return real(grid, *args, **kwargs)
+
+        _scorer_norm_detail.cache_clear()
+        monkeypatch.setattr(specfun, "green_pass", counting)
+        d = _scorer_norm_detail()
+        # One 8001-point first round, then 2 refinement rounds of 201 points
+        # for each of Gi, x Gi and Gi'.
+        assert sum(points) == 8001 + 3 * 2 * 201
+        for key, fn in (
+            ("gi", scorer_gi),
+            ("xgi", lambda xs: xs * scorer_gi(xs)),
+            ("gi_prime", scorer_gi_prime),
+        ):
+            assert (d[f"{key}_argmax"], d[f"{key}_norm"]) == separate(fn)
 
     def test_domain(self):
         with pytest.raises(DomainError):

@@ -281,6 +281,22 @@ class TestSymmetricSolver:
     def test_residual(self, sol_atan_sym):
         assert sol_atan_sym.residual_sup <= 1e-6
 
+    def test_interpolants_evaluate_each_side_alone(self, sol_atan_sym):
+        # Reference: both branches over every point, then a select.
+        sp = sol_atan_sym._splines
+        f_at, fpp_at = sol_atan_sym.interpolators()
+        rng = np.random.default_rng(11)
+        xs = np.concatenate((rng.uniform(-12.0, 12.0, 999), [-0.0, 0.0, -12.0]))
+        for got, pos, neg in (
+            (f_at, sp["f"], sp["f_neg"]),
+            (fpp_at, sp["fpp"], sp["fpp_neg"]),
+        ):
+            want = np.where(xs >= 0, pos(np.abs(xs)), neg(np.abs(xs)))
+            assert np.array_equal(got(xs), want)
+            assert np.array_equal(got(xs.reshape(3, 334)), want.reshape(3, 334))
+            # -0.0 takes the positive branch, whose f'' at 0 is the 0+ limit.
+            assert got(-0.0) == pos(0.0) and got(-0.0).shape == ()
+
     def test_grid_requirements(self):
         with pytest.raises(DomainError):
             solve_stein_sym(H_COS, np.linspace(0.0, 12.0, 50))
