@@ -2,9 +2,11 @@
 
 Closed forms take precedence wherever they exist: beta = 0 is exp(-x),
 beta = 1/2 is exp(-x^2/4)/sqrt(pi), beta = 1/3 is 3^(2/3) Ai(x 3^(-1/3)).
-Other parameters route to the Wright M series.  The CDF, sampler, moments
-and Laplace-transform check are specific to beta = 1/3, the distribution
-this package characterizes.
+Other parameters evaluate Kanter's integral (``specfun.wright_m_series``)
+over the whole array at once.  The CDF, sampler, moments and
+Laplace-transform check are specific to beta = 1/3, the distribution this
+package characterizes; the sampler is Kanter's exact method for the same
+integral.
 """
 
 from __future__ import annotations
@@ -12,21 +14,19 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import DomainError, RangeError
 from .numerics import (
     DEFAULT_CONFIG,
     GAMMA_1_3,
     QuadratureConfig,
-    cell_integrals,
     gamma_fn,
     integrate,
 )
-from .specfun import _green_at, _ones, airy_many, mittag_leffler, wright_m_series
+from .specfun import _green_at, _kanter, _ones, airy_many, mittag_leffler
+from .specfun import wright_m_series
 
 __all__ = [
     "WrightParameter",
@@ -44,8 +44,6 @@ _CBRT3 = 3.0 ** (1.0 / 3.0)
 _3_23 = 3.0 ** (2.0 / 3.0)
 
 MOMENT_MAX = 12
-SAMPLER_TABLE_POINTS = 4000
-SAMPLER_TABLE_MAX = 40.0
 
 
 @dataclass(frozen=True)
@@ -80,7 +78,7 @@ def density(p, x):
     elif abs(beta - 1.0 / 3.0) <= 1e-15:
         out = _3_23 * airy_many(xs / _CBRT3).ai
     else:
-        out = np.array([wright_m_series(beta, float(v)) for v in xs])
+        out = wright_m_series(beta, xs)
     return float(out[0]) if scalar else out
 
 
@@ -134,30 +132,21 @@ class SampleSet:
         return buf.getvalue()
 
 
-@lru_cache(maxsize=1)
-def _sampler_table():
-    """Monotone inverse-CDF interpolant on a 4000-knot table over [0, 40]."""
-    xs = np.linspace(0.0, SAMPLER_TABLE_MAX, SAMPLER_TABLE_POINTS)
-    cells, _, _ = cell_integrals(lambda t: density(1.0 / 3.0, t), xs)
-    us = np.concatenate(([0.0], np.cumsum(cells)))
-    # Keep a strictly increasing u-sequence; beyond x ~ 25 the increments
-    # vanish at double precision.
-    keep = np.concatenate(([True], np.diff(us) > 0))
-    return PchipInterpolator(us[keep], xs[keep]), float(us[keep][-1])
-
-
 def sample(n: int, seed: int, symmetric: bool = False) -> SampleSet:
-    """Inverse-CDF draws from M_{1/3}; optional independent fair sign flip.
+    """Exact draws from M_{1/3} by Kanter's method; optional independent fair
+    sign flip.
 
-    Deterministic given (n, seed, symmetric): uniforms are drawn first,
-    then signs, from one numpy default_rng stream.
+    Y = (E / K(pi U))^(2/3) = E^(2/3) / kappa(pi U) with U ~ U(0, 1) and
+    E ~ Exp(1), K and kappa as in ``specfun.wright_m_series``.  Deterministic
+    given (n, seed, symmetric): uniforms, then exponentials, then signs are
+    drawn from one numpy default_rng stream.
     """
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise DomainError(f"sample requires n >= 1, got {n}")
-    inv, u_max = _sampler_table()
     rng = np.random.default_rng(seed)
     u = rng.random(n)
-    xs = inv(np.minimum(u, u_max))
+    e = rng.standard_exponential(n)
+    xs = e ** (2.0 / 3.0) / _kanter(1.0 / 3.0, u, np.sinc(u))
     label = "mwright-sym-1/3" if symmetric else "mwright-1/3"
     if symmetric:
         signs = np.where(rng.random(n) < 0.5, -1.0, 1.0)

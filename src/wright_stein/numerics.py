@@ -201,8 +201,9 @@ def cell_integrals(
     Returns (cell_values, total_error_estimate, evaluations).  All cells are
     evaluated in one vectorized GL15/GL7 pass; the rare cell whose embedded
     error exceeds ``cell_tol * max(1, |value|)`` falls back to the adaptive
-    integrator.  Used by the cumulative (prefix/suffix) passes of the Stein
-    solver and the CDF tabulation, which need n cells in O(n) evaluations.
+    integrator.  Cumulative integrals over an n-point grid thus cost O(n)
+    evaluations (the tests tabulate the M_{1/3} CDF this way); the Green's
+    passes in ``specfun`` grade their own cells and do not call it.
     """
     edges = np.asarray(edges, dtype=float)
     if edges.ndim != 1 or edges.size < 2:

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import math
 import os
 
@@ -79,6 +81,12 @@ class TestEval:
         assert rows[0, 1] == pytest.approx(float(mp.airybi(104.3)), rel=1e-12)
         code, out, err = run(capsys, ["eval", "bi", "104.5:104.5:1"])
         assert code == 1 and "x=104.5" in err and out == ""
+
+    def test_far_ai_is_quiet(self, capsys):
+        code, out, err = run(capsys, ["eval", "ai", "1e300:1e300:1"])
+        assert code == 0
+        assert err == ""
+        assert parse_csv(out)[1][0, 1] == 0.0
 
     def test_grid_spec_errors(self, capsys):
         assert run(capsys, ["eval", "ai", "0:1"])[0] == 2
@@ -314,3 +322,34 @@ def test_arbitrary_truncation_strings_keep_exit_contract(trunc):
         else:
             os.environ["WRIGHT_STEIN_TRUNC"] = saved
     assert code in (0, 2)
+
+
+_CSV_LINE = st.one_of(
+    st.text(st.characters(codec="utf-8", exclude_characters="\x00"), max_size=12),
+    st.floats().map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda v: f"{v:.17g}"),
+    st.floats(-50.0, 50.0).map(repr),
+    st.sampled_from(["", "#", "# c", "1e309", "-0", "+inf", "0x10", "1_0", " 2.5 "]),
+)
+_CSV_BODY = [f"{v:.17g}" for v in sample(120, seed=5).values]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    lines=st.lists(st.tuples(st.integers(0, len(_CSV_BODY)), _CSV_LINE), max_size=6),
+    keep=st.one_of(st.just(len(_CSV_BODY)), st.integers(0, len(_CSV_BODY))),
+    symmetric=st.booleans(),
+)
+def test_arbitrary_csv_lines_keep_exit_contract(tmp_path_factory, lines, keep, symmetric):
+    body = _CSV_BODY[:keep]
+    for pos, line in lines:
+        body.insert(min(pos, len(body)), line)
+    path = tmp_path_factory.mktemp("csv") / "draws.csv"
+    path.write_text("\n".join(body), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["gof", str(path), "--k", "3", *(["--symmetric"] if symmetric else [])])
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert out.getvalue() == ""

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from wright_stein.numerics import (
     cell_integrals,
     integrate,
 )
-from wright_stein.specfun import airy, wright_m_series
+from wright_stein.specfun import _kanter, airy, wright_m_series
 
 THIRD = 1.0 / 3.0
 
@@ -212,6 +213,44 @@ class TestSampler:
     def test_invalid_n(self):
         with pytest.raises(DomainError):
             sample(0, seed=1)
+
+    def test_draw_order(self):
+        # Uniforms, then exponentials, then signs, from one stream.
+        rng = np.random.default_rng(77)
+        u = rng.random(500)
+        e = rng.standard_exponential(500)
+        signs = np.where(rng.random(500) < 0.5, -1.0, 1.0)
+        kappa = _kanter(THIRD, u, np.sinc(u))
+        assert np.array_equal(sample(500, seed=77).values, e ** (2.0 / 3.0) / kappa)
+        assert np.array_equal(
+            sample(500, seed=77, symmetric=True).values, signs * e ** (2.0 / 3.0) / kappa
+        )
+
+    def test_uniform_zero_gives_finite_draw(self, monkeypatch):
+        class Edge:
+            def __init__(self, seed):
+                pass
+
+            def random(self, n):
+                return np.zeros(n)
+
+            def standard_exponential(self, n):
+                return np.ones(n)
+
+        monkeypatch.setattr(np.random, "default_rng", Edge)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals = sample(3, seed=0, symmetric=True).values
+        # kappa(0) = (1/3)^(1/3) (2/3)^(2/3) = 2^(2/3) / 3.
+        assert np.allclose(vals, -3.0 / 2.0 ** (2.0 / 3.0), rtol=1e-15, atol=0.0)
+
+    def test_moments(self):
+        # Higher moments weigh the far tail, which exact draws keep.
+        s = sample(200_000, seed=4321).values
+        for n in (1, 2, 4):
+            m = np.mean(s**n)
+            se = np.std(s**n, ddof=1) / math.sqrt(s.size)
+            assert abs(m - moment(n)) <= 4 * se
 
     def test_csv_roundtrip(self):
         s = sample(10, seed=7)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -163,6 +164,29 @@ class TestAiryStructure:
         for d, c in zip(direct, (cached.ai, cached.ai_prime, cached.bi, cached.bi_prime)):
             rel = np.abs(c - d) / np.maximum(np.abs(d), 1e-300)
             assert np.max(rel) <= 5e-14
+
+    def test_cheb_table_equals_per_interval_build(self):
+        # Reference: the table built one interval at a time, each with its own
+        # series call and one DCT per function.
+        ld, n = np.longdouble, specfun._CHEB_DEG + 1
+        pi_ld = ld(math.pi) + ld(1.2246467991473532e-16)
+        k = np.arange(n)
+        theta = pi_ld * (2 * k + 1).astype(ld) / ld(2 * n)
+        dct = (ld(2) / ld(n)) * np.cos(np.outer(k.astype(ld), theta))
+        dct[0] *= ld(0.5)
+        ref = np.empty((specfun._N_CHEB_INT, 4, n), dtype=ld)
+        for i in range(specfun._N_CHEB_INT):
+            a, b = _CHEB_EDGES[i], _CHEB_EDGES[i + 1]
+            xs_ld = ld(0.5) * ld(a + b) + ld(0.5) * ld(b - a) * np.cos(theta)
+            xs = np.asarray(xs_ld, dtype=float)
+            d, u = xs_ld - xs.astype(ld), xs.astype(ld)
+            ai, aip, bi, bip = (h.astype(ld) + l.astype(ld) for h, l in
+                                specfun._airy_series_core(xs))
+            for j, v in enumerate((ai + aip * d, aip + u * ai * d,
+                                   bi + bip * d, bip + u * bi * d)):
+                ref[i, j] = dct @ v
+        expected = ref.astype(float).transpose(2, 1, 0)
+        assert np.array_equal(specfun._cheb_coefs(), expected)
 
     def test_cheb_cache_vs_oracle_relative(self):
         # Dense points, every interval edge and the top of the cache range.
@@ -447,3 +471,103 @@ class TestWrightMSeries:
                 1 - mp.mpf(beta) - mp.mpf(beta) * n
             )
         assert wright_m_series(beta, 4.0) == pytest.approx(float(s), rel=1e-10)
+
+
+def _m_series_mp(beta, x, digits):
+    """sum (-x)^n rgamma(1 - beta - beta n) / n! in mpmath.
+
+    The precision covers the largest term plus ``digits`` more decimal
+    digits, and the sum stops only once the envelope x^n Gamma(beta(n+1)) /
+    (pi n!) of |term_n|, past its peak, is 10^-digits: a pole term, which is
+    exactly zero, never stops it.
+    """
+    lx = math.log(x)
+
+    def env(n):  # log10 of the envelope
+        return (n * lx + math.lgamma(beta * (n + 1)) - math.lgamma(n + 1)) / math.log(10)
+
+    n, peak = 0, env(0)
+    while env(n + 1) > env(n) or n < 5:
+        n += 1
+        peak = max(peak, env(n))
+    with mp.workdps(int(max(peak, 0.0)) + digits + 15):
+        b, xm = mp.mpf(beta), mp.mpf(x)
+        total, fac, n = mp.mpf(0), mp.mpf(1), 0  # fac = (-x)^n / n!
+        while n < 5 or env(n) > -digits or env(n) > env(n - 1):
+            total += fac * mp.rgamma(1 - b - b * n)
+            n += 1
+            fac *= -xm / n
+        return total
+
+
+# M_0.613(20) = _m_series_mp(0.613, 20.0, 203), ~600 working digits: too slow
+# for the suite, so frozen here.
+M_0613_AT_20 = 1.0512943179435457e-178
+_SMALL_X = 1e-8
+_M_XS = [1e-300, 1e-12, math.nextafter(_SMALL_X, 0.0), _SMALL_X,
+         math.nextafter(_SMALL_X, 1.0), 1e-4, 0.5, 5.0, 20.0]
+
+
+class TestWrightMKanter:
+    @pytest.mark.parametrize("beta", [0.05, 1.0 / 7.0, 0.2, 0.25, 0.613, 0.9])
+    @pytest.mark.parametrize("x", _M_XS)
+    def test_against_mpmath_series(self, beta, x):
+        got = wright_m_series(beta, x)
+        tol = 1e-12 if beta <= 0.5 else 1e-10
+        if beta == 0.613 and x == 20.0:
+            assert got == pytest.approx(M_0613_AT_20, rel=tol)
+            return
+        if beta == 0.9 and x > 1.0:
+            # K is increasing on [0, pi), so M <= x^(b/(1-b)) K(0) e^(-x^(1/(1-b)) K(0)) / (1-b).
+            with mp.workdps(30):
+                b = mp.mpf(beta)
+                k0 = (b**b * (1 - b) ** (1 - b)) ** (1 / (1 - b))
+                bound = x ** (b / (1 - b)) * k0 * mp.exp(-(x ** (1 / (1 - b))) * k0) / (1 - b)
+            assert bound < 1e-320
+            assert got == 0.0
+            return
+        digits = 25 + max(0, int(-math.log10(got)))
+        ref = _m_series_mp(beta, x, digits)
+        assert abs(_m_series_mp(beta, x, digits + 20) - ref) <= 1e-20 * abs(ref)
+        assert got == pytest.approx(float(ref), rel=tol)
+
+    def test_far_tail_underflows_to_zero(self):
+        # Far past the series' reach (~1e13 terms); the value underflows.
+        assert wright_m_series(0.9, 50.0) == 0.0
+        assert wright_m_series(0.5, 1e300) == 0.0
+
+    def test_value_at_zero(self):
+        for beta in (0.05, 0.25, 0.5, 0.613, 0.9):
+            ref = float(mp.rgamma(1 - mp.mpf(beta)))
+            assert wright_m_series(beta, 0.0) == pytest.approx(ref, rel=1e-15)
+
+    def test_scalar_and_array(self):
+        assert isinstance(wright_m_series(0.2, 1.0), float)
+        out = wright_m_series(0.2, np.array([[0.5, 1.0], [0.0, 2.0]]))
+        assert out.shape == (2, 2)
+        assert out[0, 1] == wright_m_series(0.2, 1.0)
+
+    def test_blocks_are_bitwise_equal_to_single_points(self):
+        beta = 1.0 / 7.0
+        xs = np.concatenate(([0.0, 1e-9], np.linspace(1e-6, 30.0, 997)))
+        kappa, _ = specfun._kanter_rule(beta)
+        assert xs.size > 3 * (specfun._KANTER_BLOCK // kappa.size)
+        together = wright_m_series(beta, xs)
+        alone = np.array([wright_m_series(beta, float(x)) for x in xs])
+        assert np.array_equal(together, alone)
+
+    @pytest.mark.parametrize("beta", [0.0, 0.05, 0.5, 0.95, specfun.WRIGHT_BETA_MAX])
+    def test_no_warnings_at_extremes(self, beta):
+        xs = np.array([0.0, 1e-300, _SMALL_X, 1.0, 1e3, 1e300, 1.7e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = wright_m_series(beta, xs)
+        assert np.all(np.isfinite(out)) and np.all(out >= 0)
+        assert out[-1] == 0.0
+
+    def test_domain_and_range(self):
+        for x in (math.nan, math.inf, -1e-300):
+            with pytest.raises(DomainError):
+                wright_m_series(0.25, x)
+        with pytest.raises(RangeError):
+            wright_m_series(0.995, 1.0)
