@@ -4,15 +4,13 @@ Verbs: eval, solve, sample, gof, plotdata.  Exit status contract: 0 success
 or verdict "consistent"; 1 rejected verdicts, unmet solver tolerances, and
 domain errors in evaluation; 2 usage or parse errors; 3 inconclusive
 verdicts.  All numbers print with 17 significant digits so output
-round-trips bit-faithfully.  WRIGHT_STEIN_TRUNC overrides the semi-infinite
-truncation point (default 40).
+round-trips bit-faithfully.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from fractions import Fraction
 
@@ -27,7 +25,6 @@ from .errors import (
     SolverAccuracyError,
     WrightSteinError,
 )
-from .numerics import QuadratureConfig
 
 __all__ = ["main", "build_parser"]
 
@@ -70,13 +67,6 @@ def _parse_grid(spec: str) -> np.ndarray:
         raise ValueError(f"grid {spec!r} exceeds {MAX_GRID_POINTS} points")
     n = int(math.floor(span)) + 1
     return start + step * np.arange(n)
-
-
-def _config() -> QuadratureConfig:
-    trunc = os.environ.get("WRIGHT_STEIN_TRUNC")
-    if trunc is None:
-        return QuadratureConfig()
-    return QuadratureConfig(truncation_point=float(trunc))
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -143,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _cmd_eval(args, cfg: QuadratureConfig) -> int:
+def _cmd_eval(args) -> int:
     spec = args.grid_opt if args.grid_opt is not None else args.grid
     if spec is None:
         print("error: eval needs a grid (positional or --grid=start:stop:step)",
@@ -180,7 +170,7 @@ def _cmd_eval(args, cfg: QuadratureConfig) -> int:
         elif args.function == "gi":
             vals = specfun.scorer_gi(xs)
         elif args.function == "ml":
-            vals = np.array([specfun.mittag_leffler(beta, float(x)) for x in xs])
+            vals = specfun.mittag_leffler(beta, xs)
         elif args.function == "mwright":
             vals = np.asarray(mwright.density(beta, xs))
         else:
@@ -197,7 +187,7 @@ def _cmd_eval(args, cfg: QuadratureConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_solve(args, cfg: QuadratureConfig) -> int:
+def _cmd_solve(args) -> int:
     family = _solve_family()
     if args.h_label not in family:
         print(
@@ -216,9 +206,9 @@ def _cmd_solve(args, cfg: QuadratureConfig) -> int:
             return EXIT_USAGE
     try:
         if args.symmetric:
-            sol = stein.solve_stein_sym(tf, grid, cfg)
+            sol = stein.solve_stein_sym(tf, grid)
         else:
-            sol = stein.solve_stein(tf, grid, cfg)
+            sol = stein.solve_stein(tf, grid)
     except SolverAccuracyError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_REJECTED
@@ -229,7 +219,7 @@ def _cmd_solve(args, cfg: QuadratureConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_sample(args, cfg: QuadratureConfig) -> int:
+def _cmd_sample(args) -> int:
     try:
         s = mwright.sample(args.n, seed=args.seed, symmetric=args.symmetric)
     except DomainError as e:
@@ -261,7 +251,7 @@ def parse_samples_csv(text: str):
     return arr
 
 
-def _cmd_gof(args, cfg: QuadratureConfig) -> int:
+def _cmd_gof(args) -> int:
     try:
         with open(args.input) as fh:
             text = fh.read()
@@ -276,9 +266,9 @@ def _cmd_gof(args, cfg: QuadratureConfig) -> int:
     try:
         hs = gof_mod.default_test_functions(args.k)
         if args.symmetric:
-            rep = gof_mod.discrepancy_sym(vals, hs, cfg=cfg)
+            rep = gof_mod.discrepancy_sym(vals, hs)
         else:
-            rep = gof_mod.discrepancy(vals, hs, cfg=cfg)
+            rep = gof_mod.discrepancy(vals, hs)
     except (DomainError, RangeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
@@ -290,7 +280,7 @@ def _cmd_gof(args, cfg: QuadratureConfig) -> int:
     }[rep.verdict]
 
 
-def _cmd_plotdata(args, cfg: QuadratureConfig) -> int:
+def _cmd_plotdata(args) -> int:
     try:
         betas = [_parse_number(b) for b in args.betas.split(",") if b.strip()]
         xs = _parse_grid(args.grid)
@@ -333,21 +323,16 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code) if e.code is not None else EXIT_USAGE
     try:
-        cfg = _config()
-    except ValueError as e:  # includes DomainError
-        print(f"error: WRIGHT_STEIN_TRUNC: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
         if args.verb == "eval":
-            return _cmd_eval(args, cfg)
+            return _cmd_eval(args)
         if args.verb == "solve":
-            return _cmd_solve(args, cfg)
+            return _cmd_solve(args)
         if args.verb == "sample":
-            return _cmd_sample(args, cfg)
+            return _cmd_sample(args)
         if args.verb == "gof":
-            return _cmd_gof(args, cfg)
+            return _cmd_gof(args)
         if args.verb == "plotdata":
-            return _cmd_plotdata(args, cfg)
+            return _cmd_plotdata(args)
     except WrightSteinError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_REJECTED

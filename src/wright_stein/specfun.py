@@ -14,22 +14,20 @@ Everything multiplied across large separations (the Green's-function cross
 products Ai(a) * integral of Bi, and so on) goes through the exponentially
 scaled fields, so no intermediate ever overflows.
 
-The Wright M function is Kanter's positive integral, so nothing cancels and
-no multi-precision arithmetic is needed; the Mittag-Leffler series, the
-independent side of the Laplace identity, keeps its multi-precision fallback.
+The Wright M function is Kanter's positive integral and the Mittag-Leffler
+function the Gorenflo-Mainardi spectral integral, so nothing cancels and no
+multi-precision arithmetic is needed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
-import mpmath as mp
 import numpy as np
-from scipy.special import gammaln, rgamma
+from scipy.special import rgamma
 
 from .errors import AiryOverflowError, DomainError, RangeError
 from .numerics import (
@@ -55,6 +53,7 @@ __all__ = [
     "wright_m_series",
     "AIRY_SWITCH",
     "GREEN_U_MAX",
+    "ML_BETA_MIN",
     "WRIGHT_BETA_MAX",
 ]
 
@@ -265,7 +264,8 @@ def _airy_asymptotic(x: np.ndarray):
 # and scaling by e^(+-zeta) happens at evaluation time.  Per interval the
 # dynamic range is at most e^2.4, so interval-relative accuracy carries over
 # to value-relative accuracy.  Shipped tests assert cache-vs-series
-# agreement near 1e-14 and cache-vs-mpmath agreement to 1e-15 relative.
+# agreement near 1e-14 and agreement with 30-digit references to 1e-15
+# relative.
 _N_CHEB_INT = 36
 _CHEB_DEG = 18
 _CHEB_EDGES = np.linspace(0.0, AIRY_SWITCH, _N_CHEB_INT + 1)
@@ -731,125 +731,127 @@ def scorer_gi_norms() -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# Mittag-Leffler function (real axis, series with adaptive precision)
+# Mittag-Leffler function: the Gorenflo-Mainardi spectral integral
 # ---------------------------------------------------------------------------
 
 ML_Z_MAX = 30.0
-_SERIES_MAX_TERMS = 300_000
-_SERIES_MAX_PREC = 65_536
+# Smallest beta mittag_leffler accepts: the e-folds of e^-u next to w = 1
+# take ln(2)/beta panels (70 at the floor).
+ML_BETA_MIN = 0.01
+# e^-u is 0 in doubles past u = 750, so the integral ends at w = 750^beta.
+_ML_U_MAX = 750.0
+# One panel per e-fold of e^-u up to here; beyond lies under e^-40 of the
+# integral.
+_ML_U_FOLDS = 40
+# Octaves of geometric grading on each side of |z|.
+_ML_OCTAVES = 60
+# Below this |z|, z / Gamma(1 + beta) is under half an ulp of 1.
+_ML_Z_ROUNDS_TO_ONE = 2.0**-60
+# Node evaluations per block of points, here and in wright_m_series.
+_BLOCK_NODES = 1 << 18
 
 
-def _series_scan(log_abs_z: float, log_gamma_term, tol: float):
-    """Double-precision scan of log|term_n|; returns (n_stop, phi_max).
+@lru_cache(maxsize=16)
+def _ml_layout(beta: float):
+    """The parts of the spectral rule's panel edges fixed by beta alone.
 
-    ``log_gamma_term(n)`` must return the n-dependent log-denominator.
-    Pole terms show up as -inf dips, so truncation is decided on the suffix
-    maximum of the log-magnitudes, not on the first small term.
+    Returns sin(beta pi), cos(beta pi), the fixed edges in w, the multipliers
+    of |z| and those of the half-width |z| sin(beta pi) around
+    w* = z cos(beta pi).  The fixed edges are w = 0 and the e-folds of e^-u,
+    u = w^(1/beta): u = e^-k from w = 1/2 up, then u = 1, 2, ..., 40 and
+    _ML_U_MAX.  The offsets from w* are the half-width times 2^k,
+    k = -1, 0, 1, ..., until they pass 4 |w*|.
     """
-    target = math.log(tol) - 50.0
-    n_hi = 64
-    while True:
-        ns = np.arange(n_hi + 1, dtype=float)
-        phi = ns * log_abs_z - log_gamma_term(ns)
-        phi_max = float(np.max(phi))
-        # Largest remaining term from index n onward (within the window).
-        suffix = np.maximum.accumulate(phi[::-1])[::-1]
-        decayed = np.nonzero(suffix < target)[0]
-        # Only trust the cut if the window extends beyond it; the envelope
-        # decays monotonically once factorial growth takes over.
-        if decayed.size and decayed[0] <= n_hi - 10:
-            return int(decayed[0]), phi_max
-        if n_hi >= _SERIES_MAX_TERMS:
-            raise RangeError(
-                "series does not reach its decay regime within "
-                f"{_SERIES_MAX_TERMS} terms; argument outside practical range"
-            )
-        n_hi *= 2
+    s = math.sin(math.pi * min(beta, 1.0 - beta))  # exact 1 - beta near 1
+    c = math.cos(math.pi * beta)
+    u = np.concatenate((
+        [0.0],
+        np.exp(-np.arange(math.ceil(math.log(2.0) / beta), 0, -1)),
+        np.arange(1.0, _ML_U_FOLDS + 1),
+        [_ML_U_MAX],
+    ))
+    around_z = 2.0 ** np.arange(-_ML_OCTAVES, _ML_OCTAVES + 1)
+    toward = 2.0 ** np.arange(-1, max(0, math.ceil(math.log2(abs(c) / s))) + 3)
+    return s, c, u**beta, around_z, np.concatenate((-toward, toward))
 
 
-def _as_small_fraction(beta: float, max_den: int = 64):
-    fr = Fraction(beta).limit_denominator(max_den)
-    if abs(float(fr) - beta) <= 4e-16:
-        return fr
-    return None
+def _ml_spectral(beta: float, z: np.ndarray) -> np.ndarray:
+    """sin(beta pi) / (beta pi) int_0^inf e^(-w^(1/beta)) z / (w^2 - 2 w z
+    cos(beta pi) + z^2) dw at nonzero z, by GL15 on the edges of _ml_layout,
+    sorted per point.
+
+    The denominator is (w - w*)^2 + (z sin(beta pi))^2.  Nodes are held as
+    offsets from w0 = max(w*, 0) and the edges next to w* as multiples of
+    the half-width, so a narrow peak keeps full relative accuracy.
+    """
+    s, c, w_fixed, around_z, toward = _ml_layout(beta)
+    zc = (z * c)[:, None]
+    w0 = np.maximum(zc, 0.0)
+    a = np.abs(z)[:, None]
+    v = np.concatenate((w_fixed - w0, a * around_z - w0, a * s * toward), axis=1)
+    v = np.clip(v, -w0, w_fixed[-1] - w0)
+    v.sort(axis=1)
+    half = 0.5 * np.diff(v, axis=1)
+    v = 0.5 * (v[:, 1:] + v[:, :-1])[..., None] + half[..., None] * _GL15_X
+    # The maximum keeps a node rounded below w = 0 out of the power.
+    w = np.maximum(w0[..., None] + v, 0.0)
+    zz = z[:, None, None]
+    # w - w* = v + (w0 - w*), which is v itself where w* > 0.
+    f = np.exp(-(w ** (1.0 / beta))) * zz / (
+        (v + (w0 - zc)[..., None]) ** 2 + (zz * s) ** 2
+    )
+    return s / (beta * math.pi) * ((f @ _GL15_W) * half).sum(axis=1)
 
 
-def mittag_leffler(beta: float, z: float, abs_tol: float = 1e-10) -> float:
+def mittag_leffler(beta: float, z):
     """E_beta(z) = sum z^n / Gamma(beta n + 1) for real z, beta in (0, 1].
 
-    Partial sums with adaptive truncation.  When the largest term is big
-    enough that double-precision cancellation would exceed the tolerance the
-    summation is rerun in multi-precision arithmetic sized from a term-
-    magnitude scan, so results are accurate across the supported range.
+    For beta < 1 it is the Gorenflo-Mainardi spectral integral, whose
+    integrand has one sign:
+
+        E_beta(z) = [z > 0] e^(z^(1/beta)) / beta - sin(beta pi) / (beta pi)
+                    * int_0^inf e^(-w^(1/beta)) z / (w^2 - 2 w z cos(beta pi) + z^2) dw,
+
+    one GL15 rule on panels graded over the e-folds of e^(-w^(1/beta)),
+    geometrically on both sides of |z| and toward the near-singular point
+    w* = z cos(beta pi).  E_beta(z) = 1 for |z| < 2^-60, where it rounds to
+    1, and E_1(z) = e^z.  Accepts scalars (returns a float) or arrays of z
+    with |z| <= ML_Z_MAX, and beta down to ML_BETA_MIN.  A positive z whose
+    result ~ exp(z^(1/beta)) / beta leaves double range raises RangeError.
     """
     if not (0 < beta <= 1):
         raise DomainError(f"mittag_leffler requires beta in (0, 1], got {beta}")
-    z = float(z)
-    if abs(z) > ML_Z_MAX:
+    if beta < ML_BETA_MIN:
+        raise RangeError(f"mittag_leffler supports beta >= {ML_BETA_MIN}, got {beta}")
+    zs = np.asarray(z, dtype=float)
+    flat = zs.ravel()
+    if np.isnan(flat).any():
+        raise DomainError("mittag_leffler requires z that is not NaN")
+    big = np.abs(flat) > ML_Z_MAX
+    if big.any():
         raise RangeError(
-            f"mittag_leffler supports |z| <= {ML_Z_MAX}, got {z} "
-            "(series cancellation beyond double precision)"
+            f"mittag_leffler supports |z| <= {ML_Z_MAX}, got {flat[big][0]} "
+            "(the range its rule is checked on)"
         )
-    if z == 0.0:
-        return 1.0
-    # A positive-z result ~ exp(z^(1/beta))/beta must fit in a double.
-    if z > 0 and z ** (1.0 / beta) > 700.0:
+    u = np.maximum(flat, 0.0) ** (1.0 / beta)
+    if np.any(u > 700.0):
         raise RangeError(
-            f"mittag_leffler({beta}, {z}) exceeds double range "
+            f"mittag_leffler({beta}, {flat[u > 700.0][0]}) exceeds double range "
             "(result ~ exp(z**(1/beta))/beta)"
         )
-
-    n_stop, phi_max = _series_scan(
-        math.log(abs(z)), lambda ns: gammaln(beta * ns + 1.0), abs_tol
-    )
-
-    # Fast path: no meaningful cancellation at double precision.
-    if math.exp(min(phi_max, 700.0)) * 2.3e-16 * math.sqrt(n_stop + 1) < 0.1 * abs_tol:
-        ns = np.arange(n_stop + 1, dtype=float)
-        mags = np.exp(ns * math.log(abs(z)) - gammaln(beta * ns + 1.0))
-        signs = np.where(ns % 2 == 0, 1.0, -1.0) if z < 0 else 1.0
-        return float(np.sum(signs * mags))
-
-    prec = int(64 + max(0.0, (phi_max - math.log(abs_tol * 1e-6)) / math.log(2.0)))
-    if prec > _SERIES_MAX_PREC:
-        raise RangeError(
-            f"mittag_leffler({beta}, {z}) needs {prec} bits of working "
-            f"precision, above the cap of {_SERIES_MAX_PREC}"
-        )
-
-    fr = _as_small_fraction(beta)
-    with mp.workprec(prec):
-        stop = mp.mpf(2) ** (-prec + 8)
-        zm = mp.mpf(z)
-        if fr is not None:
-            p, q = fr.numerator, fr.denominator
-            zq = zm**q
-            total = mp.mpf(0)
-            for r in range(q):
-                a = mp.mpf(p * r) / q + 1
-                t = zm**r / mp.gamma(a)
-                ssum = t
-                m = 0
-                scale = mp.mpf(1)
-                while abs(t) > stop * scale and (q * m + r) <= n_stop + q:
-                    denom = mp.mpf(1)
-                    for j in range(p):
-                        denom *= a + p * m + j
-                    t = t * zq / denom
-                    ssum += t
-                    scale = max(scale, abs(ssum))
-                    m += 1
-                total += ssum
-        else:
-            total = mp.mpf(0)
-            t_scale = mp.mpf(1)
-            for n in range(n_stop + 2):
-                t = zm**n / mp.gamma(beta * n + 1)
-                total += t
-                t_scale = max(t_scale, abs(total))
-                if n > 4 and abs(t) < stop * t_scale:
-                    break
-        return float(total)
+    if beta == 1.0:
+        out = np.exp(flat)
+    else:
+        out = np.ones_like(flat)
+        live = np.flatnonzero(np.abs(flat) >= _ML_Z_ROUNDS_TO_ONE)
+        edges = sum(e.size for e in _ml_layout(beta)[2:])
+        step = max(1, _BLOCK_NODES // (15 * edges))
+        for i in range(0, live.size, step):
+            idx = live[i : i + step]
+            lead = np.where(flat[idx] > 0, np.exp(u[idx]) / beta, 0.0)
+            out[idx] = lead - _ml_spectral(beta, flat[idx])
+    out = out.reshape(zs.shape)
+    return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -863,8 +865,6 @@ WRIGHT_BETA_MAX = 0.99
 _WRIGHT_SMALL_X = 1e-8
 # Octaves of geometric panel grading toward each end of [0, pi].
 _KANTER_OCTAVES = 40.0
-# Node evaluations per block of points.
-_KANTER_BLOCK = 1 << 18
 
 
 def _kanter(beta: float, u, sinc_phi):
@@ -928,7 +928,7 @@ def wright_m_series(beta: float, x):
     kappa, wk = _kanter_rule(beta)
     a = 1.0 / (1.0 - beta)
     far = np.nonzero(flat >= _WRIGHT_SMALL_X)[0]
-    step = max(1, _KANTER_BLOCK // kappa.size)
+    step = max(1, _BLOCK_NODES // kappa.size)
     for i in range(0, far.size, step):
         idx = far[i : i + step]
         # Where z overflows, e^-z is 0 anyway; capping z at 750 (e^-750 = 0

@@ -54,6 +54,21 @@ class TestEval:
         _, rows = parse_csv(out)
         assert rows[0, 1] == pytest.approx(0.4517512323819965, abs=1e-9)
 
+    def test_ml_one_call_per_grid(self, capsys, monkeypatch):
+        from wright_stein import specfun
+
+        calls = []
+        real = specfun.mittag_leffler
+        monkeypatch.setattr(specfun, "mittag_leffler",
+                            lambda beta, z: calls.append(z) or real(beta, z))
+        code, out, _ = run(capsys, ["eval", "ml", "--beta", "1/7", "--grid=-30:2:0.5"])
+        assert code == 0 and len(calls) == 1
+        _, rows = parse_csv(out)
+        assert np.array_equal(rows[:, 1], real(1.0 / 7.0, rows[:, 0]))
+        for argv in (["--beta", "1/3", "--grid=-31:0:1"], ["--beta", "0.005", "0:1:1"]):
+            code, out, err = run(capsys, ["eval", "ml", *argv])
+            assert code == 1 and out == "" and "error" in err
+
     def test_domain_error_exit_one(self, capsys):
         code, _, err = run(capsys, ["eval", "mwright", "--beta", "1/3", "--grid=-1:1:1"])
         assert code == 1
@@ -245,16 +260,7 @@ class TestPlotdata:
 
 
 class TestEnvironment:
-    def test_truncation_override(self, monkeypatch):
-        from wright_stein.cli import _config
-
-        monkeypatch.setenv("WRIGHT_STEIN_TRUNC", "30")
-        assert _config().truncation_point == 30.0
-        monkeypatch.delenv("WRIGHT_STEIN_TRUNC")
-        assert _config().truncation_point == 40.0
-
-    def test_override_flows_through_solve(self, monkeypatch, capsys):
-        monkeypatch.setenv("WRIGHT_STEIN_TRUNC", "35")
+    def test_override_flows_through_solve(self, capsys):
         code, out, _ = run(capsys, ["solve", "--h", "cos", "--grid", "0:6:0.1"])
         assert code == 0
         line = [l for l in out.splitlines() if l.startswith("# boundary_residual=")][0]
@@ -262,13 +268,6 @@ class TestEnvironment:
 
 
 class TestExitCodeContract:
-    @pytest.mark.parametrize("value", ["abc", "0", "-1", "nan", "inf"])
-    def test_bad_truncation_is_usage_error(self, monkeypatch, capsys, value):
-        monkeypatch.setenv("WRIGHT_STEIN_TRUNC", value)
-        code, _, err = run(capsys, ["eval", "ai", "0:1:0.5"])
-        assert code == 2
-        assert "WRIGHT_STEIN_TRUNC" in err
-
     def test_bad_beta_is_usage_error(self, capsys):
         assert run(capsys, ["eval", "ml", "--beta", "abc", "0:1:1"])[0] == 2
         assert run(capsys, ["eval", "ml", "--beta", "1/0", "0:1:1"])[0] == 2
@@ -304,24 +303,6 @@ _GRID_PART = st.one_of(
 def test_arbitrary_grid_specs_keep_exit_contract(start, stop, step, fn):
     code = main(["eval", fn, f"--grid={start}:{stop}:{step}", "-o", os.devnull])
     assert code in (0, 1, 2, 3)
-
-
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(trunc=st.one_of(
-    st.text(st.characters(codec="utf-8", exclude_characters="\x00"), max_size=12),
-    st.floats().map(repr),
-))
-def test_arbitrary_truncation_strings_keep_exit_contract(trunc):
-    saved = os.environ.get("WRIGHT_STEIN_TRUNC")
-    os.environ["WRIGHT_STEIN_TRUNC"] = trunc
-    try:
-        code = main(["eval", "ai", "0:1:0.5", "-o", os.devnull])
-    finally:
-        if saved is None:
-            del os.environ["WRIGHT_STEIN_TRUNC"]
-        else:
-            os.environ["WRIGHT_STEIN_TRUNC"] = saved
-    assert code in (0, 2)
 
 
 _CSV_LINE = st.one_of(

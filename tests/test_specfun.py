@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import mpmath as mp
@@ -359,7 +362,7 @@ def test_scorer_asymptotic_series(x):
 
 
 class TestMittagLeffler:
-    @pytest.mark.parametrize("z", [-1.0, 0.0, 1.0])
+    @pytest.mark.parametrize("z", [-1.0, 0.0, 1.0, -30.0, -12.5, 7.25, 30.0])
     def test_beta_one_is_exp(self, z):
         assert mittag_leffler(1.0, z) == pytest.approx(math.exp(z), abs=1e-12)
 
@@ -373,8 +376,8 @@ class TestMittagLeffler:
         )
 
     def test_one_third_deep_negative(self):
-        # Needs the multi-precision path; the plain-double series loses
-        # ~50 digits to cancellation here.
+        # The power series loses ~50 digits to cancellation here; the
+        # spectral integrand has one sign.
         assert mittag_leffler(1.0 / 3.0, -5.0) == pytest.approx(
             ML_THIRD_AT_M5, abs=1e-10
         )
@@ -399,10 +402,118 @@ class TestMittagLeffler:
         for beta in (0.0, -0.1, 1.1):
             with pytest.raises(DomainError):
                 mittag_leffler(beta, 0.5)
+        with pytest.raises(DomainError):
+            mittag_leffler(0.5, np.array([-1.0, math.nan]))
+
+    def test_beta_floor(self):
+        assert mittag_leffler(specfun.ML_BETA_MIN, -0.5) == pytest.approx(
+            _ml_power_series(specfun.ML_BETA_MIN, -0.5), rel=1e-13
+        )
+        with pytest.raises(RangeError, match="beta >= "):
+            mittag_leffler(0.99 * specfun.ML_BETA_MIN, -0.5)
 
     def test_monotone_decay_on_negative_axis(self):
         vals = [mittag_leffler(1.0 / 3.0, -t) for t in np.linspace(0.0, 5.0, 21)]
         assert all(a > b > 0 for a, b in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize(
+        "beta,zs",
+        [
+            (0.02, [-0.9, -0.5, -0.1, 0.1, 0.5, 0.9]),
+            (0.05, [-1.1, -0.7, -0.2, 0.2, 0.7, 1.1]),
+            *((b, [-8.0, -5.5, -3.0, -1.0, -0.25, 0.25, 1.0, 3.0, 5.5, 8.0])
+              for b in (0.77, 0.9, 0.99, 0.999)),
+        ],
+    )
+    def test_vs_power_series(self, beta, zs):
+        got = mittag_leffler(beta, np.array(zs))
+        ref = np.array([_ml_power_series(beta, z) for z in zs])
+        assert np.all(np.abs(got - ref) <= np.maximum(1e-10, 1e-13 * np.abs(ref)))
+
+    @pytest.mark.parametrize("q", [7, 4, 3, 2])
+    def test_vs_asymptotic_series(self, q):
+        xs = np.linspace(15.0, 30.0, 13)
+        got = mittag_leffler(1.0 / q, -xs)
+        ref = np.array([_ml_asymptotic(q, x) for x in xs])
+        assert np.max(np.abs(got - ref) / ref) <= 1e-14
+
+    @pytest.mark.parametrize("q,z", [(7, -4.5), (4, -15.5), (3, -12.0)])
+    def test_former_refusals_and_cliff(self, q, z):
+        # The power series refused (1/7, -4.5) and (1/4, -15.5) and ran for
+        # seconds at (1/3, -12).
+        assert mittag_leffler(1.0 / q, z) == pytest.approx(_ml_asymptotic(q, -z), rel=1e-14)
+
+    def test_half_is_erfcx(self):
+        zs = np.arange(-30.0, 26.25 + 1e-9, 0.75)
+        ref = np.array([float(mp.exp(mp.mpf(z) ** 2) * mp.erfc(-mp.mpf(z))) for z in zs])
+        assert np.max(np.abs(mittag_leffler(0.5, zs) - ref) / ref) <= 1e-14
+
+    def test_shapes(self):
+        assert isinstance(mittag_leffler(0.3, -2.0), float)
+        assert isinstance(mittag_leffler(0.3, np.float64(0.0)), float)
+        assert isinstance(mittag_leffler(1.0, -2.0), float)
+        out = mittag_leffler(0.3, np.array([[-2.0, 0.0], [0.5, -30.0]]))
+        assert out.shape == (2, 2)
+        assert out[0, 0] == mittag_leffler(0.3, -2.0)
+        assert out[0, 1] == 1.0
+        assert mittag_leffler(0.3, np.array([])).shape == (0,)
+
+    def test_blocks_are_bitwise_equal_to_single_points(self):
+        beta = 1.0 / 3.0
+        zs = np.concatenate((np.linspace(-30.0, 8.0, 397), [0.0, -1e-300]))
+        per_point = 15 * sum(e.size for e in specfun._ml_layout(beta)[2:])
+        assert zs.size > 3 * (specfun._BLOCK_NODES // per_point)
+        together = mittag_leffler(beta, zs)
+        alone = np.array([mittag_leffler(beta, float(z)) for z in zs])
+        assert np.array_equal(together, alone)
+
+    @pytest.mark.parametrize("beta", [specfun.ML_BETA_MIN, 0.5, 0.999, 1 - 1e-12])
+    def test_no_warnings_at_extremes(self, beta):
+        zmax = min(specfun.ML_Z_MAX, 0.999 * 700.0**beta)
+        zs = np.array([-30.0, -1e-300, -5e-324, 5e-324, 1e-300, zmax])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = mittag_leffler(beta, zs)
+        assert np.all(np.isfinite(out)) and np.all(out > 0)
+        assert out[1] == out[2] == out[3] == out[4] == 1.0
+
+
+def test_import_leaves_out_mpmath():
+    import wright_stein
+
+    src = os.path.dirname(os.path.dirname(wright_stein.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, wright_stein; sys.exit('mpmath' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def _ml_power_series(beta, z):
+    """sum z^n / Gamma(beta n + 1) in mpmath, with the digits its largest
+    term cancels added to the working precision; summed until the terms
+    fall below e^-92 (40 digits) and decrease."""
+    b, logs = mp.mpf(beta), [0.0]
+    while not (len(logs) > 5 and -92.0 > logs[-1] < logs[-2]):
+        n = len(logs)
+        logs.append(n * math.log(abs(z)) - float(mp.loggamma(b * n + 1)))
+    with mp.workdps(40 + int(max(logs) / math.log(10.0))):
+        b, zz = mp.mpf(beta), mp.mpf(z)
+        return float(mp.fsum(zz**k * mp.rgamma(b * k + 1) for k in range(len(logs))))
+
+
+def _ml_asymptotic(q, x):
+    """E_{1/q}(-x) from sum_{k>=1} (-1)^(k+1) x^-k / Gamma(1 - k/q), summed to
+    its smallest nonzero term.  1 - k/q is exact, so the pole terms vanish."""
+    with mp.workdps(40):
+        xx, total, smallest = mp.mpf(x), mp.mpf(0), mp.inf
+        for k in range(1, 10_000):
+            term = (-1) ** (k + 1) * xx ** (-k) * mp.rgamma(mp.mpf(q - k) / q)
+            if term == 0:
+                continue
+            if abs(term) > smallest or abs(term) < mp.mpf(10) ** -40 * abs(total):
+                return float(total)
+            smallest = abs(term)
+            total += term
+    raise AssertionError("asymptotic series did not reach its smallest term")
 
 
 class TestWrightMSeries:
@@ -551,7 +662,7 @@ class TestWrightMKanter:
         beta = 1.0 / 7.0
         xs = np.concatenate(([0.0, 1e-9], np.linspace(1e-6, 30.0, 997)))
         kappa, _ = specfun._kanter_rule(beta)
-        assert xs.size > 3 * (specfun._KANTER_BLOCK // kappa.size)
+        assert xs.size > 3 * (specfun._BLOCK_NODES // kappa.size)
         together = wright_m_series(beta, xs)
         alone = np.array([wright_m_series(beta, float(x)) for x in xs])
         assert np.array_equal(together, alone)
