@@ -30,17 +30,21 @@ Two implementation details worth knowing:
   function machinery and forms an independent fourth-order finite-difference
   second derivative; the residual compares that against the ODE right-hand
   side.
+
+Between nodes a solution is the quintic Hermite interpolant of the solver's
+own (f, f', f'') on each grid cell, which goodness of fit also reads.
 """
 
 from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
+from functools import cached_property, partial
+from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from numpy.polynomial.polynomial import polyval
 
 from .errors import DomainError, NonFiniteError, SolverAccuracyError
 from .numerics import (
@@ -52,7 +56,8 @@ from .numerics import (
     integrate,
 )
 from .mwright import density
-from .specfun import _green_at, _ones, _scorer_norm_detail, airy_many, green_pass
+from .specfun import _GI_NORM, _GI_PRIME_NORM, _XGI_NORM
+from .specfun import _green_at, _ones, airy_many, green_pass
 
 __all__ = [
     "TestFunction",
@@ -91,8 +96,8 @@ _F6_COEF = np.array([15.0 / 4, -77.0 / 6, 107.0 / 6, -13.0, 61.0 / 12, -5.0 / 6]
 class TestFunction:
     """A bounded continuous test function with its sup-norm bound.
 
-    ``even`` records whether h(-x) = h(x); the symmetric engine uses it for
-    the Remark-style shortcuts.
+    ``even`` is a label recording whether h(-x) = h(x); the solvers do not
+    read it, and the tests use it to pick the even members of a family.
     """
 
     __test__ = False  # not a pytest class, despite the name
@@ -130,20 +135,53 @@ class BoundReport:
     note: str = ""
 
 
-def _by_side(pos_fn, neg_fn):
-    """x -> pos_fn(|x|) where x >= 0 (-0.0 included), else neg_fn(|x|);
-    each branch runs on its own side's points only."""
+class _Hermite(NamedTuple):
+    """One side's interpolant of (f, f', f'') in t >= 0.
 
-    def at(x):
-        x = np.asarray(x, dtype=float)
-        ax = np.abs(x)
-        pos = x >= 0
-        out = np.empty_like(ax)
-        out[pos] = pos_fn(ax[pos])
-        out[~pos] = neg_fn(ax[~pos])
-        return out
+    On the cell [g_b, g_b+1] of width w_b it is the quintic
+    p(s) = sum_k p[b, k] s^k in s = (t - g_b) / w_b that matches
+    (f, w_b f', w_b^2 f'') at both ends, so its error in f is O(w^6); d[b]
+    holds p''/w_b^2.  Points outside the knots take the end cell's polynomial.
+    """
 
-    return at
+    knots: np.ndarray
+    p: np.ndarray  # (cells, 6)
+    d: np.ndarray  # (cells, 4)
+
+    def locate(self, t):
+        """Cell index and cell coordinate s of each point t."""
+        b = np.clip(np.searchsorted(self.knots, t, side="right") - 1, 0, len(self.p) - 1)
+        return b, (t - self.knots[b]) / (self.knots[b + 1] - self.knots[b])
+
+    def __call__(self, t, nu=0):
+        """The interpolated f (nu = 0) or f'' (nu = 2) at t."""
+        b, s = self.locate(np.asarray(t, dtype=float))
+        c = (self.p if nu == 0 else self.d)[b]
+        return polyval(s, np.moveaxis(c, -1, 0), tensor=False)
+
+    def operator(self):
+        """A p = p''/w^2 - (t/3) p on each cell: (cells, 7) coefficients in s."""
+        q = np.zeros((len(self.p), 7))
+        q[:, :4] = self.d
+        q[:, :6] -= (self.knots[:-1, None] / 3.0) * self.p
+        q[:, 1:] -= (np.diff(self.knots)[:, None] / 3.0) * self.p
+        return q
+
+
+def _hermite(knots, f, fp, fpp) -> _Hermite:
+    """The _Hermite interpolant of (f, f', f'') at ``knots``."""
+    if knots.size < 2:
+        raise DomainError("interpolating a solution needs two grid points per side")
+    w = np.diff(knots)
+    c = [f[:-1], w * fp[:-1], 0.5 * w * w * fpp[:-1]]
+    # What the quadratic Taylor part misses at s = 1 in p, p' and p''.
+    a = f[1:] - (c[0] + c[1] + c[2])
+    b = w * fp[1:] - (c[1] + 2.0 * c[2])
+    e = w * w * fpp[1:] - 2.0 * c[2]
+    c += [10.0 * a - 4.0 * b + 0.5 * e, -15.0 * a + 7.0 * b - e, 6.0 * a - 3.0 * b + 0.5 * e]
+    p = np.stack(c, axis=1)
+    # p''/w^2 in the power basis, from (s^k)'' = k (k - 1) s^(k-2).
+    return _Hermite(knots, p, p[:, 2:] * ([2.0, 6.0, 12.0, 20.0] / w[:, None] ** 2))
 
 
 @dataclass
@@ -174,50 +212,47 @@ class SteinSolution:
     error_estimate: float = 0.0
     label: str = ""
     _mirror_f_zero: float = 0.0
-    _splines: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         for a in (self.grid, self.f, self.f_prime, self.f_double_prime):
             np.asarray(a).setflags(write=False)
 
-    def interpolators(self):
-        """Piecewise-cubic interpolants (f, f'') honoring the side split.
+    @cached_property
+    def _pieces(self) -> tuple:
+        """One _Hermite per side in t = |x|: (half line,) or (x >= 0, x < 0).
+        The mirror side starts at t = 0 with the mirror branch's own values."""
+        arrays = (self.grid, self.f, self.f_prime, self.f_double_prime)
+        if self.kind == "half-line":
+            return (_hermite(*arrays),)
+        neg = self.grid < 0
+        zero = (0.0, self._mirror_f_zero, -self.fp_zero_minus, self.fpp_zero_minus)
+        # In t = -x the odd-order arrays (x and f') change sign.
+        mirror = (
+            np.concatenate(([v0], sign * a[neg][::-1]))
+            for v0, sign, a in zip(zero, (-1.0, 1.0, -1.0, 1.0), arrays)
+        )
+        return _hermite(*(a[~neg] for a in arrays)), _hermite(*mirror)
 
-        For the symmetric kind, values at x < 0 are evaluated through the
-        mirrored positive-side representation, so f'' keeps its one-sided
+    def interpolators(self):
+        """Quintic Hermite interpolants (f, f'') honoring the side split.
+
+        For the symmetric kind each side runs on its own points only, x < 0
+        (not -0.0) on the mirror side at |x|, so f'' keeps its one-sided
         limits at 0 and even test functions give bitwise-mirrored values.
         """
-        if "f" not in self._splines:
-            if self.kind == "half-line":
-                self._splines["f"] = CubicSpline(self.grid, self.f)
-                self._splines["fpp"] = CubicSpline(self.grid, self.f_double_prime)
-            else:
-                pos = self.grid >= 0
-                neg = self.grid < 0
-                self._splines["f"] = CubicSpline(self.grid[pos], self.f[pos])
-                self._splines["fpp"] = CubicSpline(
-                    self.grid[pos], self.f_double_prime[pos]
-                )
-                # Mirror side in the reflected variable s = -x > 0, with the
-                # mirror branch's own values at s = 0.
-                gn = np.concatenate(([0.0], -self.grid[neg][::-1]))
-                self._splines["f_neg"] = CubicSpline(
-                    gn, np.concatenate(([self._mirror_f_zero], self.f[neg][::-1]))
-                )
-                self._splines["fpp_neg"] = CubicSpline(
-                    gn,
-                    np.concatenate(
-                        ([self.fpp_zero_minus], self.f_double_prime[neg][::-1])
-                    ),
-                )
-
         if self.kind == "half-line":
-            return self._splines["f"], self._splines["fpp"]
+            (p,) = self._pieces
+            return p, partial(p, nu=2)
+        pos, neg = self._pieces
 
-        return (
-            _by_side(self._splines["f"], self._splines["f_neg"]),
-            _by_side(self._splines["fpp"], self._splines["fpp_neg"]),
-        )
+        def at(x, nu):
+            x = np.asarray(x, dtype=float)
+            ax, right = np.abs(x), x >= 0
+            out = np.empty_like(ax)
+            out[right], out[~right] = pos(ax[right], nu), neg(ax[~right], nu)
+            return out
+
+        return partial(at, nu=0), partial(at, nu=2)
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -478,10 +513,9 @@ def _halfline_solve(
 
 
 def _bound_constants() -> tuple[float, float, float]:
-    d = _scorer_norm_detail()
-    c1 = 3.0 ** (2.0 / 3.0) * math.pi * d["gi_norm"]
-    c2 = 3.0 ** (1.0 / 3.0) * math.pi * d["gi_prime_norm"]
-    c3 = 3.0 ** (-2.0 / 3.0) * math.pi * d["xgi_norm"] + 1.0
+    c1 = 3.0 ** (2.0 / 3.0) * math.pi * _GI_NORM
+    c2 = 3.0 ** (1.0 / 3.0) * math.pi * _GI_PRIME_NORM
+    c3 = 3.0 ** (-2.0 / 3.0) * math.pi * _XGI_NORM + 1.0
     return c1, c2, c3
 
 
@@ -696,8 +730,8 @@ def verify_bounds(sol: SteinSolution, h) -> BoundReport:
     """Check the three sup-norm bounds of the half-line solution theory.
 
     The constants are 3^(2/3) pi ||Gi||, 3^(1/3) pi ||Gi'||, and
-    3^(-2/3) pi sup|x Gi(x)| + 1, with the Scorer norms located by grid
-    search.  ||h~|| is the grid supremum of |h - E[h(Y)]|.
+    3^(-2/3) pi sup|x Gi(x)| + 1, with the Scorer norms frozen in
+    ``specfun``.  ||h~|| is the grid supremum of |h - E[h(Y)]|.
     """
     if sol.kind != "half-line":
         raise DomainError("verify_bounds applies to half-line solutions")

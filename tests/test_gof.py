@@ -1,4 +1,6 @@
 import math
+import os
+import subprocess
 import sys
 
 import numpy as np
@@ -13,8 +15,14 @@ from wright_stein.gof import (
     discrepancy_sym,
 )
 from wright_stein.mwright import SampleSet, sample
-from wright_stein.numerics import integrate
-from wright_stein.stein import solve_stein, solve_stein_sym
+from wright_stein.numerics import DEFAULT_CONFIG, integrate
+from wright_stein.stein import (
+    RESIDUAL_TOL,
+    _solve_batch,
+    default_grid,
+    solve_stein,
+    solve_stein_sym,
+)
 
 N_MC = 20_000
 SEED_H0 = 20260811
@@ -260,3 +268,101 @@ class TestNonFiniteSamples:
         vals = np.concatenate((sample(300, seed=6).values, [bad]))
         with pytest.raises(DomainError, match="finite"):
             test(vals, hs[:2])
+
+
+def _pointwise_stats(vals, hs, symmetric, grid):
+    """(mean, std_error) of A f_h over the sample, evaluating the solution's
+    interpolants at every point (the reference for the power-sum sweep)."""
+    n = vals.size
+    inside = np.abs(vals) <= np.max(np.abs(grid))
+    vin = vals[inside]
+    out = []
+    for sol in _solve_batch(hs, grid, DEFAULT_CONFIG, RESIDUAL_TOL, symmetric):
+        f_at, fpp_at = sol.interpolators()
+        av = np.zeros(n)
+        av[inside] = fpp_at(vin) - (np.abs(vin) / 3.0) * f_at(vin)
+        out.append((np.mean(av), np.std(av, ddof=1) / math.sqrt(n)))
+    return out
+
+
+# Negative side on [-8, 0] in steps of 0.04, positive side on [0, 12] in 0.05.
+ASYMMETRIC_GRID = np.concatenate((np.linspace(-8.0, 0.0, 201)[:-1], np.linspace(0.0, 12.0, 241)))
+
+
+class TestPowerSums:
+    """The one-sweep statistics equal the pointwise evaluation of the same
+    interpolant, and sit on the Stein identity A f_h = h - E h."""
+
+    @pytest.mark.parametrize(
+        "case",
+        ["half-line", "symmetric", "half-line-from-0.25", "asymmetric", "asymmetric-wide", "exp1"],
+    )
+    def test_match_pointwise(self, case):
+        rng = np.random.default_rng(5)
+        symmetric = case in ("symmetric", "asymmetric", "asymmetric-wide")
+        grid = {
+            "half-line-from-0.25": np.linspace(0.25, 12.0, 400),
+            "asymmetric": ASYMMETRIC_GRID,
+            "asymmetric-wide": ASYMMETRIC_GRID,
+        }.get(case, default_grid(symmetric))
+        if case == "exp1":
+            vals = rng.exponential(1.0, 5000)
+        elif case == "asymmetric-wide":
+            # Reaches past -8, so the mirror side's end cell extrapolates.
+            vals = rng.normal(0.0, 4.0, 5000)
+        else:
+            vals = sample(5000, seed=21, symmetric=symmetric).values
+        if case == "half-line-from-0.25":
+            assert np.count_nonzero(vals < 0.25) > 500
+        hs = default_test_functions(16)
+        rep = (discrepancy_sym if symmetric else discrepancy)(vals, hs, grid)
+        for s, (mean, se) in zip(rep.per_function, _pointwise_stats(vals, hs, symmetric, grid)):
+            assert abs(s.mean - mean) <= 1e-12 * abs(mean), s.label
+            assert abs(s.std_error - se) <= 1e-12 * se, s.label
+
+    @pytest.mark.parametrize("symmetric", [False, True])
+    def test_stein_identity(self, hs, symmetric):
+        # A f_h = h - E h (E h(-Y) on x < 0) holds exactly at the nodes; in
+        # between, the interpolant's f'' error is O(w^4) in the cell width w.
+        # The symmetric grid's cells are twice as wide (0.06 against 0.03),
+        # hence its 16 times larger error and wider bound.
+        vals = sample(N_MC, seed=SEED_H0, symmetric=symmetric).values
+        rep = (discrepancy_sym if symmetric else discrepancy)(vals, hs)
+        sols = _solve_batch(hs, None, DEFAULT_CONFIG, RESIDUAL_TOL, symmetric)
+        for h, sol, s in zip(hs, sols, rep.per_function):
+            e = np.where(vals >= 0, sol.expectation_h, sol.expectation_h_neg or 0.0)
+            av = h.fn(vals) - e
+            assert abs(s.mean - np.mean(av)) <= (1e-8 if symmetric else 1e-9), h.label
+            se = np.std(av, ddof=1) / math.sqrt(vals.size)
+            assert abs(s.std_error - se) <= 1e-7 * se, h.label
+
+    def test_degenerate_variance_no_warning(self, hs):
+        # The variance numerator is clamped at 0, so rounding cannot take a
+        # square root of a negative number (RuntimeWarnings are errors here):
+        # a constant h gives standardized 0, and a sample with one distinct
+        # value (variance 0, sum of squares equal to sum^2 / n) is rejected.
+        from wright_stein.stein import TestFunction
+
+        const = TestFunction(lambda x: np.ones_like(np.asarray(x, dtype=float)), 1.0, "const")
+        for test, symmetric in ((discrepancy, False), (discrepancy_sym, True)):
+            rep = test(sample(500, seed=3, symmetric=symmetric), [const])
+            assert rep.per_function[0].standardized == 0.0
+            rep = test(np.full(200, -0.7 if symmetric else 0.7), hs)
+            assert rep.verdict == "rejected"
+            assert all(s.std_error >= 0.0 for s in rep.per_function)
+
+
+def test_runtime_leaves_out_scipy():
+    import wright_stein
+
+    src = os.path.dirname(os.path.dirname(wright_stein.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import sys, wright_stein as ws\n"
+        "hs = ws.default_test_functions(3)\n"
+        "ws.discrepancy(ws.sample(200, seed=1), hs)\n"
+        "ws.discrepancy_sym(ws.sample(200, seed=1, symmetric=True), hs)\n"
+        "ws.wright_m_series(0.25, 0.0)\n"
+        "sys.exit('scipy' in sys.modules)"
+    )
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -18,8 +18,9 @@ from wright_stein.specfun import (
     _CHEB_EDGES,
     AIRY_SWITCH,
     _airy_asymptotic,
-    _airy_series,
-    _scorer_norm_detail,
+    _airy_series_core,
+    _green_at,
+    _ones,
     airy,
     airy_ai_tail_integral,
     airy_many,
@@ -230,6 +231,48 @@ class TestAiryStructure:
             assert abs(airy(x).ai - ref) <= 1e-8
 
 
+def _airy_series(x):
+    """Maclaurin branch collapsed to doubles: (ai, aip, bi, bip)."""
+    return tuple(hi + lo for hi, lo in _airy_series_core(x))
+
+
+def _grid_max(values_fn, xs, vals, rounds=2):
+    """Deterministic grid search with local refinement; returns (x*, max).
+
+    ``vals`` are the values of ``values_fn`` on the first-round grid ``xs``,
+    so searches over several functions can share that pass; each refinement
+    round evaluates ``values_fn`` on 201 points around the current maximizer.
+    """
+    while True:
+        vals = np.abs(vals)
+        i = int(np.argmax(vals))
+        x_star, v_star = float(xs[i]), float(vals[i])
+        if rounds == 0:
+            return x_star, v_star
+        rounds -= 1
+        step = xs[1] - xs[0]
+        xs = np.linspace(max(0.0, x_star - 2 * step), x_star + 2 * step, 201)
+        vals = values_fn(xs)
+
+
+def _scorer_norm_search():
+    """The search that located the frozen Scorer norms in ``specfun``."""
+    # One pass on [0, 40] yields Gi and Gi' for all three first rounds.
+    xs = np.linspace(0.0, 40.0, 8001)
+    gi, gip, _ = _green_at(xs, _ones, 1.0, specfun._SCORER_CFG, "scorer_gi")
+    gi_argmax, gi_norm = _grid_max(scorer_gi, xs, gi)
+    xgi_argmax, xgi_norm = _grid_max(lambda xs: xs * scorer_gi(xs), xs, xs * gi)
+    gip_argmax, gip_norm = _grid_max(scorer_gi_prime, xs, gip)
+    return {
+        "gi_norm": gi_norm,
+        "gi_argmax": gi_argmax,
+        "xgi_norm": xgi_norm,
+        "xgi_argmax": xgi_argmax,
+        "gi_prime_norm": gip_norm,
+        "gi_prime_argmax": gip_argmax,
+    }
+
+
 class TestScorer:
     def test_value_at_zero(self):
         got = scorer_gi(0.0)
@@ -275,16 +318,24 @@ class TestScorer:
         )
 
     def test_norms(self):
-        gi_norm, xgi_norm = scorer_gi_norms()
-        assert gi_norm > 0 and math.isfinite(gi_norm)
-        assert xgi_norm > 0 and math.isfinite(xgi_norm)
-        assert xgi_norm >= 1.0 / math.pi - 1e-3
-        d = _scorer_norm_detail()
-        # The sup of Gi is attained at an interior maximizer, not at 0;
-        # the search records it, and the value agrees with the oracle there.
-        assert d["gi_argmax"] > 0
-        assert gi_norm >= GI_AT_ZERO
-        assert gi_norm == pytest.approx(float(mp.scorergi(d["gi_argmax"])), abs=1e-9)
+        # The frozen constants are what the search finds, bit for bit, and
+        # the oracle agrees at each maximizer.
+        d = _scorer_norm_search()
+        assert scorer_gi_norms() == (d["gi_norm"], d["xgi_norm"])
+        assert (d["gi_norm"], d["xgi_norm"], d["gi_prime_norm"]) == (
+            specfun._GI_NORM, specfun._XGI_NORM, specfun._GI_PRIME_NORM,
+        )
+        assert d["gi_argmax"] == pytest.approx(0.609076, abs=1e-12)
+        assert d["xgi_argmax"] == pytest.approx(2.530764, abs=1e-12)
+        assert d["gi_prime_argmax"] == 0.0
+        gi = lambda x: float(mp.scorergi(x))
+        assert d["gi_norm"] == pytest.approx(gi(d["gi_argmax"]), abs=1e-15)
+        assert d["xgi_norm"] == pytest.approx(d["xgi_argmax"] * gi(d["xgi_argmax"]), abs=1e-15)
+        gip0 = 1 / (mp.mpf(3) ** (mp.mpf(5) / 6) * mp.gamma(mp.mpf(1) / 3))
+        assert d["gi_prime_norm"] == pytest.approx(float(gip0), abs=1e-15)
+        # The sup of Gi is attained at an interior maximizer, not at 0.
+        assert d["gi_norm"] >= GI_AT_ZERO
+        assert d["xgi_norm"] >= 1.0 / math.pi - 1e-3
 
     def test_norm_search_shares_first_round(self, monkeypatch):
         def separate(values_fn, lo=0.0, hi=40.0, n=8001, rounds=2):
@@ -306,9 +357,8 @@ class TestScorer:
             points.append(len(grid))
             return real(grid, *args, **kwargs)
 
-        _scorer_norm_detail.cache_clear()
         monkeypatch.setattr(specfun, "green_pass", counting)
-        d = _scorer_norm_detail()
+        d = _scorer_norm_search()
         # One 8001-point first round, then 2 refinement rounds of 201 points
         # for each of Gi, x Gi and Gi'.
         assert sum(points) == 8001 + 3 * 2 * 201

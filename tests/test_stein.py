@@ -13,6 +13,7 @@ from wright_stein.specfun import airy_many, scorer_gi
 from wright_stein.stein import (
     RESIDUAL_TOL,
     TestFunction,
+    _hermite,
     check_domain,
     expectation_mwright,
     general_particular_solution,
@@ -283,19 +284,16 @@ class TestSymmetricSolver:
 
     def test_interpolants_evaluate_each_side_alone(self, sol_atan_sym):
         # Reference: both branches over every point, then a select.
-        sp = sol_atan_sym._splines
+        pos, neg = sol_atan_sym._pieces
         f_at, fpp_at = sol_atan_sym.interpolators()
         rng = np.random.default_rng(11)
         xs = np.concatenate((rng.uniform(-12.0, 12.0, 999), [-0.0, 0.0, -12.0]))
-        for got, pos, neg in (
-            (f_at, sp["f"], sp["f_neg"]),
-            (fpp_at, sp["fpp"], sp["fpp_neg"]),
-        ):
-            want = np.where(xs >= 0, pos(np.abs(xs)), neg(np.abs(xs)))
+        for got, nu in ((f_at, 0), (fpp_at, 2)):
+            want = np.where(xs >= 0, pos(np.abs(xs), nu), neg(np.abs(xs), nu))
             assert np.array_equal(got(xs), want)
             assert np.array_equal(got(xs.reshape(3, 334)), want.reshape(3, 334))
             # -0.0 takes the positive branch, whose f'' at 0 is the 0+ limit.
-            assert got(-0.0) == pos(0.0) and got(-0.0).shape == ()
+            assert got(-0.0) == pos(0.0, nu) and got(-0.0).shape == ()
 
     def test_grid_requirements(self):
         with pytest.raises(DomainError):
@@ -309,6 +307,67 @@ class TestSymmetricSolver:
         text = sol_atan_sym.to_csv()
         assert "# fpp_jump=" in text
         assert "# expectation_h_neg=" in text
+
+
+class TestHermiteInterpolant:
+    """The per-cell quintic Hermite interpolant behind interpolators() and GoF."""
+
+    @staticmethod
+    def ends(piece):
+        """(p, p'/w, p''/w^2) at both ends of every cell, from the coefficients."""
+        w = np.diff(piece.knots)
+        k = np.arange(6)
+        at0 = (piece.p[:, 0], piece.p[:, 1] / w, piece.d[:, 0])
+        at1 = (piece.p.sum(axis=1), piece.p @ k / w, piece.d.sum(axis=1))
+        return at0, at1
+
+    @pytest.mark.parametrize("kind", ["half-line", "symmetric"])
+    def test_reproduces_nodes(self, kind, sol_cos, sol_atan_sym):
+        sol = sol_cos if kind == "half-line" else sol_atan_sym
+        if kind == "half-line":
+            sides = [(sol.f, sol.f_prime, sol.f_double_prime)]
+        else:
+            pos, neg = sol.grid >= 0, sol.grid < 0
+            sides = [
+                (sol.f[pos], sol.f_prime[pos], sol.f_double_prime[pos]),
+                (
+                    np.concatenate(([sol._mirror_f_zero], sol.f[neg][::-1])),
+                    np.concatenate(([-sol.fp_zero_minus], -sol.f_prime[neg][::-1])),
+                    np.concatenate(([sol.fpp_zero_minus], sol.f_double_prime[neg][::-1])),
+                ),
+            ]
+        for piece, data in zip(sol._pieces, sides):
+            at0, at1 = self.ends(piece)
+            for got0, got1, want in zip(at0, at1, data):
+                scale = max(1.0, float(np.max(np.abs(want))))
+                assert np.max(np.abs(got0 - want[:-1])) <= 1e-12 * scale
+                assert np.max(np.abs(got1 - want[1:])) <= 1e-12 * scale
+        # Through the public interpolants, at the nodes themselves.
+        f_at, fpp_at = sol.interpolators()
+        assert np.max(np.abs(f_at(sol.grid) - sol.f)) <= 1e-14
+        assert np.max(np.abs(fpp_at(sol.grid) - sol.f_double_prime)) <= 1e-12
+        if kind == "symmetric":
+            # The mirror side keeps the x < 0 branch's own values at 0.
+            assert sol._pieces[1](0.0) == sol._mirror_f_zero
+            assert sol._pieces[1](0.0, nu=2) == pytest.approx(sol.fpp_zero_minus, abs=1e-15)
+
+    def test_reproduces_a_quintic(self):
+        rng = np.random.default_rng(3)
+        knots = np.sort(rng.uniform(0.0, 4.0, 25))
+        c = np.array([0.7, -1.3, 0.4, 0.9, -0.35, 0.05])
+        q = np.polynomial.Polynomial(c)
+        piece = _hermite(knots, q(knots), q.deriv(1)(knots), q.deriv(2)(knots))
+        # Inside the knots and, through the end cells, half a cell outside.
+        w = np.diff(knots)
+        outside = [knots[0] - 0.5 * w[0], knots[-1] + 0.5 * w[-1]]
+        t = np.concatenate((rng.uniform(knots[0], knots[-1], 500), outside))
+        assert np.max(np.abs(piece(t) - q(t))) <= 1e-12 * np.max(np.abs(q(t)))
+        f2 = q.deriv(2)(t)
+        assert np.max(np.abs(piece(t, nu=2) - f2)) <= 1e-10 * np.max(np.abs(f2))
+
+    def test_needs_two_points_per_side(self):
+        with pytest.raises(DomainError, match="two grid points"):
+            _hermite(np.array([0.0]), np.zeros(1), np.zeros(1), np.zeros(1))
 
 
 class TestWronskianScaled:
