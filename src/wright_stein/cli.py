@@ -232,23 +232,27 @@ def _cmd_sample(args) -> int:
 def parse_samples_csv(text: str):
     """Values from one-per-line CSV; # comments ignored.  Raises ValueError
     carrying the 1-based line number on malformed or non-finite content."""
-    vals = []
-    for i, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    lines = [s for s in map(str.strip, text.splitlines()) if s and not s.startswith("#")]
+    try:
+        arr = np.fromiter(map(float, lines), dtype=float, count=len(lines))
+        if np.isfinite(arr).all():
+            return arr
+    except ValueError:
+        pass
+    # The line lookup runs only on failure.  A malformed line anywhere is
+    # reported before a non-finite value.
+    numbered = [
+        (i, s)
+        for i, s in enumerate(map(str.strip, text.splitlines()), start=1)
+        if s and not s.startswith("#")
+    ]
+    for i, line in numbered:
         try:
-            vals.append(float(line))
+            float(line)
         except ValueError:
             raise ValueError(f"line {i}: cannot parse {line!r} as a number") from None
-    arr = np.array(vals)
-    # One check on the array; the line lookup runs only on failure.
-    if not np.isfinite(arr).all():
-        for i, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if line and not line.startswith("#") and not math.isfinite(float(line)):
-                raise ValueError(f"line {i}: non-finite value {line!r}")
-    return arr
+    i, line = next((i, s) for i, s in numbered if not math.isfinite(float(s)))
+    raise ValueError(f"line {i}: non-finite value {line!r}")
 
 
 def _cmd_gof(args) -> int:

@@ -11,7 +11,6 @@ integral.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
 
@@ -125,11 +124,8 @@ class SampleSet:
         object.__setattr__(self, "size", int(vals.size))
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write(f"# generator={self.generator} seed={self.seed} n={self.size}\n")
-        for v in self.values:
-            buf.write(f"{v:.17g}\n")
-        return buf.getvalue()
+        head = f"# generator={self.generator} seed={self.seed} n={self.size}\n"
+        return head + "%.17g\n" * self.size % tuple(self.values.tolist())
 
 
 def sample(n: int, seed: int, symmetric: bool = False) -> SampleSet:

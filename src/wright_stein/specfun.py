@@ -465,6 +465,13 @@ def _zeta_gap(ua, ub, du):
     return (2.0 / 3.0) * du * (ua + ra * rb + ub) / (ra + rb)
 
 
+def _distinct(a):
+    """The distinct values of ``a`` in ascending order, as ``np.unique``
+    gives them, without the ``numpy.ma`` import of its first call."""
+    a = np.sort(a)
+    return a[np.concatenate(([True], a[1:] != a[:-1]))]
+
+
 def _cell_edges(grid: np.ndarray, scale: float):
     """Cell edges of a Green's pass: 0, the grid and the tail cutoff, with
     each cell wider than _ZETA_STEP in zeta split equally in zeta.
@@ -495,7 +502,7 @@ def _cell_edges(grid: np.ndarray, scale: float):
         if span[i] > 2 * _ZETA_CUT:
             middles.append(ts[ks.size - 1])
         pieces.append(ts[(ts > edges[i]) & (ts < edges[i + 1])])
-    edges = np.unique(np.concatenate(pieces))
+    edges = _distinct(np.concatenate(pieces))
     return edges, np.isin(edges[:-1], middles)
 
 
@@ -529,10 +536,13 @@ def green_pass(
     ``max(cfg.abs_tol, cfg.rel_tol * |value|)`` is redone by the adaptive
     integrator for that right-hand side alone.
 
-    Returns a dict with the Airy fields at the grid, P and S of shape
-    (len(rhs_fns), n), ``full_line`` of shape (len(rhs_fns),), an error
-    estimate per right-hand side, shape (len(rhs_fns),), and the number of
-    integrand evaluations.
+    Returns a dict with, per right-hand side and grid point (shape
+    (len(rhs_fns), n)), the Green's values ``g`` = Ai P + Bi S and
+    ``g_prime`` = Ai' P + Bi' S (Airy functions at scale * g_i, formed from
+    their scaled fields) and the tail ``tail`` = S e^{-zeta(u_i)} =
+    int_{g_i}^inf Ai(scale*t) r(t) dt; ``full_line`` of shape
+    (len(rhs_fns),); an error estimate per right-hand side, shape
+    (len(rhs_fns),); and the number of integrand evaluations.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 1:
@@ -550,7 +560,6 @@ def green_pass(
 
     rvs = [_vectorized(r) for r in rhs_fns]
     m = len(rvs)
-    ag = airy_many(scale * grid)
     edges, dropped = _cell_edges(grid, scale)
     ue = scale * edges
     half = 0.5 * (edges[1:] - edges[:-1])[:, None]
@@ -606,13 +615,15 @@ def green_pass(
     for i in range(edges.size - 2, -1, -1):
         S[:, i] = cellS[:, i] + decay[i] * S[:, i + 1]
 
+    full_line = S[:, 0]  # edges[0] = 0, where e^zeta = 1
     at_grid = np.searchsorted(edges, grid)
+    P, S = P[:, at_grid], S[:, at_grid]
+    ag = airy_many(scale * grid)
     return {
-        "grid": grid,
-        "airy": ag,
-        "P": P[:, at_grid],
-        "S": S[:, at_grid],
-        "full_line": S[:, 0],  # edges[0] = 0, where e^zeta = 1
+        "g": ag.ai_scaled * P + ag.bi_scaled * S,
+        "g_prime": ag.ai_prime_scaled * P + ag.bi_prime_scaled * S,
+        "tail": S * np.exp(-ag.zeta),
+        "full_line": full_line,
         "error_estimate": err,
         "evaluations": evals,
     }
@@ -625,11 +636,11 @@ def _ones(t):
 def _green_at(x, r: Callable, scale: float, cfg: QuadratureConfig, name: str):
     """Green's passes at arbitrary points x >= 0 (any shape and order).
 
-    Returns floats for a scalar x, else arrays shaped like x: Ai P + Bi S,
-    Ai' P + Bi' S (formed from the scaled fields) and int_x^inf Ai(scale t)
-    r(t) dt.  Gi and Gi' are the first two at r = 1, scale = 1.  The sorted
-    distinct points go through one pass per _GREEN_CHUNK of them, which
-    bounds the memory of the ~22 quadrature nodes per point.
+    Returns floats for a scalar x, else arrays shaped like x: the pass's
+    ``g``, ``g_prime`` and ``tail``.  Gi and Gi' are the first two at r = 1,
+    scale = 1.  The sorted distinct points go through one pass per
+    _GREEN_CHUNK of them, which bounds the memory of the ~22 quadrature
+    nodes per point.
     """
     xs = np.asarray(x, dtype=float)
     if not np.all((xs >= 0) & np.isfinite(xs)):
@@ -638,12 +649,7 @@ def _green_at(x, r: Callable, scale: float, cfg: QuadratureConfig, name: str):
     parts = []
     for chunk in np.array_split(uniq, max(1, -(-uniq.size // _GREEN_CHUNK))):
         out = green_pass(chunk, [r], scale, cfg)
-        a, P, S = out["airy"], out["P"][0], out["S"][0]
-        parts.append((
-            a.ai_scaled * P + a.bi_scaled * S,
-            a.ai_prime_scaled * P + a.bi_prime_scaled * S,
-            S * np.exp(-a.zeta),
-        ))
+        parts.append((out["g"][0], out["g_prime"][0], out["tail"][0]))
     combos = (np.concatenate(c)[inv].reshape(xs.shape) for c in zip(*parts))
     return tuple(float(c) if c.ndim == 0 else c for c in combos)
 

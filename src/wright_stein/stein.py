@@ -6,15 +6,17 @@ The solver evaluates
     f_h(x) = -3^(1/3) pi [ Ai(x/3^(1/3)) int_0^x Bi(t/3^(1/3)) h~(t) dt
                          + Bi(x/3^(1/3)) int_x^inf Ai(t/3^(1/3)) h~(t) dt ]
 
-with h~ = h - E[h(Y)], via cumulative prefix/suffix accumulation over the
-grid (O(n) quadrature cells) with every Ai/Bi cross product carried in
-exponentially scaled form.  f' comes from the differentiated formula, whose
-boundary terms cancel; f'' comes from the ODE itself.
+with h~ = h - E[h(Y)].  One ``specfun.green_pass`` returns, per right-hand
+side r, the bracket g = Ai P + Bi S and g' = Ai' P + Bi' S of the two Green's
+integrals of r; the solver forms f = -3^(1/3) pi (g_h - E[h(Y)] g_1) and
+f' = -pi (g'_h - E[h(Y)] g'_1), whose boundary terms cancel.  f'' comes from
+the ODE itself.
 
-The Airy kernel depends only on the grid, not on h, so a family of test
-functions is solved in one Green's pass: every h (and, on the symmetric line,
-every mirrored h(-s)) is one right-hand side of the same pass, and each
-solution is bitwise independent of the other members of the family.
+The Airy kernel depends only on the points, not on h, so every solve is one
+Green's pass: every h (and, on the symmetric line, every mirrored h(-s)) is
+one right-hand side, over the sorted union of both sides' grid points, their
+residual probe points and x = 0, which is where f(0) and f'(0) are read.
+Each solution is bitwise independent of the other members of the family.
 
 Two implementation details worth knowing:
 
@@ -39,7 +41,7 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import Callable, NamedTuple
 
@@ -57,7 +59,7 @@ from .numerics import (
 )
 from .mwright import density
 from .specfun import _GI_NORM, _GI_PRIME_NORM, _XGI_NORM
-from .specfun import _green_at, _ones, airy_many, green_pass
+from .specfun import _distinct, _green_at, _ones, green_pass
 
 __all__ = [
     "TestFunction",
@@ -211,7 +213,8 @@ class SteinSolution:
     fpp_zero_minus: float | None = None
     error_estimate: float = 0.0
     label: str = ""
-    _mirror_f_zero: float = 0.0
+    # (grid, f, f', f'') of each half-line side as solved, in t = |x|.
+    _sides: tuple = field(default=(), repr=False)
 
     def __post_init__(self):
         for a in (self.grid, self.f, self.f_prime, self.f_double_prime):
@@ -220,18 +223,8 @@ class SteinSolution:
     @cached_property
     def _pieces(self) -> tuple:
         """One _Hermite per side in t = |x|: (half line,) or (x >= 0, x < 0).
-        The mirror side starts at t = 0 with the mirror branch's own values."""
-        arrays = (self.grid, self.f, self.f_prime, self.f_double_prime)
-        if self.kind == "half-line":
-            return (_hermite(*arrays),)
-        neg = self.grid < 0
-        zero = (0.0, self._mirror_f_zero, -self.fp_zero_minus, self.fpp_zero_minus)
-        # In t = -x the odd-order arrays (x and f') change sign.
-        mirror = (
-            np.concatenate(([v0], sign * a[neg][::-1]))
-            for v0, sign, a in zip(zero, (-1.0, 1.0, -1.0, 1.0), arrays)
-        )
-        return _hermite(*(a[~neg] for a in arrays)), _hermite(*mirror)
+        The mirror side starts at t = 0 with the x < 0 branch's own values."""
+        return tuple(_hermite(*side) for side in self._sides)
 
     def interpolators(self):
         """Quintic Hermite interpolants (f, f'') honoring the side split.
@@ -365,89 +358,74 @@ def expectation_mwright(h, negate: bool = False, cfg: QuadratureConfig = DEFAULT
     return r.value
 
 
+def _probe_groups(grid: np.ndarray, delta: float) -> list:
+    """Residual probe layout of one side: (mask, probe matrix, stencil
+    coefficients, squared steps) per stencil kind.
+
+    Centered five-point stencils with step delta, shrinking the step to x/2
+    for points closer than 2*delta to the boundary, and a small-step forward
+    six-point stencil at x = 0 itself.  Probe differences only see the small
+    quadrature cells between probes, so even the 1/step^2 amplification
+    leaves the noise well under the truncation term.
+    """
+    groups = []
+    for mask, steps, offsets, coef in (
+        (grid >= 2 * delta, np.full(grid.size, delta), _C5_OFFSETS, _C5_COEF),
+        ((grid > 0) & (grid < 2 * delta), grid / 2.0, _C5_OFFSETS, _C5_COEF),
+        (grid == 0.0, np.full(grid.size, delta / 4.0), _F6_OFFSETS, _F6_COEF),
+    ):
+        if mask.any():
+            st = steps[mask]
+            groups.append((mask, grid[mask, None] + st[:, None] * offsets, coef, st * st))
+    return groups
+
+
 def _halfline_solve(
-    hs: list[TestFunction],
-    grid: np.ndarray,
+    sides: list[tuple[list[TestFunction], np.ndarray]],
     cfg: QuadratureConfig,
     residual_tol: float,
     delta: float = PROBE_DELTA,
-) -> list[dict]:
-    """Solve the half-line Stein equation on a grid for each test function in
-    ``hs``, all in one Green's pass; see module docstring.
+) -> list[list[dict]]:
+    """Solve the half-line Stein equation for every (test functions, grid)
+    side in ``sides``, all in one Green's pass; see module docstring.
 
-    The pass carries the right-hand sides [h_1, ..., h_k, 1].  Each h is then
-    finished on its own rows (expectation ratio, f, f', f'', probe residual),
-    so its result is bitwise independent of the rest of the batch.
+    The pass runs over the sorted union of every side's grid points, its
+    residual probe points and x = 0, and carries the right-hand sides
+    [every side's h, ..., 1].  Each h is then finished on its own rows and
+    its own side's points (expectation ratio, f, f', f'', probe residual),
+    so its result is bitwise independent of every other h.  Returns
+    one list of result dicts per side.
     """
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise DomainError("solver grid must be a non-empty 1-d array")
-    if np.any(np.diff(grid) <= 0):
-        raise DomainError("solver grid must be strictly increasing")
-    if grid[0] < 0:
-        raise DomainError("solver grid must lie in [0, x_max]")
-    if grid[-1] > X_MAX_CAP:
-        raise DomainError(
-            f"solver refuses x_max > {X_MAX_CAP} (grid reaches {grid[-1]})"
-        )
-
-    # Residual probe layout: centered five-point stencils with step delta,
-    # shrinking the step to x/2 for points closer than 2*delta to the
-    # boundary, and a small-step forward six-point stencil at x = 0 itself.
-    # Probe differences only see the small quadrature cells between probes,
-    # so even the 1/step^2 amplification leaves the noise well under the
-    # truncation term.
-    delta_zero = delta / 4.0
-    groups = []  # (mask, probe matrix, stencil coefs, squared steps)
-    m_center = grid >= 2 * delta
-    if m_center.any():
-        pts = grid[m_center]
-        groups.append(
-            (
-                m_center,
-                pts[:, None] + (delta * _C5_OFFSETS)[None, :],
-                _C5_COEF,
-                np.full(pts.size, delta * delta),
+    laid = []
+    for hs, grid in sides:
+        grid = np.asarray(grid, dtype=float)
+        if grid.ndim != 1 or grid.size == 0:
+            raise DomainError("solver grid must be a non-empty 1-d array")
+        if np.any(np.diff(grid) <= 0):
+            raise DomainError("solver grid must be strictly increasing")
+        if grid[0] < 0:
+            raise DomainError("solver grid must lie in [0, x_max]")
+        if grid[-1] > X_MAX_CAP:
+            raise DomainError(
+                f"solver refuses x_max > {X_MAX_CAP} (grid reaches {grid[-1]})"
             )
-        )
-    m_small = (grid > 0) & ~m_center
-    if m_small.any():
-        pts = grid[m_small]
-        steps = pts / 2.0
-        groups.append(
-            (m_small, pts[:, None] + steps[:, None] * _C5_OFFSETS[None, :], _C5_COEF, steps**2)
-        )
-    m_zero = grid == 0.0
-    if m_zero.any():
-        pts = grid[m_zero]
-        groups.append(
-            (
-                m_zero,
-                pts[:, None] + (delta_zero * _F6_OFFSETS)[None, :],
-                _F6_COEF,
-                np.full(pts.size, delta_zero * delta_zero),
-            )
-        )
-    tp = np.unique(np.concatenate([grid] + [g[1].ravel() for g in groups]))
+        laid.append((hs, grid, _probe_groups(grid, delta)))
+    points = [np.zeros(1)]
+    for _, grid, groups in laid:
+        points += [grid] + [g[1].ravel() for g in groups]
+    tp = _distinct(np.concatenate(points))  # tp[0] = 0
 
-    out = green_pass(tp, [tf.fn for tf in hs] + [_ones], _SCALE, cfg)
-    ag = out["airy"]
-    P_1, S_1 = out["P"][-1], out["S"][-1]
-
+    fns = [tf.fn for hs, _, _ in laid for tf in hs]
+    out = green_pass(tp, fns + [_ones], _SCALE, cfg)
+    g_1, gp_1 = out["g"][-1], out["g_prime"][-1]
     I1 = float(out["full_line"][-1])
-    idx_grid = np.searchsorted(tp, grid)
 
-    results = []
-    for j, tf in enumerate(hs):
+    def finish(j, tf, grid, groups):
+        """Row j of the pass as the solution for tf on its side's grid."""
         hv = _vectorized(tf.fn)
-        Ih = float(out["full_line"][j])
-        Eh = Ih / I1
-        S0_eff = Ih - Eh * I1  # zero up to rounding, by construction
-
-        P = out["P"][j] - Eh * P_1
-        S = out["S"][j] - Eh * S_1
-        f_tp = _PREF_F * (ag.ai_scaled * P + ag.bi_scaled * S)
-        fp_tp = _PREF_FP * (ag.ai_prime_scaled * P + ag.bi_prime_scaled * S)
+        Eh = float(out["full_line"][j]) / I1
+        f_tp = _PREF_F * (out["g"][j] - Eh * g_1)
+        fp_tp = _PREF_FP * (out["g_prime"][j] - Eh * gp_1)
         ht_tp = hv(tp) - Eh
         fpp_tp = (tp / 3.0) * f_tp + ht_tp
 
@@ -462,6 +440,7 @@ def _halfline_solve(
                 )
 
         # Independent ODE residual from probe re-evaluations of f.
+        idx_grid = np.searchsorted(tp, grid)
         resid = np.empty(grid.size)
         for mask, probe_mat, coef, steps_sq in groups:
             pidx = np.searchsorted(tp, probe_mat.ravel()).reshape(probe_mat.shape)
@@ -484,32 +463,21 @@ def _halfline_solve(
                 },
             )
 
-        # Values at x = 0 (from arrays when 0 is a grid point, else from the
-        # boundary formula: only the suffix term survives at 0).
-        if grid[0] == 0.0:
-            f0 = float(f_tp[idx_grid[0]])
-            fp0 = float(fp_tp[idx_grid[0]])
-        else:
-            a0 = airy_many(np.zeros(1))
-            f0 = _PREF_F * float(a0.bi[0]) * S0_eff
-            fp0 = _PREF_FP * float(a0.bi_prime[0]) * S0_eff
-        boundary_residual = fp0 / GAMMA_2_3 - f0 / GAMMA_1_3
+        return {
+            "grid": grid,
+            "f": f_tp[idx_grid],
+            "f_prime": fp_tp[idx_grid],
+            "f_double_prime": fpp_tp[idx_grid],
+            "htilde": ht_tp[idx_grid],
+            "expectation_h": Eh,
+            "residuals": resid,
+            "residual_sup": residual_sup,
+            "boundary_residual": float(fp_tp[0]) / GAMMA_2_3 - float(f_tp[0]) / GAMMA_1_3,
+            "error_estimate": error_estimate,
+        }
 
-        results.append(
-            {
-                "grid": grid,
-                "f": f_tp[idx_grid],
-                "f_prime": fp_tp[idx_grid],
-                "f_double_prime": fpp_tp[idx_grid],
-                "htilde": ht_tp[idx_grid],
-                "expectation_h": Eh,
-                "residuals": resid,
-                "residual_sup": residual_sup,
-                "boundary_residual": boundary_residual,
-                "error_estimate": error_estimate,
-            }
-        )
-    return results
+    rows = iter(range(len(fns)))
+    return [[finish(next(rows), tf, grid, groups) for tf in hs] for hs, grid, groups in laid]
 
 
 def _bound_constants() -> tuple[float, float, float]:
@@ -538,6 +506,10 @@ def _bound_report(f, fp, fpp, htilde_sup: float) -> BoundReport:
     return BoundReport(sup_f, sup_fp, sup_fpp, b1, b2, b3, ok, _BOUND_NOTE)
 
 
+def _side(sol: dict) -> tuple:
+    return sol["grid"], sol["f"], sol["f_prime"], sol["f_double_prime"]
+
+
 def _halfline_solution(tf: TestFunction, sol: dict) -> SteinSolution:
     ht_sup = float(np.max(np.abs(sol["htilde"])))
     report = _bound_report(sol["f"], sol["f_prime"], sol["f_double_prime"], ht_sup)
@@ -555,6 +527,7 @@ def _halfline_solution(tf: TestFunction, sol: dict) -> SteinSolution:
         boundary_residual=sol["boundary_residual"],
         error_estimate=sol["error_estimate"],
         label=tf.label,
+        _sides=(_side(sol),),
     )
 
 
@@ -602,7 +575,7 @@ def _symmetric_solution(tf: TestFunction, grid: np.ndarray, sp: dict, sn: dict) 
         fpp_zero_minus=fpp_zero_minus,
         error_estimate=sp["error_estimate"] + sn["error_estimate"],
         label=tf.label,
-        _mirror_f_zero=float(sn["f"][0]),
+        _sides=(_side(sp), _side(sn)),
     )
 
 
@@ -615,18 +588,16 @@ def _solve_batch(
 ) -> list[SteinSolution]:
     """Solve the Stein equation for every test function in ``hs`` on one grid.
 
-    Right-hand sides with the same probe set share one Green's pass.  The
-    half-line kind runs one pass.  The symmetric kind runs one pass over
-    [h_1..h_k, h_1(-.)..h_k(-.)] when the mirrored negative half-grid equals
-    the positive half-grid bitwise (the default grid, and any grid symmetric
-    about 0), and one pass per side otherwise.  Every solution is bitwise
-    independent of the other members of ``hs``.
+    One Green's pass serves the call: it carries [h_1..h_k, 1] on the half
+    line and [h_1..h_k, h_1(-.)..h_k(-.), 1] on the symmetric line, over the
+    union of both sides' points.  Every solution is bitwise independent of
+    the other members of ``hs``.
     """
     tfs = [_as_test_function(h) for h in hs]
     if grid is None:
         grid = default_grid(symmetric)
     if not symmetric:
-        sols = _halfline_solve(tfs, grid, cfg, residual_tol)
+        (sols,) = _halfline_solve([(tfs, grid)], cfg, residual_tol)
         return [_halfline_solution(tf, sol) for tf, sol in zip(tfs, sols)]
 
     grid = np.asarray(grid, dtype=float)
@@ -637,17 +608,14 @@ def _solve_batch(
     if max(-grid[0], grid[-1]) > X_MAX_CAP:
         raise DomainError(f"solver refuses |x|_max > {X_MAX_CAP}")
 
-    pos_grid = grid[grid >= 0]
     # Mirror grid includes 0 so that for even h both half-line problems are
-    # literally identical (bitwise-equal solutions).
+    # literally identical (bitwise-equal solutions at the shared points).
     neg_mirror = np.concatenate(([0.0], -grid[grid < 0][::-1]))
-    mirrored = [_mirrored(tf) for tf in tfs]
-    if pos_grid.tobytes() == neg_mirror.tobytes():
-        both = _halfline_solve(tfs + mirrored, pos_grid, cfg, residual_tol)
-        sps, sns = both[: len(tfs)], both[len(tfs):]
-    else:
-        sps = _halfline_solve(tfs, pos_grid, cfg, residual_tol)
-        sns = _halfline_solve(mirrored, neg_mirror, cfg, residual_tol)
+    sps, sns = _halfline_solve(
+        [(tfs, grid[grid >= 0]), ([_mirrored(tf) for tf in tfs], neg_mirror)],
+        cfg,
+        residual_tol,
+    )
     return [
         _symmetric_solution(tf, grid, sp, sn) for tf, sp, sn in zip(tfs, sps, sns)
     ]

@@ -226,8 +226,16 @@ class TestReportSerialization:
 
 
 class TestOnePassPerFamily:
-    @pytest.mark.parametrize("symmetric", [False, True])
-    def test_one_green_pass_per_call(self, hs, monkeypatch, symmetric):
+    @pytest.mark.parametrize(
+        "symmetric, grid",
+        [
+            pytest.param(False, None, id="False"),
+            pytest.param(True, None, id="True"),
+            # Not symmetric about 0: both sides still share one pass.
+            pytest.param(True, np.arange(-60, 121) * 0.05, id="True-asymmetric-grid"),
+        ],
+    )
+    def test_one_green_pass_per_call(self, hs, monkeypatch, symmetric, grid):
         from wright_stein import stein
 
         calls = []
@@ -239,7 +247,7 @@ class TestOnePassPerFamily:
 
         monkeypatch.setattr(stein, "green_pass", counting)
         test = discrepancy_sym if symmetric else discrepancy
-        test(sample(200, seed=5, symmetric=symmetric), hs)
+        test(sample(200, seed=5, symmetric=symmetric), hs, grid)
         # One pass carrying every h (and every mirrored h) plus the constant.
         assert calls == [2 * len(hs) + 1 if symmetric else len(hs) + 1]
 
@@ -363,6 +371,6 @@ def test_runtime_leaves_out_scipy():
         "ws.discrepancy(ws.sample(200, seed=1), hs)\n"
         "ws.discrepancy_sym(ws.sample(200, seed=1, symmetric=True), hs)\n"
         "ws.wright_m_series(0.25, 0.0)\n"
-        "sys.exit('scipy' in sys.modules)"
+        "sys.exit('scipy' in sys.modules or 'numpy.ma' in sys.modules)"
     )
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -259,6 +259,7 @@ class TestSampler:
         assert lines[0] == "# generator=mwright-1/3 seed=7 n=10"
         parsed = np.array([float(v) for v in lines[1:]])
         assert np.array_equal(parsed, s.values)
+        assert lines[1:] == [f"{v:.17g}" for v in s.values]
 
     def test_sampleset_immutable(self):
         s = sample(5, seed=1)

@@ -145,7 +145,11 @@ class TestHalfLineSolver:
         assert sol_cos.expectation_h == pytest.approx(ref.value, abs=1e-9)
 
     def test_all_family_residuals(self, family_solutions):
-        for sol in family_solutions.values():
+        # The default grid, and a grid starting above 0, where f(0) and
+        # f'(0) come from the pass's extra point x = 0.
+        above = 0.375 + 3 / 64 * np.arange(320)
+        sols = list(family_solutions.values()) + [solve_stein(h, above) for h in HALF_FAMILY]
+        for sol in sols:
             assert sol.residual_sup <= 1e-6
             assert abs(sol.boundary_residual) <= 1e-8
 
@@ -328,10 +332,14 @@ class TestHermiteInterpolant:
             sides = [(sol.f, sol.f_prime, sol.f_double_prime)]
         else:
             pos, neg = sol.grid >= 0, sol.grid < 0
+            # The x < 0 branch's own f(0): the half-line solve of atan(-t)
+            # on t = -x, which the symmetric solve reproduces bitwise.
+            t = np.concatenate(([0.0], -sol.grid[neg][::-1]))
+            f0_minus = solve_stein(lambda s: np.arctan(-np.asarray(s)), t).f[0]
             sides = [
                 (sol.f[pos], sol.f_prime[pos], sol.f_double_prime[pos]),
                 (
-                    np.concatenate(([sol._mirror_f_zero], sol.f[neg][::-1])),
+                    np.concatenate(([f0_minus], sol.f[neg][::-1])),
                     np.concatenate(([-sol.fp_zero_minus], -sol.f_prime[neg][::-1])),
                     np.concatenate(([sol.fpp_zero_minus], sol.f_double_prime[neg][::-1])),
                 ),
@@ -348,8 +356,11 @@ class TestHermiteInterpolant:
         assert np.max(np.abs(fpp_at(sol.grid) - sol.f_double_prime)) <= 1e-12
         if kind == "symmetric":
             # The mirror side keeps the x < 0 branch's own values at 0.
-            assert sol._pieces[1](0.0) == sol._mirror_f_zero
-            assert sol._pieces[1](0.0, nu=2) == pytest.approx(sol.fpp_zero_minus, abs=1e-15)
+            mirror = sol._pieces[1]
+            assert mirror(0.0) == f0_minus
+            fp0 = mirror.p[0, 1] / (mirror.knots[1] - mirror.knots[0])
+            assert fp0 == pytest.approx(-sol.fp_zero_minus, abs=1e-15)
+            assert mirror(0.0, nu=2) == pytest.approx(sol.fpp_zero_minus, abs=1e-15)
 
     def test_reproduces_a_quintic(self):
         rng = np.random.default_rng(3)
@@ -498,7 +509,7 @@ class TestBatchedSolve:
         for name in (
             "kind", "label", "expectation_h", "expectation_h_neg", "residual_sup",
             "boundary_residual", "f_zero", "fp_zero_plus", "fp_zero_minus",
-            "fpp_zero_plus", "fpp_zero_minus", "bound_report", "_mirror_f_zero",
+            "fpp_zero_plus", "fpp_zero_minus", "bound_report",
         ):
             assert getattr(a, name) == getattr(b, name), (a.label, name)
 
