@@ -19,7 +19,6 @@ from .numerics import (
     QuadratureConfig,
     gamma_fn,
     integrate,
-    integrate_semi_infinite,
 )
 from .specfun import (
     AiryValues,
@@ -97,7 +96,6 @@ __all__ = [
     "gamma_fn",
     "general_particular_solution",
     "integrate",
-    "integrate_semi_infinite",
     "laplace_check",
     "mittag_leffler",
     "moment",

@@ -24,9 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, RangeError
-from .numerics import DEFAULT_CONFIG, QuadratureConfig
 from .mwright import SampleSet
-from .stein import RESIDUAL_TOL, TestFunction, _solve_batch, default_grid
+from .stein import TestFunction, _solve_batch, default_grid
 
 __all__ = [
     "FunctionStat",
@@ -173,16 +172,18 @@ def _power_sums(piece, t) -> np.ndarray:
     return np.stack(sums, axis=1)[:, _HANKEL]
 
 
-def _report(vals, hs, grid, cfg, sign_balance=None, at_zero=0) -> DiscrepancyReport:
+def _report(vals, hs, grid, sign_balance=None, at_zero=0) -> DiscrepancyReport:
     """Operator means of every h over the sample, and the verdict; the
-    symmetric kind (given with its sign balance) also tests |z|."""
+    symmetric kind (given with its sign balance) also tests |z|.  Samples
+    outside [grid[0], grid[-1]], where nothing was solved, are clipped."""
     symmetric = sign_balance is not None
     n = vals.size
-    inside = np.abs(vals) <= np.max(np.abs(grid))
+    sols = _solve_batch(hs, grid, symmetric)
+    grid = np.asarray(grid, dtype=float)
+    inside = (vals >= grid[0]) & (vals <= grid[-1])
     clipped = int(n - np.count_nonzero(inside))
     vin = vals[inside]
     sides = (np.abs(vin[vin >= 0]), -vin[vin < 0]) if symmetric else (vin,)
-    sols = _solve_batch(hs, grid, cfg, RESIDUAL_TOL, symmetric)
 
     # On each cell (A f_h)(x) = f'' - (|x|/3) f of the Hermite interpolant is
     # a degree-6 polynomial q in the cell coordinate s.  Every h has the
@@ -225,27 +226,17 @@ def _report(vals, hs, grid, cfg, sign_balance=None, at_zero=0) -> DiscrepancyRep
     )
 
 
-def discrepancy(
-    samples,
-    hs,
-    grid: np.ndarray | None = None,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
-) -> DiscrepancyReport:
+def discrepancy(samples, hs, grid: np.ndarray | None = None) -> DiscrepancyReport:
     """Half-line Stein discrepancy of a non-negative sample against M_{1/3}."""
     vals = _sample_values(samples)
     if vals.size < MIN_SAMPLES:
         raise DomainError(f"discrepancy requires n >= {MIN_SAMPLES}, got {vals.size}")
     if np.any(vals < 0):
         raise DomainError("half-line discrepancy requires non-negative samples")
-    return _report(vals, hs, default_grid() if grid is None else grid, cfg)
+    return _report(vals, hs, default_grid() if grid is None else grid)
 
 
-def discrepancy_sym(
-    samples,
-    hs,
-    grid: np.ndarray | None = None,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
-) -> DiscrepancyReport:
+def discrepancy_sym(samples, hs, grid: np.ndarray | None = None) -> DiscrepancyReport:
     """Symmetric Stein discrepancy against the symmetrized M_{1/3}.
 
     Combines the operator means with the sign-balance z-score; the latter is
@@ -262,4 +253,4 @@ def discrepancy_sym(
     frac = float(np.count_nonzero(vals >= 0)) / n
     z = (frac - 0.5) * 2.0 * math.sqrt(n)
     at_zero = int(np.count_nonzero(vals == 0.0))
-    return _report(vals, hs, grid, cfg, SignBalance(frac, z), at_zero)
+    return _report(vals, hs, grid, SignBalance(frac, z), at_zero)

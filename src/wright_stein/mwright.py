@@ -17,13 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, RangeError
-from .numerics import (
-    DEFAULT_CONFIG,
-    GAMMA_1_3,
-    QuadratureConfig,
-    gamma_fn,
-    integrate,
-)
+from .numerics import GAMMA_1_3, gamma_fn, integrate
 from .specfun import _green_at, _kanter, _ones, airy_many, mittag_leffler
 from .specfun import wright_m_series
 
@@ -43,6 +37,9 @@ _CBRT3 = 3.0 ** (1.0 / 3.0)
 _3_23 = 3.0 ** (2.0 / 3.0)
 
 MOMENT_MAX = 12
+# Upper limit standing in for +inf in quadratures against M_{1/3}, whose
+# density is below 1e-42 beyond it.
+_DENSITY_CUT = 40.0
 
 
 @dataclass(frozen=True)
@@ -94,7 +91,7 @@ def density_sym(p, x):
     return float(out[0]) if scalar else out
 
 
-def cdf(x, cfg: QuadratureConfig = DEFAULT_CONFIG):
+def cdf(x):
     """CDF of M_{1/3}: integral of the density over [0, x]; accepts scalars
     or arrays of x.
 
@@ -103,7 +100,7 @@ def cdf(x, cfg: QuadratureConfig = DEFAULT_CONFIG):
     share one Green's pass.
     """
     xs = np.asarray(x, dtype=float)
-    tail = _green_at(xs / _CBRT3, _ones, 1.0, cfg, "cdf")[2]
+    tail = _green_at(xs / _CBRT3, _ones, 1.0, "cdf")[2]
     out = np.where(xs == 0.0, 0.0, 1.0 - 3.0 * tail)
     return float(out) if out.ndim == 0 else out
 
@@ -165,7 +162,7 @@ def moment(n: int) -> float:
     return math.factorial(int(n)) / gamma_fn(n / 3.0 + 1.0)
 
 
-def laplace_check(t: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> tuple[float, float]:
+def laplace_check(t: float) -> tuple[float, float]:
     """Both sides of the Laplace-transform identity at t.
 
     Returns (quadrature of e^{-xt} M_{1/3}(x) over the half line,
@@ -174,10 +171,5 @@ def laplace_check(t: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> tuple[flo
     t = float(t)
     if not (0 <= t <= 5):
         raise DomainError(f"laplace_check requires t in [0, 5], got {t}")
-    r = integrate(
-        lambda x: np.exp(-t * x) * density(1.0 / 3.0, x),
-        0.0,
-        cfg.truncation_point,
-        cfg,
-    )
+    r = integrate(lambda x: np.exp(-t * x) * density(1.0 / 3.0, x), 0.0, _DENSITY_CUT)
     return r.value, mittag_leffler(1.0 / 3.0, -t)

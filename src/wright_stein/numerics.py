@@ -1,10 +1,11 @@
 """Adaptive quadrature and gamma-function facilities.
 
-Everything downstream (special functions, densities, Stein solvers) runs on
-the two integrators in this module.  The adaptive rule is a Gauss-Legendre
-7/15 pair: the 15-point value is kept, the |GL15 - GL7| gap is the embedded
-error estimate, and the worst interval is bisected until the global estimate
-meets the configured tolerance.
+The adaptive rule is a Gauss-Legendre 7/15 pair: the 15-point value is kept,
+the |GL15 - GL7| gap is the embedded error estimate, and the worst interval
+is bisected until the global estimate meets the configured tolerance.  The
+Green's passes in ``specfun`` use the same GL15/GL7 pair per cell and hand
+the rare cell that misses ``DEFAULT_CONFIG`` to ``integrate``; that one
+tolerance serves every Airy, Stein and goodness-of-fit integral.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ __all__ = [
     "IntegralResult",
     "gamma_fn",
     "integrate",
-    "integrate_semi_infinite",
     "cell_integrals",
     "GAMMA_1_3",
     "GAMMA_2_3",
@@ -33,22 +33,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances and limits for the adaptive integrators.
+    """Tolerances and subdivision budget of ``integrate``.
 
-    ``truncation_point`` is the upper cutoff that stands in for +inf in
-    semi-infinite integrals, in the untransformed variable.
+    ``DEFAULT_CONFIG`` (1e-10 absolute or relative) is the one tolerance
+    of the package's integrals: the Green's passes check each cell against
+    it and hand a cell that misses it to ``integrate`` with it.
     """
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
     max_subdivisions: int = 2000
-    truncation_point: float = 40.0
 
     def __post_init__(self):
         if not (self.abs_tol > 0 and self.rel_tol > 0):
             raise DomainError("abs_tol and rel_tol must be positive")
-        if not 0 < self.truncation_point < math.inf:
-            raise DomainError("truncation_point must be positive and finite")
         if self.max_subdivisions < 1:
             raise DomainError("max_subdivisions must be a positive integer")
 
@@ -169,26 +167,6 @@ def integrate(
         subdivisions += 1
 
     return IntegralResult(total_val, total_err, n_eval)
-
-
-def integrate_semi_infinite(
-    f: Callable,
-    a: float,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
-    tail_bound: float = 0.0,
-) -> IntegralResult:
-    """Integrate f over [a, inf), truncating at cfg.truncation_point.
-
-    The caller is responsible for the tail: f must decay at least
-    exponentially beyond the truncation point, and ``tail_bound`` should be a
-    bound on |integral of f over [truncation_point, inf)| from that decay
-    envelope.  It is added to the reported error estimate.
-    """
-    tail_bound = abs(tail_bound)
-    if a > cfg.truncation_point:
-        return IntegralResult(0.0, tail_bound, 0)
-    r = integrate(f, a, cfg.truncation_point, cfg)
-    return IntegralResult(r.value, r.error_estimate + tail_bound, r.evaluations)
 
 
 def cell_integrals(

@@ -34,7 +34,7 @@ from .numerics import (
     _GL7_X,
     _GL15_W,
     _GL15_X,
-    QuadratureConfig,
+    DEFAULT_CONFIG,
     _check_finite,
     _vectorized,
     integrate,
@@ -312,13 +312,21 @@ def _airy_entire_cached(u: np.ndarray):
     )
     t = (u - _CHEB_MID[idx]) / _CHEB_HALF[idx]
     t2 = 2.0 * t
-    # numpy.polynomial.chebyshev.chebval's recurrence, vectorized over points.
+    # numpy.polynomial.chebyshev.chebval's recurrence, vectorized over points
+    # and updated in place: (c0, c1) <- (coefs[k] - c1, c0 + c1 * t2), then
+    # the value c0 + c1 * t.
     c0 = np.take(coefs[-2], idx, axis=1)
     c1 = np.take(coefs[-1], idx, axis=1)
+    buf = np.empty_like(c0)
     for k in range(_CHEB_DEG - 2, -1, -1):
-        c0, c1 = np.take(coefs[k], idx, axis=1) - c1, c0 + c1 * t2
-    out = c0 + c1 * t
-    return out[0], out[1], out[2], out[3]
+        np.take(coefs[k], idx, axis=1, out=buf, mode="clip")
+        buf -= c1
+        c1 *= t2
+        c1 += c0
+        c0, buf = buf, c0
+    c1 *= t
+    c1 += c0
+    return c1[0], c1[1], c1[2], c1[3]
 
 
 def _times_exp(scaled, z, ez):
@@ -454,8 +462,6 @@ GREEN_U_MAX = 1e8
 # Points per pass in _green_at; a pass holds ~4.5 kB per point at its peak.
 _GREEN_CHUNK = 4096
 
-_SCORER_CFG = QuadratureConfig(abs_tol=1e-12, rel_tol=1e-12, max_subdivisions=4000)
-
 
 def _zeta_gap(ua, ub, du):
     """zeta(ua) - zeta(ub) from du = ua - ub, without the cancellation of
@@ -506,12 +512,7 @@ def _cell_edges(grid: np.ndarray, scale: float):
     return edges, np.isin(edges[:-1], middles)
 
 
-def green_pass(
-    grid: np.ndarray,
-    rhs_fns: list[Callable],
-    scale: float,
-    cfg: QuadratureConfig = _SCORER_CFG,
-):
+def green_pass(grid: np.ndarray, rhs_fns: list[Callable], scale: float):
     """Cumulative scaled prefix/suffix Airy Green's integrals over a grid.
 
     For sorted grid points g_i >= 0 and u = scale * g, computes, for each
@@ -533,8 +534,10 @@ def green_pass(
     The cells depend on grid and scale only, so each right-hand side's result
     is bitwise independent of the others.  A cell whose embedded
     |GL15 - GL7| estimate for one right-hand side exceeds
-    ``max(cfg.abs_tol, cfg.rel_tol * |value|)`` is redone by the adaptive
-    integrator for that right-hand side alone.
+    ``max(abs_tol, rel_tol * |value|)`` of ``numerics.DEFAULT_CONFIG``
+    (1e-10 each) is redone by the adaptive integrator, to that same
+    tolerance, for that right-hand side alone.  This is the one quadrature
+    tolerance of every Green's integral in the package.
 
     Returns a dict with, per right-hand side and grid point (shape
     (len(rhs_fns), n)), the Green's values ``g`` = Ai P + Bi S and
@@ -594,10 +597,11 @@ def green_pass(
             vals = w * hv
             i15 = half[:, 0] * (vals[:, :15] @ _GL15_W)
             e = np.abs(i15 - half[:, 0] * (vals[:, 15:] @ _GL7_W))
-            for i in np.nonzero(e > np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(i15)))[0]:
+            tol = np.maximum(DEFAULT_CONFIG.abs_tol, DEFAULT_CONFIG.rel_tol * np.abs(i15))
+            for i in np.nonzero(e > tol)[0]:
                 r = integrate(
                     lambda ts, k=kernel, rv=rv, i=i: k(airy_many(scale * ts), i) * rv(ts),
-                    float(edges[i]), float(edges[i + 1]), cfg,
+                    float(edges[i]), float(edges[i + 1]),
                 )
                 i15[i], e[i] = r.value, r.error_estimate
                 evals += r.evaluations
@@ -633,7 +637,7 @@ def _ones(t):
     return np.ones_like(t)
 
 
-def _green_at(x, r: Callable, scale: float, cfg: QuadratureConfig, name: str):
+def _green_at(x, r: Callable, scale: float, name: str):
     """Green's passes at arbitrary points x >= 0 (any shape and order).
 
     Returns floats for a scalar x, else arrays shaped like x: the pass's
@@ -648,33 +652,33 @@ def _green_at(x, r: Callable, scale: float, cfg: QuadratureConfig, name: str):
     uniq, inv = np.unique(xs.ravel(), return_inverse=True)
     parts = []
     for chunk in np.array_split(uniq, max(1, -(-uniq.size // _GREEN_CHUNK))):
-        out = green_pass(chunk, [r], scale, cfg)
+        out = green_pass(chunk, [r], scale)
         parts.append((out["g"][0], out["g_prime"][0], out["tail"][0]))
     combos = (np.concatenate(c)[inv].reshape(xs.shape) for c in zip(*parts))
     return tuple(float(c) if c.ndim == 0 else c for c in combos)
 
 
-def scorer_gi(x, cfg: QuadratureConfig = _SCORER_CFG):
+def scorer_gi(x):
     """Scorer's function Gi(x) = Ai(x) int_0^x Bi + Bi(x) int_x^inf Ai.
 
     Accepts scalars (returns a float) or arrays of x.
     """
-    return _green_at(x, _ones, 1.0, cfg, "scorer_gi")[0]
+    return _green_at(x, _ones, 1.0, "scorer_gi")[0]
 
 
-def scorer_gi_prime(x, cfg: QuadratureConfig = _SCORER_CFG):
+def scorer_gi_prime(x):
     """Gi'(x) = Ai'(x) int_0^x Bi + Bi'(x) int_x^inf Ai, for scalars or arrays.
 
     Obtained by differentiating the defining integral form of Gi directly;
     the boundary cross terms cancel through the Wronskian.
     """
-    return _green_at(x, _ones, 1.0, cfg, "scorer_gi_prime")[1]
+    return _green_at(x, _ones, 1.0, "scorer_gi_prime")[1]
 
 
-def airy_ai_tail_integral(x, cfg: QuadratureConfig = _SCORER_CFG):
+def airy_ai_tail_integral(x):
     """int_x^inf Ai(t) dt, computed without subtracting from 1/3; scalars or
     arrays of x."""
-    return _green_at(x, _ones, 1.0, cfg, "airy_ai_tail_integral")[2]
+    return _green_at(x, _ones, 1.0, "airy_ai_tail_integral")[2]
 
 
 # sup |Gi|, sup |x Gi(x)| and sup |Gi'| over x >= 0, attained at x = 0.609076,

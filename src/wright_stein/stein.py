@@ -49,15 +49,8 @@ import numpy as np
 from numpy.polynomial.polynomial import polyval
 
 from .errors import DomainError, NonFiniteError, SolverAccuracyError
-from .numerics import (
-    DEFAULT_CONFIG,
-    GAMMA_1_3,
-    GAMMA_2_3,
-    QuadratureConfig,
-    _vectorized,
-    integrate,
-)
-from .mwright import density
+from .numerics import GAMMA_1_3, GAMMA_2_3, _vectorized, integrate
+from .mwright import _DENSITY_CUT, density
 from .specfun import _GI_NORM, _GI_PRIME_NORM, _XGI_NORM
 from .specfun import _distinct, _green_at, _ones, green_pass
 
@@ -84,6 +77,9 @@ _PREF_FP = -math.pi
 X_MAX_CAP = 20.0
 PROBE_DELTA = 0.02
 RESIDUAL_TOL = 1e-6
+# check_domain's limits on the boundary identity and on the symmetric f(0).
+_BOUNDARY_TOL = 1e-8
+_ZERO_TOL = 1e-10
 
 # Fourth-order finite-difference second-derivative stencils on uniform
 # spacing delta: centered five-point, and forward six-point for points
@@ -345,7 +341,7 @@ def stein_apply_sym(f: Callable, x: float, second_derivative: Callable | None = 
     return float(d2) - (abs(x) / 3.0) * float(f(x))
 
 
-def expectation_mwright(h, negate: bool = False, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
+def expectation_mwright(h, negate: bool = False) -> float:
     """E[h(Y)] (or E[h(-Y)]) for Y ~ M_{1/3}, by direct quadrature."""
     hf = h.fn if isinstance(h, TestFunction) else h
     hv = _vectorized(hf)
@@ -354,8 +350,7 @@ def expectation_mwright(h, negate: bool = False, cfg: QuadratureConfig = DEFAULT
     def integrand(xs):
         return hv(sgn * xs) * density(1.0 / 3.0, xs)
 
-    r = integrate(integrand, 0.0, cfg.truncation_point, cfg)
-    return r.value
+    return integrate(integrand, 0.0, _DENSITY_CUT).value
 
 
 def _probe_groups(grid: np.ndarray, delta: float) -> list:
@@ -380,12 +375,7 @@ def _probe_groups(grid: np.ndarray, delta: float) -> list:
     return groups
 
 
-def _halfline_solve(
-    sides: list[tuple[list[TestFunction], np.ndarray]],
-    cfg: QuadratureConfig,
-    residual_tol: float,
-    delta: float = PROBE_DELTA,
-) -> list[list[dict]]:
+def _halfline_solve(sides: list[tuple[list[TestFunction], np.ndarray]]) -> list[list[dict]]:
     """Solve the half-line Stein equation for every (test functions, grid)
     side in ``sides``, all in one Green's pass; see module docstring.
 
@@ -409,14 +399,14 @@ def _halfline_solve(
             raise DomainError(
                 f"solver refuses x_max > {X_MAX_CAP} (grid reaches {grid[-1]})"
             )
-        laid.append((hs, grid, _probe_groups(grid, delta)))
+        laid.append((hs, grid, _probe_groups(grid, PROBE_DELTA)))
     points = [np.zeros(1)]
     for _, grid, groups in laid:
         points += [grid] + [g[1].ravel() for g in groups]
     tp = _distinct(np.concatenate(points))  # tp[0] = 0
 
     fns = [tf.fn for hs, _, _ in laid for tf in hs]
-    out = green_pass(tp, fns + [_ones], _SCALE, cfg)
+    out = green_pass(tp, fns + [_ones], _SCALE)
     g_1, gp_1 = out["g"][-1], out["g_prime"][-1]
     I1 = float(out["full_line"][-1])
 
@@ -450,10 +440,10 @@ def _halfline_solve(
             )
         residual_sup = float(np.max(resid))
         error_estimate = float(out["error_estimate"][j] + out["error_estimate"][-1])
-        if residual_sup > residual_tol:
+        if residual_sup > RESIDUAL_TOL:
             raise SolverAccuracyError(
                 f"Stein solve for h={tf.label}: residual {residual_sup:.3e} "
-                f"exceeds tolerance {residual_tol:.1e}",
+                f"exceeds tolerance {RESIDUAL_TOL:.1e}",
                 diagnostics={
                     "h": tf.label,
                     "residual_sup": residual_sup,
@@ -579,13 +569,7 @@ def _symmetric_solution(tf: TestFunction, grid: np.ndarray, sp: dict, sn: dict) 
     )
 
 
-def _solve_batch(
-    hs,
-    grid: np.ndarray | None,
-    cfg: QuadratureConfig,
-    residual_tol: float,
-    symmetric: bool,
-) -> list[SteinSolution]:
+def _solve_batch(hs, grid: np.ndarray | None, symmetric: bool) -> list[SteinSolution]:
     """Solve the Stein equation for every test function in ``hs`` on one grid.
 
     One Green's pass serves the call: it carries [h_1..h_k, 1] on the half
@@ -597,7 +581,7 @@ def _solve_batch(
     if grid is None:
         grid = default_grid(symmetric)
     if not symmetric:
-        (sols,) = _halfline_solve([(tfs, grid)], cfg, residual_tol)
+        (sols,) = _halfline_solve([(tfs, grid)])
         return [_halfline_solution(tf, sol) for tf, sol in zip(tfs, sols)]
 
     grid = np.asarray(grid, dtype=float)
@@ -612,40 +596,28 @@ def _solve_batch(
     # literally identical (bitwise-equal solutions at the shared points).
     neg_mirror = np.concatenate(([0.0], -grid[grid < 0][::-1]))
     sps, sns = _halfline_solve(
-        [(tfs, grid[grid >= 0]), ([_mirrored(tf) for tf in tfs], neg_mirror)],
-        cfg,
-        residual_tol,
+        [(tfs, grid[grid >= 0]), ([_mirrored(tf) for tf in tfs], neg_mirror)]
     )
     return [
         _symmetric_solution(tf, grid, sp, sn) for tf, sp, sn in zip(tfs, sps, sns)
     ]
 
 
-def solve_stein(
-    h,
-    grid: np.ndarray | None = None,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
-    residual_tol: float = RESIDUAL_TOL,
-) -> SteinSolution:
+def solve_stein(h, grid: np.ndarray | None = None) -> SteinSolution:
     """Solve f'' - (1/3) x f = h - E[h(Y)] on a half-line grid."""
-    return _solve_batch([h], grid, cfg, residual_tol, symmetric=False)[0]
+    return _solve_batch([h], grid, symmetric=False)[0]
 
 
-def solve_stein_sym(
-    h,
-    grid: np.ndarray | None = None,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
-    residual_tol: float = RESIDUAL_TOL,
-) -> SteinSolution:
+def solve_stein_sym(h, grid: np.ndarray | None = None) -> SteinSolution:
     """Solve f'' - (1/3)|x| f = h^ on a symmetric grid containing 0.
 
     h^ recenters h by E[h(Y)] on [0, inf) and by E[h(-Y)] on (-inf, 0); the
     negative side reduces to a mirrored half-line solve with h(-s).
     """
-    return _solve_batch([h], grid, cfg, residual_tol, symmetric=True)[0]
+    return _solve_batch([h], grid, symmetric=True)[0]
 
 
-def check_domain(obj, boundary_tol: float = 1e-8, zero_tol: float = 1e-10) -> DomainCheck:
+def check_domain(obj) -> DomainCheck:
     """Membership test for the solution spaces.
 
     Accepts a SteinSolution, or a (f, f') callable pair (optionally
@@ -662,14 +634,14 @@ def check_domain(obj, boundary_tol: float = 1e-8, zero_tol: float = 1e-10) -> Do
             if not np.all(np.isfinite(arr)):
                 reasons.append(f"{name} is not bounded on the working grid")
         if obj.kind == "half-line":
-            if abs(obj.boundary_residual) > boundary_tol:
+            if abs(obj.boundary_residual) > _BOUNDARY_TOL:
                 reasons.append(
                     "boundary identity f'(0)/Gamma(2/3) - f(0)/Gamma(1/3) = "
-                    f"{obj.boundary_residual:.3e} exceeds {boundary_tol:.1e}"
+                    f"{obj.boundary_residual:.3e} exceeds {_BOUNDARY_TOL:.1e}"
                 )
         else:
-            if abs(obj.f_zero) > zero_tol:
-                reasons.append(f"f(0) = {obj.f_zero:.3e} exceeds {zero_tol:.1e}")
+            if abs(obj.f_zero) > _ZERO_TOL:
+                reasons.append(f"f(0) = {obj.f_zero:.3e} exceeds {_ZERO_TOL:.1e}")
         return DomainCheck(not reasons, tuple(reasons))
 
     fns = tuple(obj)
@@ -686,7 +658,7 @@ def check_domain(obj, boundary_tol: float = 1e-8, zero_tol: float = 1e-10) -> Do
     if fpp is not None and not np.all(np.isfinite(_vectorized(fpp)(xs))):
         reasons.append("f'' is not finite on the working grid")
     b = float(fp(0.0)) / GAMMA_2_3 - float(f(0.0)) / GAMMA_1_3
-    if abs(b) > boundary_tol:
+    if abs(b) > _BOUNDARY_TOL:
         reasons.append(
             "boundary identity f'(0)/Gamma(2/3) - f(0)/Gamma(1/3) = "
             f"{b:.10g} is nonzero"
@@ -709,12 +681,7 @@ def verify_bounds(sol: SteinSolution, h) -> BoundReport:
     return _bound_report(sol.f, sol.f_prime, sol.f_double_prime, ht_sup)
 
 
-def general_particular_solution(
-    k: float,
-    f,
-    x,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
-):
+def general_particular_solution(k: float, f, x):
     """Particular solution q of q'' - k^2 x q = f(x) on the half line.
 
     Variation of parameters with the homogeneous pair Ai(k^(2/3) x),
@@ -731,5 +698,5 @@ def general_particular_solution(
         raise DomainError(f"general_particular_solution requires finite k > 0, got {k}")
     fn = f.fn if isinstance(f, TestFunction) else f
     return -(k ** (-2.0 / 3.0)) * math.pi * _green_at(
-        x, fn, k ** (2.0 / 3.0), cfg, "general_particular_solution"
+        x, fn, k ** (2.0 / 3.0), "general_particular_solution"
     )[0]

@@ -15,9 +15,8 @@ from wright_stein.gof import (
     discrepancy_sym,
 )
 from wright_stein.mwright import SampleSet, sample
-from wright_stein.numerics import DEFAULT_CONFIG, integrate
+from wright_stein.numerics import integrate
 from wright_stein.stein import (
-    RESIDUAL_TOL,
     _solve_batch,
     default_grid,
     solve_stein,
@@ -214,6 +213,25 @@ class TestSymmetric:
         assert rejections == 0
 
 
+@pytest.mark.parametrize(
+    "symmetric, grid",
+    [
+        # Nothing is solved on [0, 0.375).
+        pytest.param(False, 0.375 + 3 / 64 * np.arange(320), id="half-line-from-0.375"),
+        # Nothing is solved below -3, although |x| <= 6 there.
+        pytest.param(True, np.arange(-60, 121) * 0.05, id="symmetric-on-[-3,6]"),
+    ],
+)
+def test_clipped_outside_solved_range(hs, symmetric, grid):
+    # Samples outside [grid[0], grid[-1]] are clipped, not scored with an
+    # end cell's extrapolated interpolant.
+    vals = sample(5000, seed=3, symmetric=symmetric).values
+    rep = (discrepancy_sym if symmetric else discrepancy)(vals, hs, grid)
+    below = np.count_nonzero(vals < grid[0])
+    assert below > 100
+    assert rep.clipped == below + np.count_nonzero(vals > grid[-1])
+
+
 class TestReportSerialization:
     def test_table_and_csv(self, h0_symmetric):
         table = h0_symmetric.to_table()
@@ -280,12 +298,13 @@ class TestNonFiniteSamples:
 
 def _pointwise_stats(vals, hs, symmetric, grid):
     """(mean, std_error) of A f_h over the sample, evaluating the solution's
-    interpolants at every point (the reference for the power-sum sweep)."""
+    interpolants at every point (the reference for the power-sum sweep).
+    Points outside [grid[0], grid[-1]] count as A f_h = 0."""
     n = vals.size
-    inside = np.abs(vals) <= np.max(np.abs(grid))
+    inside = (vals >= grid[0]) & (vals <= grid[-1])
     vin = vals[inside]
     out = []
-    for sol in _solve_batch(hs, grid, DEFAULT_CONFIG, RESIDUAL_TOL, symmetric):
+    for sol in _solve_batch(hs, grid, symmetric):
         f_at, fpp_at = sol.interpolators()
         av = np.zeros(n)
         av[inside] = fpp_at(vin) - (np.abs(vin) / 3.0) * f_at(vin)
@@ -316,7 +335,7 @@ class TestPowerSums:
         if case == "exp1":
             vals = rng.exponential(1.0, 5000)
         elif case == "asymmetric-wide":
-            # Reaches past -8, so the mirror side's end cell extrapolates.
+            # Reaches past -8 and 12: both sides clip.
             vals = rng.normal(0.0, 4.0, 5000)
         else:
             vals = sample(5000, seed=21, symmetric=symmetric).values
@@ -336,7 +355,7 @@ class TestPowerSums:
         # hence its 16 times larger error and wider bound.
         vals = sample(N_MC, seed=SEED_H0, symmetric=symmetric).values
         rep = (discrepancy_sym if symmetric else discrepancy)(vals, hs)
-        sols = _solve_batch(hs, None, DEFAULT_CONFIG, RESIDUAL_TOL, symmetric)
+        sols = _solve_batch(hs, None, symmetric)
         for h, sol, s in zip(hs, sols, rep.per_function):
             e = np.where(vals >= 0, sol.expectation_h, sol.expectation_h_neg or 0.0)
             av = h.fn(vals) - e

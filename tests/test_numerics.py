@@ -9,9 +9,7 @@ from wright_stein.numerics import (
     cell_integrals,
     gamma_fn,
     integrate,
-    integrate_semi_infinite,
 )
-from wright_stein.specfun import airy_many
 
 # Independent 30-digit references (high-precision series/Lanczos, computed
 # once with mpmath and frozen):
@@ -140,27 +138,6 @@ class TestIntegrate:
         assert r.value == pytest.approx(math.e - 1.0, abs=1e-10)
 
 
-class TestSemiInfinite:
-    def test_airy_normalization(self):
-        # int_0^inf Ai = 1/3, forced by the normalization of M_{1/3} under
-        # u = t 3^(-1/3); the tail beyond 40 is bounded by Ai(40)/sqrt(40).
-        a40 = airy_many(np.array([40.0]))
-        tail = float(a40.ai[0]) / math.sqrt(40.0)
-        r = integrate_semi_infinite(lambda x: airy_many(x).ai, 0.0, tail_bound=tail)
-        assert r.value == pytest.approx(1.0 / 3.0, abs=1e-8)
-
-    def test_exponential_tail(self):
-        r = integrate_semi_infinite(lambda x: np.exp(-x), 10.0)
-        assert r.value == pytest.approx(math.exp(-10.0), rel=1e-9)
-
-    def test_start_beyond_truncation(self):
-        tail = 1e-31
-        r = integrate_semi_infinite(lambda x: airy_many(x).ai, 50.0, tail_bound=tail)
-        assert r.value == 0.0
-        assert r.error_estimate == tail
-        assert tail < 1e-30
-
-
 class TestCellIntegrals:
     def test_matches_adaptive(self):
         edges = np.linspace(0.0, 6.0, 41)
@@ -180,7 +157,7 @@ class TestConfig:
         [
             {"abs_tol": 0.0},
             {"rel_tol": -1e-3},
-            {"truncation_point": 0.0},
+            {"abs_tol": float("nan")},
             {"max_subdivisions": 0},
         ],
     )

@@ -259,7 +259,7 @@ def _scorer_norm_search():
     """The search that located the frozen Scorer norms in ``specfun``."""
     # One pass on [0, 40] yields Gi and Gi' for all three first rounds.
     xs = np.linspace(0.0, 40.0, 8001)
-    gi, gip, _ = _green_at(xs, _ones, 1.0, specfun._SCORER_CFG, "scorer_gi")
+    gi, gip, _ = _green_at(xs, _ones, 1.0, "scorer_gi")
     gi_argmax, gi_norm = _grid_max(scorer_gi, xs, gi)
     xgi_argmax, xgi_norm = _grid_max(lambda xs: xs * scorer_gi(xs), xs, xs * gi)
     gip_argmax, gip_norm = _grid_max(scorer_gi_prime, xs, gip)
@@ -368,6 +368,25 @@ class TestScorer:
             ("gi_prime", scorer_gi_prime),
         ):
             assert (d[f"{key}_argmax"], d[f"{key}_norm"]) == separate(fn)
+
+    def test_no_adaptive_fallback(self, monkeypatch):
+        # Every cell of these Green's passes meets the quadrature tolerance
+        # with its GL15/GL7 pair, from x = 1e-9 to 1e8: none is redone by
+        # the adaptive integrator.
+        from wright_stein.mwright import cdf
+
+        calls = []
+        real = specfun.integrate
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(specfun, "integrate", counting)
+        xs = np.geomspace(1e-9, 1e8, 3000)
+        for fn in (scorer_gi, scorer_gi_prime, airy_ai_tail_integral, cdf):
+            fn(xs)
+        assert calls == []
 
     def test_domain(self):
         with pytest.raises(DomainError):

@@ -8,10 +8,9 @@ from wright_stein import specfun
 from wright_stein import stein as stein_mod
 from wright_stein.errors import DomainError, SolverAccuracyError
 from wright_stein.mwright import density, density_sym
-from wright_stein.numerics import DEFAULT_CONFIG, GAMMA_1_3, GAMMA_2_3, integrate
+from wright_stein.numerics import GAMMA_1_3, GAMMA_2_3, integrate
 from wright_stein.specfun import airy_many, scorer_gi
 from wright_stein.stein import (
-    RESIDUAL_TOL,
     TestFunction,
     _hermite,
     check_domain,
@@ -193,9 +192,10 @@ class TestHalfLineSolver:
         with pytest.raises(DomainError):
             solve_stein(H_COS, np.array([0.0, 25.0]))
 
-    def test_residual_tolerance_enforced(self):
+    def test_residual_tolerance_enforced(self, monkeypatch):
+        monkeypatch.setattr(stein_mod, "RESIDUAL_TOL", 1e-12)
         with pytest.raises(SolverAccuracyError) as exc:
-            solve_stein(H_COS, residual_tol=1e-12)
+            solve_stein(H_COS)
         assert "residual_sup" in exc.value.diagnostics
 
     def test_plain_callable_accepted(self):
@@ -516,7 +516,7 @@ class TestBatchedSolve:
     def test_halfline_family_matches_single_solves(self):
         fam = self.family()
         assert len(fam) == 17
-        batch = stein_mod._solve_batch(fam, None, DEFAULT_CONFIG, RESIDUAL_TOL, False)
+        batch = stein_mod._solve_batch(fam, None, False)
         for tf, sol in zip(fam, batch):
             self.assert_same(sol, solve_stein(tf))
 
@@ -526,7 +526,7 @@ class TestBatchedSolve:
         fam = self.family()
         grid = stein_mod.default_grid(symmetric=True)
         half = grid[grid >= 0]
-        batch = stein_mod._solve_batch(fam, None, DEFAULT_CONFIG, RESIDUAL_TOL, True)
+        batch = stein_mod._solve_batch(fam, None, True)
         for tf, sol in zip(fam, batch):
             pos = solve_stein(tf, half)
             neg = solve_stein(
@@ -547,7 +547,7 @@ class TestBatchedSolve:
     def test_symmetric_asymmetric_grid_family_matches_single_solves(self):
         fam = self.family()
         grid = np.arange(-60, 121) * 0.05
-        batch = stein_mod._solve_batch(fam, grid, DEFAULT_CONFIG, RESIDUAL_TOL, True)
+        batch = stein_mod._solve_batch(fam, grid, True)
         for tf, sol in zip(fam, batch):
             self.assert_same(sol, solve_stein_sym(tf, grid))
 
@@ -564,9 +564,7 @@ class TestBatchedSolve:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(specfun, "integrate", counting)
-        cos_sol, kink_sol, sin_sol = stein_mod._solve_batch(
-            [H_COS, kink, H_SIN], None, DEFAULT_CONFIG, RESIDUAL_TOL, False
-        )
+        cos_sol, kink_sol, sin_sol = stein_mod._solve_batch([H_COS, kink, H_SIN], None, False)
         assert calls
         monkeypatch.setattr(specfun, "integrate", real)
         self.assert_same(cos_sol, solve_stein(H_COS))
@@ -580,8 +578,6 @@ class TestBatchedSolve:
     def test_failing_member_is_named(self):
         wild = TestFunction(lambda x: np.cos(40.0 * x), 1.0, "cos40", even=True)
         with pytest.raises(SolverAccuracyError) as exc:
-            stein_mod._solve_batch(
-                [H_COS, wild, H_SIN], None, DEFAULT_CONFIG, RESIDUAL_TOL, False
-            )
+            stein_mod._solve_batch([H_COS, wild, H_SIN], None, False)
         assert "h=cos40" in str(exc.value)
         assert exc.value.diagnostics["h"] == "cos40"
