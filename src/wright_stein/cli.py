@@ -66,6 +66,11 @@ def _parse_grid(spec: str) -> np.ndarray:
     if not span < MAX_GRID_POINTS:  # also an overflow to inf
         raise ValueError(f"grid {spec!r} exceeds {MAX_GRID_POINTS} points")
     n = int(math.floor(span)) + 1
+    k0 = start / step
+    if k0.is_integer() and k0 * step == start:
+        # Integer multiples of the step: a point and its mirror -x are
+        # both on the grid bitwise, as the symmetric solver pairs them.
+        return (k0 + np.arange(n)) * step
     return start + step * np.arange(n)
 
 

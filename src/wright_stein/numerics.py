@@ -3,8 +3,10 @@
 The adaptive rule is a Gauss-Legendre 7/15 pair: the 15-point value is kept,
 the |GL15 - GL7| gap is the embedded error estimate, and the worst interval
 is bisected until the global estimate meets the configured tolerance.  The
-Green's passes in ``specfun`` use the same GL15/GL7 pair per cell and hand
-the rare cell that misses ``DEFAULT_CONFIG`` to ``integrate``; that one
+Green's passes in ``specfun`` screen their cells with the nested
+Gauss-Kronrod 7/15 pair instead (QUADPACK's qk15: the 7 Gauss nodes are
+among the 15 Kronrod nodes, so |K15 - G7| costs no extra evaluation) and
+hand the rare cell that misses ``DEFAULT_CONFIG`` to ``integrate``; that one
 tolerance serves every Airy, Stein and goodness-of-fit integral.
 """
 
@@ -67,6 +69,32 @@ DEFAULT_CONFIG = QuadratureConfig()
 # Gauss-Legendre nodes/weights on [-1, 1]; machine precision via numpy.
 _GL7_X, _GL7_W = np.polynomial.legendre.leggauss(7)
 _GL15_X, _GL15_W = np.polynomial.legendre.leggauss(15)
+
+# Gauss-Kronrod 7/15 on [-1, 1], QUADPACK qk15 (Piessens et al. 1983): the
+# positive Kronrod nodes, descending, and the weights of those nodes and of 0.
+_K15_POS = (
+    0.991455371120812639206854697526329,
+    0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926,
+    0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013,
+    0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245,
+)
+_K15_WPOS = (
+    0.022935322010529224963732008058970,
+    0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518,
+    0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550,
+    0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649,
+    0.209482141084727828012999174891714,
+)
+# Ascending, so that the odd-indexed nodes _K15_X[1::2] are the GL7 nodes and
+# take the _GL7_W weights.
+_K15_X = np.concatenate((np.negative(_K15_POS), [0.0], _K15_POS[::-1]))
+_K15_W = np.concatenate((_K15_WPOS, _K15_WPOS[-2::-1]))
 
 GAMMA_1_3 = 2.678938534707747633655693
 GAMMA_2_3 = 1.354117939426400416945288

@@ -31,9 +31,10 @@ import numpy as np
 from .errors import AiryOverflowError, DomainError, RangeError
 from .numerics import (
     _GL7_W,
-    _GL7_X,
     _GL15_W,
     _GL15_X,
+    _K15_W,
+    _K15_X,
     DEFAULT_CONFIG,
     _check_finite,
     _vectorized,
@@ -355,14 +356,15 @@ class AiryArrays(NamedTuple):
 
 
 def airy_many(xs) -> AiryArrays:
-    """Evaluate Ai, Bi and derivatives on an array of non-negative points.
+    """Evaluate Ai, Bi and derivatives on an array of finite non-negative
+    points; any other point raises DomainError.
 
     Unscaled fields follow e^(+-zeta) and may overflow to inf / underflow to
     zero for very large x; the scaled fields are valid everywhere.
     """
     xs = np.asarray(xs, dtype=float)
-    if xs.size and float(np.min(xs)) < 0:
-        raise DomainError("airy requires x >= 0")
+    if xs.size and not (np.min(xs) >= 0 and np.max(xs) < math.inf):
+        raise DomainError("airy requires finite x >= 0")
     shape = xs.shape
     flat = xs.ravel()
 
@@ -430,9 +432,9 @@ class AiryValues:
 def airy(x: float) -> AiryValues:
     """Airy bundle at a single non-negative point.
 
-    Raises DomainError for x < 0 and AiryOverflowError when an unscaled
-    field leaves double range: Bi' does from x ~ 104.22 and Bi from
-    x ~ 104.43.  Use airy_many / scaled fields for extreme arguments.
+    Raises DomainError for x < 0 or non-finite x and AiryOverflowError when
+    an unscaled field leaves double range: Bi' does from x ~ 104.22 and Bi
+    from x ~ 104.43.  Use airy_many / scaled fields for extreme arguments.
     """
     x = float(x)
     if not x >= 0:
@@ -459,7 +461,8 @@ _ZETA_CUT = 45.0
 # Largest scale * x a Green's pass accepts: beyond ~1e10 a zeta step of 1
 # falls below the rounding of zeta itself and the grading collapses.
 GREEN_U_MAX = 1e8
-# Points per pass in _green_at; a pass holds ~4.5 kB per point at its peak.
+# Points per pass in _green_at; a pass holds ~3 kB per cell at its peak, and
+# a dense grid has about one cell per point.
 _GREEN_CHUNK = 4096
 
 
@@ -512,6 +515,24 @@ def _cell_edges(grid: np.ndarray, scale: float):
     return edges, np.isin(edges[:-1], middles)
 
 
+def _scan(c, d):
+    """x_i = d_i x_{i-1} + c_i along the last axis, with x_{-1} = 0.
+
+    A doubling scan (Blelloch 1990): after the step of shift s, entry i holds
+    the affine map of entries i - 2s + 1 .. i applied to 0, so ceil(log2 n)
+    vectorized steps replace the sequential loop.  The factors d_i lie in
+    [0, 1] here, so no partial product overflows.
+    """
+    c = np.array(c, dtype=float)
+    d = np.array(d, dtype=float)
+    s = 1
+    while s < c.shape[-1]:
+        c[..., s:] += d[..., s:] * c[..., :-s]
+        d[..., s:] = d[..., s:] * d[..., :-s]
+        s *= 2
+    return c
+
+
 def green_pass(grid: np.ndarray, rhs_fns: list[Callable], scale: float):
     """Cumulative scaled prefix/suffix Airy Green's integrals over a grid.
 
@@ -522,18 +543,21 @@ def green_pass(grid: np.ndarray, rhs_fns: list[Callable], scale: float):
         S_i = int_{g_i}^inf Ai(scale*t) r(t) dt * e^{+zeta(u_i)}
 
     and the full-line integral int_0^inf Ai(scale*t) r(t) dt, in one O(n)
-    pass of per-cell GL15/GL7 quadrature.  The cells are the grid cells, a
-    head [0, g_0] and a tail reaching 45 e-folds of the Ai kernel past the
-    last grid point, each split into cells equally spaced in zeta where it
-    spans more than one e-fold (see ``_cell_edges``); dense grids keep their
-    own cells.  Every exponential is carried in relative, non-positive form,
-    so nothing overflows, and exponent differences are formed without
-    cancellation, so far-out points keep full accuracy.
+    pass of per-cell Gauss-Kronrod 7/15 quadrature.  The cells are the grid
+    cells, a head [0, g_0] and a tail reaching 45 e-folds of the Ai kernel
+    past the last grid point, each split into cells equally spaced in zeta
+    where it spans more than one e-fold (see ``_cell_edges``); dense grids
+    keep their own cells.  Every exponential is carried in relative,
+    non-positive form, so nothing overflows, and exponent differences are
+    formed without cancellation, so far-out points keep full accuracy.  The
+    cell integrals accumulate into P and S by one doubling scan each
+    (``_scan``) rather than a loop over the cells.
 
-    One Airy evaluation at all quadrature nodes serves every right-hand side.
-    The cells depend on grid and scale only, so each right-hand side's result
-    is bitwise independent of the others.  A cell whose embedded
-    |GL15 - GL7| estimate for one right-hand side exceeds
+    One Airy evaluation at the 15 Kronrod nodes of every cell serves every
+    right-hand side.  The cells depend on grid and scale only, so each
+    right-hand side's result is bitwise independent of the others.  Each
+    cell keeps its K15 value; a cell whose embedded |K15 - G7| estimate (the
+    7 Gauss nodes are among the 15) for one right-hand side exceeds
     ``max(abs_tol, rel_tol * |value|)`` of ``numerics.DEFAULT_CONFIG``
     (1e-10 each) is redone by the adaptive integrator, to that same
     tolerance, for that right-hand side alone.  This is the one quadrature
@@ -567,17 +591,16 @@ def green_pass(grid: np.ndarray, rhs_fns: list[Callable], scale: float):
     ue = scale * edges
     half = 0.5 * (edges[1:] - edges[:-1])[:, None]
 
-    # One row per cell: its 15 GL15 nodes, then its 7 GL7 nodes.
-    gl_x = np.concatenate((_GL15_X, _GL7_X))
-    nodes = (0.5 * (edges[1:] + edges[:-1]))[:, None] + half * gl_x
+    # One row per cell: its 15 Kronrod nodes, every other one a GL7 node.
+    nodes = (0.5 * (edges[1:] + edges[:-1]))[:, None] + half * _K15_X
     an = airy_many(scale * nodes)
     evals = nodes.size * m
 
     # Kernels relative to the owning cell's edge: P to its right edge, S to
     # its left, every exponent <= 0.  Exponents come from each node's offset
     # within its cell, so far-out nodes lose nothing to their rounding.
-    wP = an.bi_scaled * np.exp(-_zeta_gap(ue[1:, None], an.x, scale * half * (1 - gl_x)))
-    wS = an.ai_scaled * np.exp(-_zeta_gap(an.x, ue[:-1, None], scale * half * (1 + gl_x)))
+    wP = an.bi_scaled * np.exp(-_zeta_gap(ue[1:, None], an.x, scale * half * (1 - _K15_X)))
+    wS = an.ai_scaled * np.exp(-_zeta_gap(an.x, ue[:-1, None], scale * half * (1 + _K15_X)))
     wP[dropped] = wS[dropped] = 0.0
 
     def kernel_p(a, i):
@@ -595,8 +618,8 @@ def green_pass(grid: np.ndarray, rhs_fns: list[Callable], scale: float):
         hv = hv.reshape(nodes.shape)
         for tgt, w, kernel in ((cellP[j], wP, kernel_p), (cellS[j], wS, kernel_s)):
             vals = w * hv
-            i15 = half[:, 0] * (vals[:, :15] @ _GL15_W)
-            e = np.abs(i15 - half[:, 0] * (vals[:, 15:] @ _GL7_W))
+            i15 = half[:, 0] * (vals @ _K15_W)
+            e = np.abs(i15 - half[:, 0] * (vals[:, 1::2] @ _GL7_W))
             tol = np.maximum(DEFAULT_CONFIG.abs_tol, DEFAULT_CONFIG.rel_tol * np.abs(i15))
             for i in np.nonzero(e > tol)[0]:
                 r = integrate(
@@ -614,10 +637,8 @@ def green_pass(grid: np.ndarray, rhs_fns: list[Callable], scale: float):
     decay = np.exp(-_zeta_gap(ue[1:], ue[:-1], scale * 2.0 * half[:, 0]))
     P = np.zeros((m, edges.size))
     S = np.zeros((m, edges.size))
-    for i in range(edges.size - 1):
-        P[:, i + 1] = P[:, i] * decay[i] + cellP[:, i]
-    for i in range(edges.size - 2, -1, -1):
-        S[:, i] = cellS[:, i] + decay[i] * S[:, i + 1]
+    P[:, 1:] = _scan(cellP, decay)
+    S[:, -2::-1] = _scan(cellS[:, ::-1], decay[::-1])
 
     full_line = S[:, 0]  # edges[0] = 0, where e^zeta = 1
     at_grid = np.searchsorted(edges, grid)
@@ -643,8 +664,8 @@ def _green_at(x, r: Callable, scale: float, name: str):
     Returns floats for a scalar x, else arrays shaped like x: the pass's
     ``g``, ``g_prime`` and ``tail``.  Gi and Gi' are the first two at r = 1,
     scale = 1.  The sorted distinct points go through one pass per
-    _GREEN_CHUNK of them, which bounds the memory of the ~22 quadrature
-    nodes per point.
+    _GREEN_CHUNK of them, which bounds the memory of the 15 quadrature
+    nodes per cell.
     """
     xs = np.asarray(x, dtype=float)
     if not np.all((xs >= 0) & np.isfinite(xs)):
@@ -684,9 +705,9 @@ def airy_ai_tail_integral(x):
 # sup |Gi|, sup |x Gi(x)| and sup |Gi'| over x >= 0, attained at x = 0.609076,
 # 2.530764 and 0.  The tests' grid search over [0, 40] reproduces all three
 # bitwise, and mpmath agrees at the maximizers.
-_GI_NORM = 0.24577778954956078
-_XGI_NORM = 0.3457125663969611
-_GI_PRIME_NORM = 0.14942945245127534
+_GI_NORM = 0.24577778954956087
+_XGI_NORM = 0.3457125663969613
+_GI_PRIME_NORM = 0.14942945245127492
 
 
 def scorer_gi_norms() -> tuple[float, float]:

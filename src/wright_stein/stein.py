@@ -410,8 +410,10 @@ def _halfline_solve(sides: list[tuple[list[TestFunction], np.ndarray]]) -> list[
     g_1, gp_1 = out["g"][-1], out["g_prime"][-1]
     I1 = float(out["full_line"][-1])
 
-    def finish(j, tf, grid, groups):
-        """Row j of the pass as the solution for tf on its side's grid."""
+    def finish(j, tf, grid, idx_grid, groups):
+        """Row j of the pass as the solution for tf on its side's grid, whose
+        points sit at idx_grid in the pass and whose probe groups carry
+        their probes' pass indices."""
         hv = _vectorized(tf.fn)
         Eh = float(out["full_line"][j]) / I1
         f_tp = _PREF_F * (out["g"][j] - Eh * g_1)
@@ -430,10 +432,8 @@ def _halfline_solve(sides: list[tuple[list[TestFunction], np.ndarray]]) -> list[
                 )
 
         # Independent ODE residual from probe re-evaluations of f.
-        idx_grid = np.searchsorted(tp, grid)
         resid = np.empty(grid.size)
-        for mask, probe_mat, coef, steps_sq in groups:
-            pidx = np.searchsorted(tp, probe_mat.ravel()).reshape(probe_mat.shape)
+        for mask, pidx, coef, steps_sq in groups:
             fd2 = (f_tp[pidx] @ coef) / steps_sq
             resid[mask] = np.abs(
                 fd2 - (grid[mask] / 3.0) * f_tp[idx_grid[mask]] - ht_tp[idx_grid[mask]]
@@ -467,7 +467,16 @@ def _halfline_solve(sides: list[tuple[list[TestFunction], np.ndarray]]) -> list[
         }
 
     rows = iter(range(len(fns)))
-    return [[finish(next(rows), tf, grid, groups) for tf in hs] for hs, grid, groups in laid]
+    results = []
+    for hs, grid, groups in laid:
+        # Pass indices of the side's points and probes, once for all its h.
+        idx_grid = np.searchsorted(tp, grid)
+        groups = [
+            (mask, np.searchsorted(tp, probes.ravel()).reshape(probes.shape), coef, sq)
+            for mask, probes, coef, sq in groups
+        ]
+        results.append([finish(next(rows), tf, grid, idx_grid, groups) for tf in hs])
+    return results
 
 
 def _bound_constants() -> tuple[float, float, float]:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wright_stein.cli import main, parse_samples_csv
+from wright_stein.cli import _parse_grid, main, parse_samples_csv
 from wright_stein.mwright import sample
 from wright_stein.numerics import GAMMA_4_3
 
@@ -154,6 +154,14 @@ class TestSolve:
         assert code == 0
         _, rows = parse_csv(out)
         assert rows.shape[0] == 121
+
+    @pytest.mark.parametrize("spec", ["-3:12:0.05", "-10:10:0.0625", "-2.5:7:0.1"])
+    def test_grid_mirrors_exactly(self, spec):
+        # A start that is a whole number of steps puts every negative
+        # point's mirror on the grid bitwise.
+        grid = _parse_grid(spec)
+        neg = grid[grid < 0]
+        assert neg.size and np.all(np.isin(-neg, grid))
 
 
 class TestSample:

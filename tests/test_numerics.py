@@ -5,6 +5,8 @@ import pytest
 
 from wright_stein.errors import DomainError, NonFiniteError, ToleranceNotMetError
 from wright_stein.numerics import (
+    _K15_W,
+    _K15_X,
     QuadratureConfig,
     cell_integrals,
     gamma_fn,
@@ -149,6 +151,19 @@ class TestCellIntegrals:
     def test_needs_two_edges(self):
         with pytest.raises(DomainError):
             cell_integrals(lambda x: x, np.array([1.0]))
+
+
+class TestKronrod:
+    def test_exact_to_degree_22(self):
+        # K15 integrates every polynomial of degree <= 3 * 7 + 1 exactly.
+        for d in range(23):
+            exact = (1.0 - (-1.0) ** (d + 1)) / (d + 1)
+            assert abs(_K15_W @ _K15_X**d - exact) <= 1e-15
+
+    def test_gauss_nodes_are_nested(self):
+        g7 = np.polynomial.legendre.leggauss(7)[0]
+        assert np.all(np.abs(_K15_X[1::2] - g7) <= np.spacing(np.abs(g7)))
+        assert np.all(np.diff(_K15_X) > 0)
 
 
 class TestConfig:

@@ -93,6 +93,15 @@ class TestAiryPointValues:
         with pytest.raises(DomainError):
             airy(-1e-9)
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf])
+    def test_non_finite_refused(self, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError):
+                airy_many(np.array([0.5, x]))
+            with pytest.raises(DomainError):
+                airy(x)
+
     def test_overflow_error_beyond_200(self):
         with pytest.raises(AiryOverflowError):
             airy(200.0001)
@@ -387,6 +396,34 @@ class TestScorer:
         for fn in (scorer_gi, scorer_gi_prime, airy_ai_tail_integral, cdf):
             fn(xs)
         assert calls == []
+
+    def test_evaluations_are_15_per_cell(self):
+        # Without a fallback, a pass evaluates every right-hand side once at
+        # the 15 Kronrod nodes of each cell.
+        grid = np.linspace(0.0, 12.0, 401)
+        rhs = [_ones, np.cos, np.sin]
+        out = specfun.green_pass(grid, rhs, 3.0**-0.5)
+        cells = specfun._cell_edges(grid, 3.0**-0.5)[0].size - 1
+        assert out["evaluations"] == 15 * cells * len(rhs)
+
+    @pytest.mark.parametrize("m", [1, 12])
+    def test_scan_matches_recurrence(self, m):
+        rng = np.random.default_rng(m)
+        n = 2043
+        c = rng.uniform(-1.0, 1.0, (m, n))
+        d = rng.uniform(0.0, 1.0, n)
+        d[rng.choice(n, 40, replace=False)] = 0.0
+        want = np.empty((m, n))
+        x = np.zeros(m)
+        for i in range(n):
+            x = d[i] * x + c[:, i]
+            want[:, i] = x
+        got = specfun._scan(c, d)
+        assert got.shape == (m, n)
+        assert np.max(np.abs(got - want)) <= 1e-15 * max(1.0, np.max(np.abs(want)))
+        # A zero factor restarts the recurrence exactly.
+        i = int(np.nonzero(d == 0.0)[0][0])
+        assert np.array_equal(got[:, i], c[:, i])
 
     def test_domain(self):
         with pytest.raises(DomainError):
