@@ -132,10 +132,13 @@ def sample(n: int, seed: int, symmetric: bool = False) -> SampleSet:
     Y = (E / K(pi U))^(2/3) = E^(2/3) / kappa(pi U) with U ~ U(0, 1) and
     E ~ Exp(1), K and kappa as in ``specfun.wright_m_series``.  Deterministic
     given (n, seed, symmetric): uniforms, then exponentials, then signs are
-    drawn from one numpy default_rng stream.
+    drawn from one numpy default_rng stream, whose seed must be a
+    non-negative integer.
     """
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise DomainError(f"sample requires n >= 1, got {n}")
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise DomainError(f"sample requires an integer seed >= 0, got {seed!r}")
     rng = np.random.default_rng(seed)
     u = rng.random(n)
     e = rng.standard_exponential(n)

@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, NonFiniteError, ToleranceNotMetError
+from .errors import DomainError, NonFiniteError, RangeError, ToleranceNotMetError
 
 __all__ = [
     "QuadratureConfig",
@@ -105,10 +105,14 @@ def gamma_fn(x: float) -> float:
     """Gamma function for positive real arguments.
 
     Negative arguments and poles are out of scope; they raise DomainError.
+    Arguments whose Gamma overflows a double (x > ~171.6) raise RangeError.
     """
     if not (x > 0):
         raise DomainError(f"gamma_fn requires x > 0, got {x}")
-    return math.gamma(x)
+    try:
+        return math.gamma(x)
+    except OverflowError:
+        raise RangeError(f"gamma_fn({x}) overflows a double") from None
 
 
 # Validate the precomputed constants against gamma_fn at import time.

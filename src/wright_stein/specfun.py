@@ -471,7 +471,9 @@ def _zeta_gap(ua, ub, du):
     subtracting two large zetas.  Passing du computed from the exact offset
     keeps the rounding of ua and ub out of the exponent."""
     ra, rb = np.sqrt(ua), np.sqrt(ub)
-    return (2.0 / 3.0) * du * (ua + ra * rb + ub) / (ra + rb)
+    r = ra + rb
+    # Where both ends are 0 the gap is 0: keep 0/0 out of it.
+    return (2.0 / 3.0) * du * (ua + ra * rb + ub) / np.where(r > 0, r, 1.0)
 
 
 def _distinct(a):

@@ -14,9 +14,10 @@ the ODE itself.
 
 The Airy kernel depends only on the points, not on h, so every solve is one
 Green's pass: every h (and, on the symmetric line, every mirrored h(-s)) is
-one right-hand side, over the sorted union of both sides' grid points, their
-residual probe points and x = 0, which is where f(0) and f'(0) are read.
-Each solution is bitwise independent of the other members of the family.
+one right-hand side, over the sorted union of both sides' grid points and
+their residual probe points.  f(0) and f'(0) come from the full-line
+integrals, since at x = 0 the prefix integral vanishes.  Each solution is
+bitwise independent of the other members of the family.
 
 Two implementation details worth knowing:
 
@@ -28,10 +29,13 @@ Two implementation details worth knowing:
 
 * Since f'' is defined through the ODE, the reported residual would be
   trivially zero if computed from the stored arrays.  Instead the solver
-  re-evaluates f at probe points x + j*delta through the same Green's-
-  function machinery and forms an independent fourth-order finite-difference
-  second derivative; the residual compares that against the ODE right-hand
-  side.
+  re-evaluates f at probe points through the same Green's-function
+  machinery and forms an independent fourth-order finite-difference second
+  derivative; the residual compares that against the ODE right-hand side.
+  The probes sit on the grid's own lattice (the grid points and each cell
+  split into equal parts no wider than PROBE_DELTA), at steps delta in
+  [PROBE_DELTA/2, PROBE_DELTA], so neighbouring stencils share their
+  probes and most probes are grid points or shared cell splits.
 
 Between nodes a solution is the quintic Hermite interpolant of the solver's
 own (f, f', f'') on each grid cell, which goodness of fit also reads.
@@ -52,7 +56,7 @@ from .errors import DomainError, NonFiniteError, SolverAccuracyError
 from .numerics import GAMMA_1_3, GAMMA_2_3, _vectorized, integrate
 from .mwright import _DENSITY_CUT, density
 from .specfun import _GI_NORM, _GI_PRIME_NORM, _XGI_NORM
-from .specfun import _distinct, _green_at, _ones, green_pass
+from .specfun import _distinct, _green_at, _ones, airy_many, green_pass
 
 __all__ = [
     "TestFunction",
@@ -353,26 +357,87 @@ def expectation_mwright(h, negate: bool = False) -> float:
     return integrate(integrand, 0.0, _DENSITY_CUT).value
 
 
-def _probe_groups(grid: np.ndarray, delta: float) -> list:
-    """Residual probe layout of one side: (mask, probe matrix, stencil
-    coefficients, squared steps) per stencil kind.
+def _rounding(x):
+    """How far apart two abscissae near x may lie and still count as one
+    point: a few units in the last place, what forming them differently
+    (a grid point, a cell split, x + j*delta) leaves between them."""
+    return 16.0 * np.spacing(np.abs(x))
 
-    Centered five-point stencils with step delta, shrinking the step to x/2
-    for points closer than 2*delta to the boundary, and a small-step forward
-    six-point stencil at x = 0 itself.  Probe differences only see the small
-    quadrature cells between probes, so even the 1/step^2 amplification
-    leaves the noise well under the truncation term.
+
+def _lattice(grid: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The probe lattice of one side and the lattice index of each grid point.
+
+    The lattice is the grid points plus each cell split into k equal parts,
+    k = ceil(w / PROBE_DELTA) for a cell of width w (1 for a narrower cell).
+    Each split point is formed once, as grid[c] + (grid[c+1] - grid[c]) * j / k,
+    so the neighbouring stencils that share it share it bitwise.  A grid
+    that starts above 0 is first extended towards 0 by its first step, by
+    at most as many steps as it has cells: the lattice below its first
+    point joins the Green's pass, so that the head [0, grid[0]] is
+    integrated on cells no wider than the grid's own.
     """
+    n = grid.size
+    if n > 1 and grid[0] > 0:
+        w0 = grid[1] - grid[0]
+        steps = np.arange(min(math.floor((grid[0] + tol) / w0), n - 1), 0, -1)
+        grid = np.concatenate((np.maximum(grid[0] - w0 * steps, 0.0), grid))
+    w = np.diff(grid)
+    k = np.maximum(np.ceil((w - tol) / PROBE_DELTA), 1).astype(int)
+    cell = np.repeat(np.arange(w.size), k)
+    first = np.cumsum(k) - k
+    j = np.arange(cell.size) - first[cell]
+    lat = np.append(grid[cell] + w[cell] * j / k[cell], grid[-1])
+    return lat, np.append(first, lat.size - 1)[grid.size - n:]
+
+
+def _probe_groups(grid: np.ndarray) -> tuple[np.ndarray, list]:
+    """Residual probe layout of one side: its lattice (see ``_lattice``) and
+    (mask, probe matrix, stencil coefficients, squared steps) per stencil kind.
+
+    A point's step delta is the largest multiple of its lattice gap (the
+    smaller of the two next to it) not above PROBE_DELTA, so delta lies in
+    [PROBE_DELTA/2, PROBE_DELTA]: w/k on a cell split k ways, or m grid
+    steps on a grid finer than PROBE_DELTA.  Centered five-point stencils
+    take their probes from the lattice wherever its points there are evenly
+    spaced up to rounding; elsewhere (at the ends of the lattice and where
+    cells of different width meet) the probes are x + j*delta, still evenly
+    spaced, since a five-point stencil with unequal sides is only third
+    order.  Points closer than 2*delta to the boundary take step x/2, and
+    x = 0 itself a forward six-point stencil of step delta/4.
+    """
+    tol = float(_rounding(grid[-1] + 2 * PROBE_DELTA))
+    lat, at = _lattice(grid, tol)
+    gaps = np.append(np.diff(lat), np.inf)
+    gap = np.minimum(gaps[at], np.where(at > 0, gaps[at - 1], np.inf))
+    gap[np.isinf(gap)] = PROBE_DELTA  # a lone point has no cell
+    mult = np.maximum(np.floor((PROBE_DELTA + tol) / gap), 1)
+    delta = mult * gap
+
+    idx = at[:, None] + mult.astype(int)[:, None] * _C5_OFFSETS.astype(int)
+    on = lat[np.clip(idx, 0, lat.size - 1)]
+    even = (idx[:, 0] >= 0) & (idx[:, -1] < lat.size) & (np.ptp(np.diff(on), axis=1) <= tol)
+    steps = np.where(grid >= 2 * delta, delta, grid / 2.0)
+    steps = np.where(even, (on[:, -1] - on[:, 0]) / 4.0, steps)
+    probes = np.where(even[:, None], on, grid[:, None] + steps[:, None] * _C5_OFFSETS)
+
     groups = []
-    for mask, steps, offsets, coef in (
-        (grid >= 2 * delta, np.full(grid.size, delta), _C5_OFFSETS, _C5_COEF),
-        ((grid > 0) & (grid < 2 * delta), grid / 2.0, _C5_OFFSETS, _C5_COEF),
-        (grid == 0.0, np.full(grid.size, delta / 4.0), _F6_OFFSETS, _F6_COEF),
+    for mask, pr, coef, st in (
+        (grid > 0, probes, _C5_COEF, steps),
+        (grid == 0.0, grid[:, None] + (delta[:, None] / 4.0) * _F6_OFFSETS, _F6_COEF, delta / 4.0),
     ):
         if mask.any():
-            st = steps[mask]
-            groups.append((mask, grid[mask, None] + st[:, None] * offsets, coef, st * st))
-    return groups
+            groups.append((mask, pr[mask], coef, st[mask] ** 2))
+    return lat, groups
+
+
+def _snap(points: np.ndarray, anchors: np.ndarray) -> np.ndarray:
+    """``points``, each moved onto the nearest of the sorted ``anchors``
+    where that lies within rounding of it."""
+    i = np.searchsorted(anchors, points)
+    lo = anchors[np.maximum(i - 1, 0)]
+    hi = anchors[np.minimum(i, anchors.size - 1)]
+    near = np.where(points - lo <= hi - points, lo, hi)
+    return np.where(np.abs(near - points) <= _rounding(anchors[-1]), near, points)
 
 
 def _halfline_solve(sides: list[tuple[list[TestFunction], np.ndarray]]) -> list[list[dict]]:
@@ -380,7 +445,8 @@ def _halfline_solve(sides: list[tuple[list[TestFunction], np.ndarray]]) -> list[
     side in ``sides``, all in one Green's pass; see module docstring.
 
     The pass runs over the sorted union of every side's grid points, its
-    residual probe points and x = 0, and carries the right-hand sides
+    residual probe points and its lattice below its first point (see
+    ``_lattice``), and carries the right-hand sides
     [every side's h, ..., 1].  Each h is then finished on its own rows and
     its own side's points (expectation ratio, f, f', f'', probe residual),
     so its result is bitwise independent of every other h.  Returns
@@ -399,16 +465,25 @@ def _halfline_solve(sides: list[tuple[list[TestFunction], np.ndarray]]) -> list[
             raise DomainError(
                 f"solver refuses x_max > {X_MAX_CAP} (grid reaches {grid[-1]})"
             )
-        laid.append((hs, grid, _probe_groups(grid, PROBE_DELTA)))
-    points = [np.zeros(1)]
-    for _, grid, groups in laid:
-        points += [grid] + [g[1].ravel() for g in groups]
-    tp = _distinct(np.concatenate(points))  # tp[0] = 0
+        laid.append((hs, grid, *_probe_groups(grid)))
+    # Probes off one side's lattice that land within rounding of a lattice
+    # point of any side take that point, so no pass point is doubled.
+    anchors = _distinct(np.concatenate([lat for _, _, lat, _ in laid]))
+    points = []
+    for i, (hs, grid, lat, groups) in enumerate(laid):
+        groups = [(mask, _snap(pr, anchors), coef, sq) for mask, pr, coef, sq in groups]
+        points += [lat[lat < grid[0]], grid] + [g[1].ravel() for g in groups]
+        laid[i] = hs, grid, groups
+    tp = _distinct(np.concatenate(points))
 
     fns = [tf.fn for hs, _, _ in laid for tf in hs]
     out = green_pass(tp, fns + [_ones], _SCALE)
     g_1, gp_1 = out["g"][-1], out["g_prime"][-1]
     I1 = float(out["full_line"][-1])
+    # At x = 0 the prefix integral is 0 and the suffix integral is the
+    # full-line one, so there g = Bi(0) full_line and g' = Bi'(0) full_line.
+    at_0 = airy_many(np.zeros(1))
+    g_0, gp_0 = at_0.bi_scaled * out["full_line"], at_0.bi_prime_scaled * out["full_line"]
 
     def finish(j, tf, grid, idx_grid, groups):
         """Row j of the pass as the solution for tf on its side's grid, whose
@@ -420,6 +495,8 @@ def _halfline_solve(sides: list[tuple[list[TestFunction], np.ndarray]]) -> list[
         fp_tp = _PREF_FP * (out["g_prime"][j] - Eh * gp_1)
         ht_tp = hv(tp) - Eh
         fpp_tp = (tp / 3.0) * f_tp + ht_tp
+        f_0 = float(_PREF_F * (g_0[j] - Eh * g_0[-1]))
+        fp_0 = float(_PREF_FP * (gp_0[j] - Eh * gp_0[-1]))
 
         for name, arr in (("f", f_tp), ("f_prime", fp_tp), ("f_double_prime", fpp_tp)):
             bad = ~np.isfinite(arr)
@@ -462,7 +539,7 @@ def _halfline_solve(sides: list[tuple[list[TestFunction], np.ndarray]]) -> list[
             "expectation_h": Eh,
             "residuals": resid,
             "residual_sup": residual_sup,
-            "boundary_residual": float(fp_tp[0]) / GAMMA_2_3 - float(f_tp[0]) / GAMMA_1_3,
+            "boundary_residual": fp_0 / GAMMA_2_3 - f_0 / GAMMA_1_3,
             "error_estimate": error_estimate,
         }
 
@@ -630,8 +707,9 @@ def check_domain(obj) -> DomainCheck:
     """Membership test for the solution spaces.
 
     Accepts a SteinSolution, or a (f, f') callable pair (optionally
-    (f, f', f'')) treated as a half-line candidate.  Returns a falsy
-    DomainCheck with human-readable reasons on failure.
+    (f, f', f'')) treated as a half-line candidate; anything else raises
+    DomainError.  Returns a falsy DomainCheck with human-readable reasons
+    on failure.
     """
     reasons = []
     if isinstance(obj, SteinSolution):
@@ -653,7 +731,12 @@ def check_domain(obj) -> DomainCheck:
                 reasons.append(f"f(0) = {obj.f_zero:.3e} exceeds {_ZERO_TOL:.1e}")
         return DomainCheck(not reasons, tuple(reasons))
 
-    fns = tuple(obj)
+    fns = tuple(obj) if isinstance(obj, (tuple, list)) else ()
+    if not 2 <= len(fns) <= 3 or not all(map(callable, fns)):
+        raise DomainError(
+            f"check_domain takes a SteinSolution or an (f, f'[, f'']) tuple of "
+            f"callables, got {type(obj).__name__}"
+        )
     f, fp = fns[0], fns[1]
     fpp = fns[2] if len(fns) > 2 else None
     xs = np.linspace(0.0, 12.0, 241)

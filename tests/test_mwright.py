@@ -214,6 +214,11 @@ class TestSampler:
         with pytest.raises(DomainError):
             sample(0, seed=1)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "7", None])
+    def test_invalid_seed(self, seed):
+        with pytest.raises(DomainError):
+            sample(5, seed=seed)
+
     def test_draw_order(self):
         # Uniforms, then exponentials, then signs, from one stream.
         rng = np.random.default_rng(77)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from wright_stein.errors import DomainError, NonFiniteError, ToleranceNotMetError
+from wright_stein.errors import DomainError, NonFiniteError, RangeError, ToleranceNotMetError
 from wright_stein.numerics import (
     _K15_W,
     _K15_X,
@@ -42,6 +42,12 @@ class TestGamma:
     def test_domain_error(self, bad):
         with pytest.raises(DomainError):
             gamma_fn(bad)
+
+    def test_overflow_is_range_error(self):
+        # Gamma(171.6) is the largest below the double limit.
+        assert math.isfinite(gamma_fn(171.6))
+        with pytest.raises(RangeError):
+            gamma_fn(200.0)
 
     def test_relative_accuracy_sweep(self):
         # Against math.lgamma-independent identity: duplication formula

@@ -283,6 +283,15 @@ def _scorer_norm_search():
 
 
 class TestScorer:
+    def test_subnormal_point_without_warning(self):
+        # The cell [0, 5e-324] has nodes that round to 0 at both ends of
+        # their zeta gap: the gap is 0, with no 0/0.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = scorer_gi(5e-324)
+            assert scorer_gi_prime(5e-324) == scorer_gi_prime(0.0)
+        assert got == scorer_gi(0.0)
+
     def test_value_at_zero(self):
         got = scorer_gi(0.0)
         assert got == pytest.approx(GI_AT_ZERO, abs=1e-12)

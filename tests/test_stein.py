@@ -426,6 +426,11 @@ class TestCheckDomain:
     def test_symmetric_solution(self, sol_atan_sym):
         assert bool(check_domain(sol_atan_sym))
 
+    @pytest.mark.parametrize("bad", [None, 3.0, (np.cos,), (np.cos, 1.0), "ab"])
+    def test_refuses_what_it_cannot_check(self, bad):
+        with pytest.raises(DomainError):
+            check_domain(bad)
+
 
 class TestVerifyBounds:
     def test_constant_trivial(self):
@@ -581,3 +586,101 @@ class TestBatchedSolve:
             stein_mod._solve_batch([H_COS, wild, H_SIN], None, False)
         assert "h=cos40" in str(exc.value)
         assert exc.value.diagnostics["h"] == "cos40"
+
+
+class TestProbeLattice:
+    """Residual probes on the grid's own lattice: shared points, steps in
+    [PROBE_DELTA/2, PROBE_DELTA], and the residual tolerance kept on dense
+    and non-uniform grids."""
+
+    NONUNIFORM = np.concatenate((np.linspace(0.0, 5.0, 118), np.linspace(5.0, 12.0, 284)[1:]))
+
+    @staticmethod
+    def pass_points(monkeypatch, hs, grid, symmetric):
+        seen = []
+        real = stein_mod.green_pass
+
+        def recording(tp, *args, **kwargs):
+            seen.append(np.array(tp))
+            return real(tp, *args, **kwargs)
+
+        monkeypatch.setattr(stein_mod, "green_pass", recording)
+        stein_mod._solve_batch(hs, grid, symmetric)
+        (tp,) = seen
+        return tp
+
+    @pytest.mark.parametrize("symmetric, most", [(False, 810), (True, 610)])
+    def test_default_pass_size(self, monkeypatch, symmetric, most):
+        tp = self.pass_points(monkeypatch, [H_COS], None, symmetric)
+        assert np.unique(tp).size == tp.size <= most
+
+    @pytest.mark.parametrize(
+        "spec, symmetric",
+        [
+            (None, False),
+            (None, True),
+            ("0:12:0.03125", False),
+            ("0.375:12:0.046875", False),
+            ("-3:12:0.05", True),
+        ],
+    )
+    def test_shared_probes_are_one_point(self, monkeypatch, spec, symmetric):
+        from wright_stein.cli import _parse_grid
+
+        grid = None if spec is None else _parse_grid(spec)
+        tp = self.pass_points(monkeypatch, [H_COS, H_SIN], grid, symmetric)
+        assert np.min(np.diff(tp)) > 1e-12
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            np.linspace(0.0, 12.0, 400),
+            np.linspace(0.0, 12.0, 201),
+            np.arange(0.0, 20.0 + 1e-9, 0.0005),
+            np.arange(6, 257) * 0.046875,
+            NONUNIFORM,
+            np.array([0.0, 0.003, 0.5, 0.52, 1.7]),
+            np.array([3.0]),
+        ],
+        ids=["default", "default-half-sym", "dense", "from-0.28", "nonuniform", "ragged", "lone"],
+    )
+    def test_stencil_step_in_range(self, grid):
+        pd = stein_mod.PROBE_DELTA
+        _, groups = stein_mod._probe_groups(grid)
+        for mask, probes, coef, steps_sq in groups:
+            x, step = grid[mask], np.sqrt(steps_sq)
+            if coef.size == 6:  # forward stencil at x = 0: delta / 4
+                step = 4.0 * step
+            # Below 2 * delta the centered stencil shrinks to x / 2.
+            far = (x >= 2 * pd) | (x == 0)
+            assert np.all(step[far] >= pd / 2) and np.all(step[far] <= pd * (1 + 1e-12))
+            assert np.all((step[~far] <= pd * (1 + 1e-12)) | (step[~far] == x[~far] / 2))
+            # Each stencil is evenly spaced up to rounding.
+            offsets = (probes - probes[:, :1]) / step[:, None] * (4.0 if coef.size == 6 else 1.0)
+            assert np.max(np.abs(np.diff(offsets, axis=1) - 1.0)) <= 1e-9
+
+    @pytest.mark.parametrize("grid", [np.arange(40001) * 0.0005, NONUNIFORM], ids=["dense", "nonuniform"])
+    def test_cli_family_within_tolerance(self, grid):
+        from wright_stein.cli import _solve_family
+
+        fam = list(_solve_family().values())
+        assert len(fam) == 17
+        for sol in stein_mod._solve_batch(fam, grid, False):
+            assert sol.residual_sup <= stein_mod.RESIDUAL_TOL
+
+    def test_head_on_the_grid_step(self, monkeypatch):
+        # A grid from 0.875: the pass integrates [0, 0.875] on the grid's
+        # lattice, so the sharp invquad2 never needs the adaptive integrator.
+        from wright_stein.cli import _parse_grid, _solve_family
+
+        calls = []
+        real = specfun.integrate
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(specfun, "integrate", counting)
+        sol = solve_stein(_solve_family()["invquad2"], _parse_grid("0.875:15.7:0.046875"))
+        assert calls == []
+        assert sol.residual_sup <= stein_mod.RESIDUAL_TOL
