@@ -1,10 +1,13 @@
 """Sample-based Stein-discrepancy goodness-of-fit statistics.
 
 The engine solves the Stein equation for the whole test-function family in
-one Green's pass (the Airy kernel depends on the grid, not on h), then sweeps
-the sample once (once per side on the symmetric line) into per-grid-cell
-power sums, from which the mean of (A f_h)(X) = f_h''(X) - (1/3) |X| f_h(X)
-over the sample and its standard error follow for every h.
+one Green's pass (the Airy kernel depends on the grid, not on h), once per
+family, grid and kind in a process: the solutions do not depend on the
+sample, so the cell operators of the last few solved families are kept and
+reused.  Each call then sweeps its sample once (once per side on the
+symmetric line) into per-grid-cell power sums, from which the mean of
+(A f_h)(X) = f_h''(X) - (1/3) |X| f_h(X) over the sample and its standard
+error follow for every h.
 Under the target law every such mean vanishes in expectation, so the
 standardized statistics behave like standard normals; the verdict thresholds
 (4 to accept, 5 to reject, gap inconclusive) are deliberate crude
@@ -20,12 +23,13 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import DomainError, RangeError
 from .mwright import SampleSet
-from .stein import TestFunction, _solve_batch, default_grid
+from .stein import TestFunction, _locate, _solve_batch, default_grid
 
 __all__ = [
     "FunctionStat",
@@ -112,26 +116,26 @@ class DiscrepancyReport:
         return buf.getvalue()
 
 
-def _family() -> list[TestFunction]:
-    fns = [
-        TestFunction(np.cos, 1.0, "cos", even=True),
-        TestFunction(np.sin, 1.0, "sin", even=False),
-        TestFunction(lambda x: np.cos(2 * x), 1.0, "cos2", even=True),
-        TestFunction(lambda x: np.sin(2 * x), 1.0, "sin2", even=False),
-        TestFunction(lambda x: np.cos(3 * x), 1.0, "cos3", even=True),
-        TestFunction(lambda x: np.sin(3 * x), 1.0, "sin3", even=False),
-        TestFunction(lambda x: np.exp(-np.abs(x)), 1.0, "exp1", even=True),
-        TestFunction(lambda x: np.exp(-2 * np.abs(x)), 1.0, "exp2", even=True),
-        TestFunction(lambda x: np.exp(-3 * np.abs(x)), 1.0, "exp3", even=True),
-        TestFunction(lambda x: 1.0 / (1.0 + x * x), 1.0, "invquad", even=True),
-        TestFunction(np.arctan, math.pi / 2, "atan", even=False),
-        TestFunction(lambda x: np.cos(4 * x), 1.0, "cos4", even=True),
-        TestFunction(lambda x: np.sin(4 * x), 1.0, "sin4", even=False),
-        TestFunction(lambda x: np.exp(-4 * np.abs(x)), 1.0, "exp4", even=True),
-        TestFunction(lambda x: (1.0 + x * x) ** -2, 1.0, "invquad2", even=True),
-        TestFunction(lambda x: x / (1.0 + x * x), 0.5, "ratio", even=False),
-    ]
-    return fns
+# The documented family, built once: every default_test_functions call hands
+# out these same objects, so the solve memo below recognizes them.
+_FAMILY = (
+    TestFunction(np.cos, 1.0, "cos", even=True),
+    TestFunction(np.sin, 1.0, "sin", even=False),
+    TestFunction(lambda x: np.cos(2 * x), 1.0, "cos2", even=True),
+    TestFunction(lambda x: np.sin(2 * x), 1.0, "sin2", even=False),
+    TestFunction(lambda x: np.cos(3 * x), 1.0, "cos3", even=True),
+    TestFunction(lambda x: np.sin(3 * x), 1.0, "sin3", even=False),
+    TestFunction(lambda x: np.exp(-np.abs(x)), 1.0, "exp1", even=True),
+    TestFunction(lambda x: np.exp(-2 * np.abs(x)), 1.0, "exp2", even=True),
+    TestFunction(lambda x: np.exp(-3 * np.abs(x)), 1.0, "exp3", even=True),
+    TestFunction(lambda x: 1.0 / (1.0 + x * x), 1.0, "invquad", even=True),
+    TestFunction(np.arctan, math.pi / 2, "atan", even=False),
+    TestFunction(lambda x: np.cos(4 * x), 1.0, "cos4", even=True),
+    TestFunction(lambda x: np.sin(4 * x), 1.0, "sin4", even=False),
+    TestFunction(lambda x: np.exp(-4 * np.abs(x)), 1.0, "exp4", even=True),
+    TestFunction(lambda x: (1.0 + x * x) ** -2, 1.0, "invquad2", even=True),
+    TestFunction(lambda x: x / (1.0 + x * x), 0.5, "ratio", even=False),
+)
 
 
 def default_test_functions(k: int) -> list[TestFunction]:
@@ -145,7 +149,7 @@ def default_test_functions(k: int) -> list[TestFunction]:
     """
     if not (isinstance(k, (int, np.integer)) and 1 <= k <= 16):
         raise RangeError(f"default_test_functions requires 1 <= k <= 16, got {k}")
-    return _family()[: int(k)]
+    return list(_FAMILY[: int(k)])
 
 
 def _sample_values(samples) -> np.ndarray:
@@ -161,13 +165,47 @@ def _sample_values(samples) -> np.ndarray:
 _HANKEL = np.add.outer(np.arange(7), np.arange(7))
 
 
-def _power_sums(piece, t) -> np.ndarray:
-    """H[b, j, l] = sum of s^(j+l) over the points t in cell b of ``piece``,
+class _SolveKey:
+    """Memo key of one solve: test functions by identity, the grid by value
+    and shape, and the kind.  Identity, not hash, so a TestFunction around an
+    unhashable callable works; the key holds the functions, so no id is
+    reused while its entry lives."""
+
+    def __init__(self, hs: tuple, grid: np.ndarray, symmetric: bool):
+        self.hs, self.grid, self.symmetric = hs, grid, symmetric
+        self._id = (tuple(map(id, hs)), grid.shape, grid.tobytes(), symmetric)
+
+    def __hash__(self):
+        return hash(self._id)
+
+    def __eq__(self, other):
+        return self._id == other._id
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+@lru_cache(maxsize=8)
+def _solved(key: _SolveKey) -> tuple[tuple, tuple]:
+    """Each side's knots, and each h's (cells, 7) operator polynomials per
+    side: A p = p'' - (t/3) p of its Hermite interpolant on each cell, in the
+    cell coordinate.  One Green's pass per key; a refused solve raises and
+    leaves nothing behind."""
+    sols = _solve_batch(key.hs, key.grid, key.symmetric)
+    knots = tuple(_frozen(p.knots) for p in sols[0]._pieces)
+    ops = tuple(tuple(_frozen(p.operator()) for p in sol._pieces) for sol in sols)
+    return knots, ops
+
+
+def _power_sums(knots, t) -> np.ndarray:
+    """H[b, j, l] = sum of s^(j+l) over the points t in cell b of ``knots``,
     s being each point's cell coordinate, for j, l = 0..6."""
-    b, s = piece.locate(t)
+    b, s = _locate(knots, t)
     sums, sk = [], np.ones_like(s)
     for _ in range(13):
-        sums.append(np.bincount(b, weights=sk, minlength=len(piece.p)))
+        sums.append(np.bincount(b, weights=sk, minlength=knots.size - 1))
         sk *= s
     return np.stack(sums, axis=1)[:, _HANKEL]
 
@@ -178,8 +216,11 @@ def _report(vals, hs, grid, sign_balance=None, at_zero=0) -> DiscrepancyReport:
     outside [grid[0], grid[-1]], where nothing was solved, are clipped."""
     symmetric = sign_balance is not None
     n = vals.size
-    sols = _solve_batch(hs, grid, symmetric)
-    grid = np.asarray(grid, dtype=float)
+    hs = tuple(hs)
+    if not hs:
+        raise DomainError("goodness of fit needs at least one test function")
+    grid = np.array(grid, dtype=float)
+    knots, ops = _solved(_SolveKey(hs, grid, symmetric))
     inside = (vals >= grid[0]) & (vals <= grid[-1])
     clipped = int(n - np.count_nonzero(inside))
     vin = vals[inside]
@@ -190,12 +231,11 @@ def _report(vals, hs, grid, sign_balance=None, at_zero=0) -> DiscrepancyReport:
     # grid's cells, so one sweep builds the power sums, and each h's sum and
     # sum of squares over the sample are q . H[:, 0] and q^T H q.  Clipped
     # points count as A f_h = 0.
-    hankels = [_power_sums(p, t) for p, t in zip(sols[0]._pieces, sides)] if sols else []
+    hankels = [_power_sums(k, t) for k, t in zip(knots, sides)]
     stats = []
-    for h, sol in zip(hs, sols):
+    for h, qs in zip(hs, ops):
         total = sumsq = 0.0
-        for piece, hk in zip(sol._pieces, hankels):
-            q = piece.operator()
+        for q, hk in zip(qs, hankels):
             total += float(np.einsum("bj,bj->", q, hk[:, 0]))
             sumsq += float(np.einsum("bj,bjl,bl->", q, hk, q))
         mean = total / n
@@ -206,7 +246,7 @@ def _report(vals, hs, grid, sign_balance=None, at_zero=0) -> DiscrepancyReport:
             standardized = 0.0 if mean == 0 else math.inf
         stats.append(FunctionStat(h.label, mean, se, standardized))
 
-    max_std = max((s.standardized for s in stats), default=0.0)
+    max_std = max(s.standardized for s in stats)
     z = abs(sign_balance.z_score) if symmetric else 0.0
     if max_std > REJECT_THRESHOLD or z > SIGN_Z_REJECT:
         verdict = "rejected"
@@ -227,7 +267,12 @@ def _report(vals, hs, grid, sign_balance=None, at_zero=0) -> DiscrepancyReport:
 
 
 def discrepancy(samples, hs, grid: np.ndarray | None = None) -> DiscrepancyReport:
-    """Half-line Stein discrepancy of a non-negative sample against M_{1/3}."""
+    """Half-line Stein discrepancy of a non-negative sample against M_{1/3}.
+
+    ``hs`` is a non-empty sequence of test functions.  They are treated as
+    pure: the solutions of a family on a grid are reused by later calls that
+    pass the same function objects (by identity) and an equal grid.
+    """
     vals = _sample_values(samples)
     if vals.size < MIN_SAMPLES:
         raise DomainError(f"discrepancy requires n >= {MIN_SAMPLES}, got {vals.size}")
@@ -242,7 +287,8 @@ def discrepancy_sym(samples, hs, grid: np.ndarray | None = None) -> DiscrepancyR
     Combines the operator means with the sign-balance z-score; the latter is
     a necessary condition on its own, so a grossly unbalanced sign split
     rejects even when every operator mean vanishes.  Samples exactly at 0
-    use the 0+ branch of f''; their count is reported.
+    use the 0+ branch of f''; their count is reported.  Test functions are
+    treated as pure and their solutions reused, as in ``discrepancy``.
     """
     vals = _sample_values(samples)
     if vals.size < MIN_SAMPLES:

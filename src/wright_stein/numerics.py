@@ -163,10 +163,13 @@ def integrate(
 ) -> IntegralResult:
     """Adaptive integration of f over [a, b].
 
-    On success the reported error estimate satisfies
-    ``error <= max(abs_tol, rel_tol * |value|)``.  If the subdivision budget
-    runs out first, ToleranceNotMetError carries the best estimate.
+    Both bounds must be finite.  On success the reported error estimate
+    satisfies ``error <= max(abs_tol, rel_tol * |value|)``.  If the
+    subdivision budget runs out first, ToleranceNotMetError carries the best
+    estimate.
     """
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise DomainError(f"integrate requires finite bounds, got a={a}, b={b}")
     if not (a <= b):
         raise DomainError(f"integrate requires a <= b, got a={a}, b={b}")
     if a == b:

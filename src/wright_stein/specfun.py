@@ -663,15 +663,17 @@ def _ones(t):
 def _green_at(x, r: Callable, scale: float, name: str):
     """Green's passes at arbitrary points x >= 0 (any shape and order).
 
-    Returns floats for a scalar x, else arrays shaped like x: the pass's
-    ``g``, ``g_prime`` and ``tail``.  Gi and Gi' are the first two at r = 1,
-    scale = 1.  The sorted distinct points go through one pass per
-    _GREEN_CHUNK of them, which bounds the memory of the 15 quadrature
-    nodes per cell.
+    Returns floats for a scalar x, else arrays shaped like x (empty, with no
+    pass, for an empty x): the pass's ``g``, ``g_prime`` and ``tail``.  Gi
+    and Gi' are the first two at r = 1, scale = 1.  The sorted distinct
+    points go through one pass per _GREEN_CHUNK of them, which bounds the
+    memory of the 15 quadrature nodes per cell.
     """
     xs = np.asarray(x, dtype=float)
     if not np.all((xs >= 0) & np.isfinite(xs)):
         raise DomainError(f"{name} requires finite x >= 0")
+    if xs.size == 0:
+        return tuple(np.empty(xs.shape) for _ in range(3))
     uniq, inv = np.unique(xs.ravel(), return_inverse=True)
     parts = []
     for chunk in np.array_split(uniq, max(1, -(-uniq.size // _GREEN_CHUNK))):

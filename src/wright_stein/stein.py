@@ -137,6 +137,13 @@ class BoundReport:
     note: str = ""
 
 
+def _locate(knots, t):
+    """Cell index and cell coordinate s of each point t on ``knots``; points
+    outside the knots take the end cell."""
+    b = np.clip(np.searchsorted(knots, t, side="right") - 1, 0, knots.size - 2)
+    return b, (t - knots[b]) / (knots[b + 1] - knots[b])
+
+
 class _Hermite(NamedTuple):
     """One side's interpolant of (f, f', f'') in t >= 0.
 
@@ -150,14 +157,9 @@ class _Hermite(NamedTuple):
     p: np.ndarray  # (cells, 6)
     d: np.ndarray  # (cells, 4)
 
-    def locate(self, t):
-        """Cell index and cell coordinate s of each point t."""
-        b = np.clip(np.searchsorted(self.knots, t, side="right") - 1, 0, len(self.p) - 1)
-        return b, (t - self.knots[b]) / (self.knots[b + 1] - self.knots[b])
-
     def __call__(self, t, nu=0):
         """The interpolated f (nu = 0) or f'' (nu = 2) at t."""
-        b, s = self.locate(np.asarray(t, dtype=float))
+        b, s = _locate(self.knots, np.asarray(t, dtype=float))
         c = (self.p if nu == 0 else self.d)[b]
         return polyval(s, np.moveaxis(c, -1, 0), tensor=False)
 
@@ -457,6 +459,8 @@ def _halfline_solve(sides: list[tuple[list[TestFunction], np.ndarray]]) -> list[
         grid = np.asarray(grid, dtype=float)
         if grid.ndim != 1 or grid.size == 0:
             raise DomainError("solver grid must be a non-empty 1-d array")
+        if not np.all(np.isfinite(grid)):
+            raise DomainError("solver grid must be finite")
         if np.any(np.diff(grid) <= 0):
             raise DomainError("solver grid must be strictly increasing")
         if grid[0] < 0:
@@ -671,8 +675,8 @@ def _solve_batch(hs, grid: np.ndarray | None, symmetric: bool) -> list[SteinSolu
         return [_halfline_solution(tf, sol) for tf, sol in zip(tfs, sols)]
 
     grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or np.any(np.diff(grid) <= 0):
-        raise DomainError("symmetric grid must be 1-d and strictly increasing")
+    if grid.ndim != 1 or not np.all(np.isfinite(grid)) or np.any(np.diff(grid) <= 0):
+        raise DomainError("symmetric grid must be 1-d, finite and strictly increasing")
     if 0.0 not in grid or grid[0] >= 0 or grid[-1] <= 0:
         raise DomainError("symmetric grid must contain 0 and points of both signs")
     if max(-grid[0], grid[-1]) > X_MAX_CAP:

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from wright_stein import gof
 from wright_stein.errors import DomainError, RangeError
 from wright_stein.gof import (
     ACCEPT_THRESHOLD,
@@ -17,6 +18,7 @@ from wright_stein.gof import (
 from wright_stein.mwright import SampleSet, sample
 from wright_stein.numerics import integrate
 from wright_stein.stein import (
+    TestFunction,
     _solve_batch,
     default_grid,
     solve_stein,
@@ -244,6 +246,11 @@ class TestReportSerialization:
 
 
 class TestOnePassPerFamily:
+    @pytest.fixture(autouse=True)
+    def cold_memo(self):
+        # Solved families are reused across calls: start each count cold.
+        gof._solved.cache_clear()
+
     @pytest.mark.parametrize(
         "symmetric, grid",
         [
@@ -285,6 +292,133 @@ class TestOnePassPerFamily:
                 monkeypatch.setattr(mod, "integrate", counting)
         (discrepancy_sym if symmetric else discrepancy)(vals, hs)
         assert calls == []
+
+
+class TestSolveMemo:
+    """GoF solves each (family, grid, kind) once and reuses the solution."""
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        """Green's passes made from a cold memo on, by right-hand-side count."""
+        from wright_stein import stein
+
+        gof._solved.cache_clear()
+        calls = []
+        real = stein.green_pass
+
+        def counting(grid, rhs_fns, *args, **kwargs):
+            calls.append(len(rhs_fns))
+            return real(grid, rhs_fns, *args, **kwargs)
+
+        monkeypatch.setattr(stein, "green_pass", counting)
+        return calls
+
+    @pytest.mark.parametrize("symmetric", [False, True])
+    def test_warm_call_makes_no_pass_and_equal_report(self, hs, passes, symmetric):
+        test = discrepancy_sym if symmetric else discrepancy
+        vals = sample(2000, seed=11, symmetric=symmetric)
+        cold = test(vals, hs)
+        assert len(passes) == 1
+        warm = test(vals, hs)
+        assert len(passes) == 1
+        assert warm == cold
+        other = test(sample(3000, seed=12, symmetric=symmetric), hs)
+        assert len(passes) == 1 and other != cold
+
+    def test_each_new_key_makes_one_pass(self, hs, passes):
+        vals = sample(500, seed=13).values
+        discrepancy(vals, hs)
+        assert len(passes) == 1
+        grid = np.linspace(0.0, 12.0, 300)
+        discrepancy(vals, hs, grid)
+        assert len(passes) == 2
+        assert grid.flags.writeable  # the memo keeps its own copy
+        discrepancy_sym(vals, hs)
+        assert len(passes) == 3
+        discrepancy(vals, default_test_functions(3))
+        assert len(passes) == 4
+        # Equal by value to hs[0], but another object: keys go by identity.
+        twin = TestFunction(np.cos, 1.0, "cos", even=True)
+        assert twin == hs[0] and twin is not hs[0]
+        discrepancy(vals, [twin])
+        assert passes == [len(hs) + 1] * 2 + [2 * len(hs) + 1, 4, 2]
+        discrepancy(vals, hs, grid)
+        discrepancy_sym(vals, hs)
+        assert len(passes) == 5
+
+    def test_unhashable_callable(self, hs, passes):
+        class Cos:
+            __hash__ = None
+
+            def __call__(self, x):
+                return np.cos(x)
+
+        h = TestFunction(Cos(), 1.0, "cos-unhashable", even=True)
+        with pytest.raises(TypeError):
+            hash(h)
+        vals = sample(500, seed=14).values
+        a, b = discrepancy(vals, [h]), discrepancy(vals, [h])
+        assert len(passes) == 1 and a == b
+        ref = discrepancy(vals, hs[:1]).per_function[0]
+        assert (a.per_function[0].mean, a.per_function[0].std_error) == (ref.mean, ref.std_error)
+
+    def test_bounded(self, hs, passes):
+        size = gof._solved.cache_info().maxsize
+        vals = sample(200, seed=15).values
+        grids = [np.linspace(0.0, 12.0, 100 + i) for i in range(size + 1)]
+        for grid in grids:
+            discrepancy(vals, hs[:1], grid)
+        assert len(passes) == size + 1
+        discrepancy(vals, hs[:1], grids[-1])
+        assert len(passes) == size + 1
+        discrepancy(vals, hs[:1], grids[0])  # the oldest entry was dropped
+        assert len(passes) == size + 2
+
+    def test_entries_read_only(self, hs, passes):
+        grid = default_grid()
+        discrepancy(sample(200, seed=16), hs)
+        knots, ops = gof._solved(gof._SolveKey(tuple(hs), grid, False))
+        assert len(passes) == 1
+        assert len(knots) == 1 and len(ops) == len(hs)
+        for a in (*knots, *(q for qs in ops for q in qs)):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+
+    def test_refusals_not_memoized(self, hs, passes):
+        vals = np.full(200, 0.7)
+        for _ in range(2):
+            with pytest.raises(DomainError):
+                discrepancy(vals, hs, [0.0, math.nan, 1.0])
+        assert gof._solved.cache_info().currsize == 0
+        # A 2-d grid with the bytes of a solved 1-d grid is its own key.
+        grid = np.linspace(0.0, 12.0, 400)
+        discrepancy(vals, hs, grid)
+        with pytest.raises(DomainError):
+            discrepancy(vals, hs, grid.reshape(20, 20))
+        assert len(passes) == 1
+
+    def test_default_family_is_one_set_of_objects(self):
+        a, b = default_test_functions(16), default_test_functions(16)
+        assert a == b and all(x is y for x, y in zip(a, b))
+        assert all(x is y for x, y in zip(default_test_functions(3), a))
+
+
+@pytest.mark.parametrize("test", [discrepancy, discrepancy_sym])
+def test_empty_family_refused(test):
+    with pytest.raises(DomainError, match="test function"):
+        test(np.full(200, 0.7), [])
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+@pytest.mark.parametrize("where", ["inner", "last", "alone"])
+def test_nan_grid_refused(hs, symmetric, where):
+    grid = {"inner": [0.0, math.nan, 1.0], "last": [0.0, 1.0, math.nan], "alone": [math.nan]}[where]
+    if symmetric:
+        grid = [-1.0] + grid
+    test = discrepancy_sym if symmetric else discrepancy
+    with pytest.raises(DomainError, match="finite"):
+        test(np.full(200, 0.7), hs[:2], grid)
 
 
 class TestNonFiniteSamples:

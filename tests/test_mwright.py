@@ -126,6 +126,10 @@ class TestCdf:
         with pytest.raises(DomainError):
             cdf(-1.0)
 
+    def test_empty_input(self):
+        for xs in ([], np.empty((0, 2))):
+            assert cdf(xs).shape == np.shape(xs)
+
     def test_vectorized(self):
         xs = np.array([[3.0, 0.0], [0.5, 12.0]])
         vals = cdf(xs)

@@ -120,6 +120,11 @@ class TestIntegrate:
         with pytest.raises(DomainError):
             integrate(lambda x: x, 1.0, 0.0)
 
+    @pytest.mark.parametrize("a, b", [(0.0, np.inf), (-np.inf, 0.0), (-np.inf, np.inf)])
+    def test_infinite_bounds_rejected(self, a, b):
+        with pytest.raises(DomainError, match="finite"):
+            integrate(np.cos, a, b)
+
     def test_empty_interval(self):
         r = integrate(lambda x: x, 2.0, 2.0)
         assert r.value == 0.0 and r.error_estimate == 0.0

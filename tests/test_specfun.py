@@ -438,6 +438,12 @@ class TestScorer:
         with pytest.raises(DomainError):
             scorer_gi(-0.1)
 
+    def test_empty_input(self):
+        for fn in (scorer_gi, scorer_gi_prime, airy_ai_tail_integral):
+            for xs in ([], np.empty((2, 0))):
+                out = fn(xs)
+                assert isinstance(out, np.ndarray) and out.shape == np.shape(xs)
+
     def test_ai_tail_integral(self):
         assert airy_ai_tail_integral(0.0) == pytest.approx(1.0 / 3.0, abs=1e-10)
         ref = float(mp.quad(lambda t: mp.airyai(t), [2.0, mp.inf]))

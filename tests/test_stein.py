@@ -192,6 +192,11 @@ class TestHalfLineSolver:
         with pytest.raises(DomainError):
             solve_stein(H_COS, np.array([0.0, 25.0]))
 
+    @pytest.mark.parametrize("grid", [[0.0, math.nan, 1.0], [0.0, 1.0, math.nan], [math.nan]])
+    def test_nan_grid_refused(self, grid):
+        with pytest.raises(DomainError, match="finite"):
+            solve_stein(H_COS, grid)
+
     def test_residual_tolerance_enforced(self, monkeypatch):
         monkeypatch.setattr(stein_mod, "RESIDUAL_TOL", 1e-12)
         with pytest.raises(SolverAccuracyError) as exc:
@@ -306,6 +311,13 @@ class TestSymmetricSolver:
             solve_stein_sym(H_COS, np.linspace(-12.0, -1.0, 50))
         with pytest.raises(DomainError):
             solve_stein_sym(H_COS, np.array([-1.0, 0.5, 1.0]))  # no zero
+
+    @pytest.mark.parametrize(
+        "grid", [[-1.0, 0.0, math.nan, 1.0], [-1.0, math.nan, 0.0, 1.0], [-1.0, 0.0, 1.0, math.nan]]
+    )
+    def test_nan_grid_refused(self, grid):
+        with pytest.raises(DomainError, match="finite"):
+            solve_stein_sym(H_COS, grid)
 
     def test_csv_reports_jump(self, sol_atan_sym):
         text = sol_atan_sym.to_csv()
@@ -496,6 +508,11 @@ class TestGeneralParticularSolution:
             general_particular_solution(0.0, lambda t: t, 1.0)
         with pytest.raises(DomainError):
             general_particular_solution(1.0, lambda t: t, -1.0)
+
+    def test_empty_input(self):
+        for xs in ([], np.empty((0, 3))):
+            q = general_particular_solution(1.0, np.cos, xs)
+            assert q.shape == np.shape(xs)
 
 
 class TestBatchedSolve:
