@@ -16,7 +16,6 @@ from .errors import (
 )
 from .numerics import (
     IntegralResult,
-    QuadratureConfig,
     gamma_fn,
     integrate,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "DomainError",
     "IntegralResult",
     "NonFiniteError",
-    "QuadratureConfig",
     "RangeError",
     "SampleSet",
     "SolverAccuracyError",

@@ -37,10 +37,6 @@ EXIT_INCONCLUSIVE = 3
 MAX_GRID_POINTS = 1_000_000
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
-
-
 def _parse_number(text: str) -> float:
     text = text.strip()
     if "/" in text:
@@ -184,11 +180,7 @@ def _cmd_eval(args) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_REJECTED
 
-    lines = ["x,value"]
-    vals = np.atleast_1d(vals)
-    for x, v in zip(xs, vals):
-        lines.append(f"{_fmt(x)},{_fmt(v)}")
-    _emit("\n".join(lines) + "\n", args.output)
+    _emit("x,value\n" + mwright._csv_rows(xs, np.atleast_1d(vals)), args.output)
     return EXIT_OK
 
 
@@ -305,10 +297,7 @@ def _cmd_plotdata(args) -> int:
             return EXIT_USAGE
     cols = [np.asarray(mwright.density_sym(b, xs)) for b in betas]
     header = "x," + ",".join(f"beta={args.betas.split(',')[i].strip()}" for i in range(len(betas)))
-    lines = [header]
-    for i, x in enumerate(xs):
-        lines.append(_fmt(x) + "," + ",".join(_fmt(c[i]) for c in cols))
-    _emit("\n".join(lines) + "\n", args.output)
+    _emit(header + "\n" + mwright._csv_rows(xs, *cols), args.output)
     return EXIT_OK
 
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import DomainError, RangeError
 from .mwright import SampleSet
-from .stein import TestFunction, _locate, _solve_batch, default_grid
+from .stein import TestFunction, _as_test_function, _locate, _solve_batch, default_grid
 
 __all__ = [
     "FunctionStat",
@@ -244,7 +244,7 @@ def _report(vals, hs, grid, sign_balance=None, at_zero=0) -> DiscrepancyReport:
             standardized = abs(mean) / se
         else:
             standardized = 0.0 if mean == 0 else math.inf
-        stats.append(FunctionStat(h.label, mean, se, standardized))
+        stats.append(FunctionStat(_as_test_function(h).label, mean, se, standardized))
 
     max_std = max(s.standardized for s in stats)
     z = abs(sign_balance.z_score) if symmetric else 0.0

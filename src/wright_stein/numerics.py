@@ -1,13 +1,16 @@
-"""Adaptive quadrature and gamma-function facilities.
+"""Adaptive quadrature, the Kronrod cell screen, and gamma-function
+facilities.
 
-The adaptive rule is a Gauss-Legendre 7/15 pair: the 15-point value is kept,
-the |GL15 - GL7| gap is the embedded error estimate, and the worst interval
-is bisected until the global estimate meets the configured tolerance.  The
-Green's passes in ``specfun`` screen their cells with the nested
-Gauss-Kronrod 7/15 pair instead (QUADPACK's qk15: the 7 Gauss nodes are
-among the 15 Kronrod nodes, so |K15 - G7| costs no extra evaluation) and
-hand the rare cell that misses ``DEFAULT_CONFIG`` to ``integrate``; that one
-tolerance serves every Airy, Stein and goodness-of-fit integral.
+The package has one quadrature tolerance, ``TOL``: an integral is accepted
+when its error estimate is at most ``TOL * max(1, |value|)``.  The adaptive
+rule is a Gauss-Legendre 7/15 pair: the 15-point value is kept, the
+|GL15 - GL7| gap is the embedded error estimate, and the worst interval is
+bisected until the global estimate meets ``TOL`` or ``MAX_SUBDIVISIONS``
+run out.  Tables of cell integrals (the Green's passes in ``specfun`` and
+``cell_integrals``) are screened cell by cell with the nested Gauss-Kronrod
+7/15 pair instead (QUADPACK's qk15: the 7 Gauss nodes are among the 15
+Kronrod nodes, so |K15 - G7| costs no extra evaluation), and the rare cell
+that misses ``TOL`` is handed to ``integrate``.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ import numpy as np
 from .errors import DomainError, NonFiniteError, RangeError, ToleranceNotMetError
 
 __all__ = [
-    "QuadratureConfig",
     "IntegralResult",
     "gamma_fn",
     "integrate",
@@ -30,27 +32,14 @@ __all__ = [
     "GAMMA_1_3",
     "GAMMA_2_3",
     "GAMMA_4_3",
+    "TOL",
+    "MAX_SUBDIVISIONS",
 ]
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Tolerances and subdivision budget of ``integrate``.
-
-    ``DEFAULT_CONFIG`` (1e-10 absolute or relative) is the one tolerance
-    of the package's integrals: the Green's passes check each cell against
-    it and hand a cell that misses it to ``integrate`` with it.
-    """
-
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-10
-    max_subdivisions: int = 2000
-
-    def __post_init__(self):
-        if not (self.abs_tol > 0 and self.rel_tol > 0):
-            raise DomainError("abs_tol and rel_tol must be positive")
-        if self.max_subdivisions < 1:
-            raise DomainError("max_subdivisions must be a positive integer")
+# The one quadrature tolerance: error <= TOL * max(1, |value|).
+TOL = 1e-10
+MAX_SUBDIVISIONS = 2000
 
 
 @dataclass(frozen=True)
@@ -63,8 +52,6 @@ class IntegralResult:
         if self.error_estimate < 0:
             raise ValueError("error_estimate must be non-negative")
 
-
-DEFAULT_CONFIG = QuadratureConfig()
 
 # Gauss-Legendre nodes/weights on [-1, 1]; machine precision via numpy.
 _GL7_X, _GL7_W = np.polynomial.legendre.leggauss(7)
@@ -155,18 +142,12 @@ def _gl_pair(fv: Callable, a: float, b: float) -> tuple[float, float, int]:
     return i15, err, xs.size
 
 
-def integrate(
-    f: Callable,
-    a: float,
-    b: float,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
-) -> IntegralResult:
+def integrate(f: Callable, a: float, b: float) -> IntegralResult:
     """Adaptive integration of f over [a, b].
 
     Both bounds must be finite.  On success the reported error estimate
-    satisfies ``error <= max(abs_tol, rel_tol * |value|)``.  If the
-    subdivision budget runs out first, ToleranceNotMetError carries the best
-    estimate.
+    satisfies ``error <= TOL * max(1, |value|)``.  If ``MAX_SUBDIVISIONS``
+    run out first, ToleranceNotMetError carries the best estimate.
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise DomainError(f"integrate requires finite bounds, got a={a}, b={b}")
@@ -182,8 +163,8 @@ def integrate(
     total_val, total_err = val, err
     subdivisions = 0
 
-    while total_err > max(cfg.abs_tol, cfg.rel_tol * abs(total_val)):
-        if subdivisions >= cfg.max_subdivisions:
+    while total_err > TOL * max(1.0, abs(total_val)):
+        if subdivisions >= MAX_SUBDIVISIONS:
             best = IntegralResult(total_val, total_err, n_eval)
             raise ToleranceNotMetError(
                 f"tolerance not met after {subdivisions} subdivisions "
@@ -204,50 +185,48 @@ def integrate(
     return IntegralResult(total_val, total_err, n_eval)
 
 
-def cell_integrals(
-    f: Callable,
-    edges: np.ndarray,
-    cell_tol: float = 1e-13,
-) -> tuple[np.ndarray, float, int]:
+def _kronrod_cells(
+    ys: np.ndarray, half: np.ndarray, redo: Callable[[int], IntegralResult]
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Screen a table of cells with the nested Gauss-Kronrod 7/15 pair.
+
+    ``ys`` holds one row of integrand values per cell at its 15 nodes
+    ``mid + half * _K15_X``, and ``half`` the cells' half-widths.  Each cell
+    gets its K15 value and the |K15 - G7| estimate; a cell whose estimate
+    misses ``TOL`` takes value and estimate from ``redo(i)`` instead.
+    Returns (values, error estimates, evaluations made by ``redo``).
+    """
+    vals = half * (ys @ _K15_W)
+    errs = np.abs(vals - half * (ys[:, 1::2] @ _GL7_W))
+    n_eval = 0
+    for i in np.nonzero(errs > TOL * np.maximum(1.0, np.abs(vals)))[0]:
+        r = redo(i)
+        vals[i], errs[i] = r.value, r.error_estimate
+        n_eval += r.evaluations
+    return vals, errs, n_eval
+
+
+def cell_integrals(f: Callable, edges: np.ndarray) -> tuple[np.ndarray, float, int]:
     """Per-cell integrals of f over consecutive intervals of a sorted grid.
 
     Returns (cell_values, total_error_estimate, evaluations).  All cells are
-    evaluated in one vectorized GL15/GL7 pass; the rare cell whose embedded
-    error exceeds ``cell_tol * max(1, |value|)`` falls back to the adaptive
-    integrator.  Cumulative integrals over an n-point grid thus cost O(n)
-    evaluations (the tests tabulate the M_{1/3} CDF this way); the Green's
-    passes in ``specfun`` grade their own cells and do not call it.
+    evaluated in one vectorized pass at their 15 Kronrod nodes and screened
+    like the cells of a Green's pass (``_kronrod_cells``): the rare cell
+    that misses ``TOL`` falls back to ``integrate``.  Cumulative integrals
+    over an n-point grid thus cost O(n) evaluations (the tests tabulate the
+    M_{1/3} CDF this way).
     """
     edges = np.asarray(edges, dtype=float)
     if edges.ndim != 1 or edges.size < 2:
         raise DomainError("cell_integrals needs at least two grid edges")
     fv = _vectorized(f)
-
-    lo, hi = edges[:-1], edges[1:]
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    xs15 = mid[:, None] + half[:, None] * _GL15_X[None, :]
-    xs7 = mid[:, None] + half[:, None] * _GL7_X[None, :]
-    xs = np.concatenate((xs15.ravel(), xs7.ravel()))
-    ys = fv(xs)
-    _check_finite(xs, ys)
-    y15 = ys[: xs15.size].reshape(xs15.shape)
-    y7 = ys[xs15.size :].reshape(xs7.shape)
-    vals = half * (y15 @ _GL15_W)
-    errs = np.abs(vals - half * (y7 @ _GL7_W))
-    n_eval = xs.size
-
-    bad = np.nonzero(errs > cell_tol * np.maximum(1.0, np.abs(vals)))[0]
-    if bad.size:
-        refine_cfg = QuadratureConfig(
-            abs_tol=max(cell_tol, 1e-15),
-            rel_tol=max(cell_tol, 1e-15),
-            max_subdivisions=4096,
-        )
-        for idx in bad:
-            r = integrate(fv, float(edges[idx]), float(edges[idx + 1]), refine_cfg)
-            vals[idx] = r.value
-            errs[idx] = r.error_estimate
-            n_eval += r.evaluations
-
-    return vals, float(np.sum(errs)), n_eval
+    half = 0.5 * (edges[1:] - edges[:-1])
+    xs = (0.5 * (edges[1:] + edges[:-1]))[:, None] + half[:, None] * _K15_X
+    ys = fv(xs.ravel())
+    _check_finite(xs.ravel(), ys)
+    vals, errs, n_redo = _kronrod_cells(
+        ys.reshape(xs.shape),
+        half,
+        lambda i: integrate(fv, float(edges[i]), float(edges[i + 1])),
+    )
+    return vals, float(np.sum(errs)), xs.size + n_redo

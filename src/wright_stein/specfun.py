@@ -30,13 +30,11 @@ import numpy as np
 
 from .errors import AiryOverflowError, DomainError, RangeError
 from .numerics import (
-    _GL7_W,
     _GL15_W,
     _GL15_X,
-    _K15_W,
     _K15_X,
-    DEFAULT_CONFIG,
     _check_finite,
+    _kronrod_cells,
     _vectorized,
     integrate,
 )
@@ -558,12 +556,11 @@ def green_pass(grid: np.ndarray, rhs_fns: list[Callable], scale: float):
     One Airy evaluation at the 15 Kronrod nodes of every cell serves every
     right-hand side.  The cells depend on grid and scale only, so each
     right-hand side's result is bitwise independent of the others.  Each
-    cell keeps its K15 value; a cell whose embedded |K15 - G7| estimate (the
-    7 Gauss nodes are among the 15) for one right-hand side exceeds
-    ``max(abs_tol, rel_tol * |value|)`` of ``numerics.DEFAULT_CONFIG``
-    (1e-10 each) is redone by the adaptive integrator, to that same
-    tolerance, for that right-hand side alone.  This is the one quadrature
-    tolerance of every Green's integral in the package.
+    kernel's cells go through ``numerics._kronrod_cells``: a cell keeps its
+    K15 value, and a cell whose |K15 - G7| estimate for one right-hand side
+    misses ``numerics.TOL`` (1e-10 absolute or relative) is redone by the
+    adaptive integrator, to that same tolerance, for that right-hand side
+    alone.
 
     Returns a dict with, per right-hand side and grid point (shape
     (len(rhs_fns), n)), the Green's values ``g`` = Ai P + Bi S and
@@ -619,19 +616,16 @@ def green_pass(grid: np.ndarray, rhs_fns: list[Callable], scale: float):
         _check_finite(nodes.ravel(), hv)
         hv = hv.reshape(nodes.shape)
         for tgt, w, kernel in ((cellP[j], wP, kernel_p), (cellS[j], wS, kernel_s)):
-            vals = w * hv
-            i15 = half[:, 0] * (vals @ _K15_W)
-            e = np.abs(i15 - half[:, 0] * (vals[:, 1::2] @ _GL7_W))
-            tol = np.maximum(DEFAULT_CONFIG.abs_tol, DEFAULT_CONFIG.rel_tol * np.abs(i15))
-            for i in np.nonzero(e > tol)[0]:
-                r = integrate(
-                    lambda ts, k=kernel, rv=rv, i=i: k(airy_many(scale * ts), i) * rv(ts),
+            tgt[:], e, n_redo = _kronrod_cells(
+                w * hv,
+                half[:, 0],
+                lambda i, k=kernel, rv=rv: integrate(
+                    lambda ts: k(airy_many(scale * ts), i) * rv(ts),
                     float(edges[i]), float(edges[i + 1]),
-                )
-                i15[i], e[i] = r.value, r.error_estimate
-                evals += r.evaluations
-            tgt[:] = i15
+                ),
+            )
             err[j] += float(np.sum(e))
+            evals += n_redo
     # Beyond the cutoff and in each dropped cell the kernels are below e^-45
     # of their values at the nearest kept edge.
     err += math.exp(-_ZETA_CUT) * (1 + np.count_nonzero(dropped))

@@ -54,7 +54,7 @@ from numpy.polynomial.polynomial import polyval
 
 from .errors import DomainError, NonFiniteError, SolverAccuracyError
 from .numerics import GAMMA_1_3, GAMMA_2_3, _vectorized, integrate
-from .mwright import _DENSITY_CUT, density
+from .mwright import _DENSITY_CUT, _csv_rows, density
 from .specfun import _GI_NORM, _GI_PRIME_NORM, _XGI_NORM
 from .specfun import _distinct, _green_at, _ones, airy_many, green_pass
 
@@ -279,11 +279,7 @@ class SteinSolution:
         )
         buf.write("x,f,f_prime,f_double_prime,residual\n")
         res = self.residuals if self.residuals is not None else np.zeros_like(self.grid)
-        for i in range(self.grid.size):
-            buf.write(
-                f"{self.grid[i]:.17g},{self.f[i]:.17g},{self.f_prime[i]:.17g},"
-                f"{self.f_double_prime[i]:.17g},{res[i]:.17g}\n"
-            )
+        buf.write(_csv_rows(self.grid, self.f, self.f_prime, self.f_double_prime, res))
         return buf.getvalue()
 
 
@@ -324,8 +320,8 @@ def stein_apply(f: Callable, x: float, second_derivative: Callable | None = None
     wrapper is used (one-sided near 0 so f is never probed below 0).
     """
     x = float(x)
-    if x < 0:
-        raise DomainError(f"stein_apply requires x >= 0, got {x}")
+    if not (0 <= x < math.inf):
+        raise DomainError(f"stein_apply requires finite x >= 0, got {x}")
     d2 = second_derivative(x) if second_derivative is not None else _fd_second(f, x)
     return float(d2) - (x / 3.0) * float(f(x))
 
@@ -338,6 +334,8 @@ def stein_apply_sym(f: Callable, x: float, second_derivative: Callable | None = 
     second derivative there.
     """
     x = float(x)
+    if not math.isfinite(x):
+        raise DomainError(f"stein_apply_sym requires finite x, got {x}")
     if second_derivative is not None:
         d2 = second_derivative(x)
     else:
@@ -668,13 +666,12 @@ def _solve_batch(hs, grid: np.ndarray | None, symmetric: bool) -> list[SteinSolu
     the other members of ``hs``.
     """
     tfs = [_as_test_function(h) for h in hs]
-    if grid is None:
-        grid = default_grid(symmetric)
+    # A copy: the solutions freeze their grid, which must not be the caller's.
+    grid = default_grid(symmetric) if grid is None else np.array(grid, dtype=float)
     if not symmetric:
         (sols,) = _halfline_solve([(tfs, grid)])
         return [_halfline_solution(tf, sol) for tf, sol in zip(tfs, sols)]
 
-    grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or not np.all(np.isfinite(grid)) or np.any(np.diff(grid) <= 0):
         raise DomainError("symmetric grid must be 1-d, finite and strictly increasing")
     if 0.0 not in grid or grid[0] >= 0 or grid[-1] <= 0:

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wright_stein.cli import _parse_grid, main, parse_samples_csv
-from wright_stein.mwright import sample
+from wright_stein.mwright import _csv_rows, sample
 from wright_stein.numerics import GAMMA_4_3
 
 
@@ -265,6 +265,17 @@ class TestPlotdata:
 
     def test_unknown_verb(self, capsys):
         assert main(["frobnicate"]) == 2
+
+
+def test_csv_rows_match_per_value_format():
+    # The one-call row formatter writes what a per-value f-string writes.
+    rng = np.random.default_rng(5)
+    special = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, np.finfo(float).max]
+    a = np.concatenate((rng.standard_normal(500) * 10.0 ** rng.integers(-300, 300, 500), special))
+    b = rng.permutation(a)
+    ref = "".join(f"{x:.17g},{y:.17g}\n" for x, y in zip(a, b))
+    assert _csv_rows(a, b) == ref
+    assert _csv_rows(a) == "".join(f"{x:.17g}\n" for x in a)
 
 
 class TestEnvironment:

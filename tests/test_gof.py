@@ -410,6 +410,13 @@ def test_empty_family_refused(test):
         test(np.full(200, 0.7), [])
 
 
+@pytest.mark.parametrize("test", [discrepancy, discrepancy_sym])
+def test_plain_callable_is_labelled_by_name(test):
+    rep = test(np.full(200, 0.7), [np.cos])
+    assert rep.per_function[0].label == "cos"
+    assert math.isfinite(rep.per_function[0].mean)
+
+
 @pytest.mark.parametrize("symmetric", [False, True])
 @pytest.mark.parametrize("where", ["inner", "last", "alone"])
 def test_nan_grid_refused(hs, symmetric, where):

@@ -54,6 +54,13 @@ class TestDensity:
         with pytest.raises(DomainError):
             density(THIRD, -0.5)
 
+    @pytest.mark.parametrize("beta", [0.0, 1 / 7, THIRD, 0.5])
+    @pytest.mark.parametrize("x", [math.nan, math.inf])
+    def test_non_finite_refused(self, beta, x):
+        for fn in (density, density_sym):
+            with pytest.raises(DomainError, match="finite"):
+                fn(beta, x)
+
     def test_parameter_validation(self):
         with pytest.raises(DomainError):
             WrightParameter(1.0)

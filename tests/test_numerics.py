@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from wright_stein.errors import DomainError, NonFiniteError, RangeError, ToleranceNotMetError
+from wright_stein import numerics
 from wright_stein.numerics import (
     _K15_W,
     _K15_X,
-    QuadratureConfig,
     cell_integrals,
     gamma_fn,
     integrate,
@@ -86,10 +86,9 @@ class TestIntegrate:
             (lambda x: np.exp(-x) * np.cos(x), 0.0, 30.0, 0.5 * (1 + math.exp(-30) * (math.sin(30) - math.cos(30)))),
             (lambda x: 1.0 / (1.0 + x * x), -4.0, 9.0, math.atan(9.0) + math.atan(4.0)),
         ]
-        cfg = QuadratureConfig()
         for f, a, b, truth in cases:
-            r = integrate(f, a, b, cfg)
-            budget = max(cfg.abs_tol, cfg.rel_tol * abs(r.value))
+            r = integrate(f, a, b)
+            budget = numerics.TOL * max(1.0, abs(r.value))
             assert r.error_estimate <= budget
             assert abs(r.value - truth) <= 10 * budget
             assert r.evaluations > 0
@@ -130,12 +129,13 @@ class TestIntegrate:
         assert r.value == 0.0 and r.error_estimate == 0.0
 
     def test_tolerance_not_met_carries_best_estimate(self):
-        cfg = QuadratureConfig(abs_tol=1e-14, rel_tol=1e-14, max_subdivisions=3)
+        # sign(sin(1/x)) jumps infinitely often near 0, so the fixed budget
+        # of subdivisions runs out before the tolerance is met.
         with pytest.raises(ToleranceNotMetError) as exc:
-            integrate(lambda x: np.sqrt(np.abs(x)), 0.0, 1.0, cfg)
+            integrate(lambda x: np.sign(np.sin(1.0 / x)), 0.0, 1.0)
         best = exc.value.result
-        assert best.value == pytest.approx(2.0 / 3.0, abs=1e-4)
-        assert best.error_estimate > 0
+        assert best.value == pytest.approx(0.5587, abs=1e-3)
+        assert best.error_estimate > numerics.TOL
 
     def test_nan_names_abscissa(self):
         def f(x):
@@ -176,17 +176,3 @@ class TestKronrod:
         assert np.all(np.abs(_K15_X[1::2] - g7) <= np.spacing(np.abs(g7)))
         assert np.all(np.diff(_K15_X) > 0)
 
-
-class TestConfig:
-    @pytest.mark.parametrize(
-        "kw",
-        [
-            {"abs_tol": 0.0},
-            {"rel_tol": -1e-3},
-            {"abs_tol": float("nan")},
-            {"max_subdivisions": 0},
-        ],
-    )
-    def test_invalid_config(self, kw):
-        with pytest.raises(DomainError):
-            QuadratureConfig(**kw)

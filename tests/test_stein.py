@@ -79,6 +79,11 @@ class TestSteinApply:
         with pytest.raises(DomainError):
             stein_apply(lambda x: x, -0.5)
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf])
+    def test_non_finite_refused(self, x):
+        with pytest.raises(DomainError, match="finite"):
+            stein_apply(np.cos, x)
+
 
 class TestSteinApplySym:
     def test_zero_function(self):
@@ -95,6 +100,10 @@ class TestSteinApplySym:
         assert stein_apply_sym(f, 1.5) == pytest.approx(
             stein_apply_sym(f, -1.5), abs=1e-10
         )
+
+    def test_nan_refused(self):
+        with pytest.raises(DomainError, match="finite"):
+            stein_apply_sym(np.cos, math.nan)
 
 
 class TestExpectation:
@@ -212,6 +221,17 @@ class TestHalfLineSolver:
         assert "# kind=half-line" in text
         assert "# boundary_residual=" in text
         assert "x,f,f_prime,f_double_prime,residual" in text
+
+
+@pytest.mark.parametrize(
+    "solve, grid",
+    [(solve_stein, np.linspace(0.0, 12.0, 300)), (solve_stein_sym, np.linspace(-6.0, 12.0, 301))],
+)
+def test_caller_grid_stays_writeable(solve, grid):
+    sol = solve(np.cos, grid)
+    assert grid.flags.writeable and not sol.grid.flags.writeable
+    grid[1] = 0.5
+    assert sol.grid[1] != 0.5
 
 
 class TestBoundaryFluxIdentity:
