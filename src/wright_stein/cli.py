@@ -226,9 +226,48 @@ def _cmd_sample(args) -> int:
     return EXIT_OK
 
 
+# Characters of CSV text split into lines at a time.
+_PARSE_CHUNK = 1 << 18
+
+
+def _chunks(text: str, start: int):
+    """text[start:] without a final "\n", cut after about every
+    _PARSE_CHUNK characters at a "\n", which is dropped."""
+    end = len(text) - text.endswith("\n")
+    while start < end:
+        stop = text.find("\n", min(start + _PARSE_CHUNK, end), end)
+        stop = end if stop < 0 else stop
+        yield text[start:stop]
+        start = stop + 1
+
+
 def parse_samples_csv(text: str):
     """Values from one-per-line CSV; # comments ignored.  Raises ValueError
     carrying the 1-based line number on malformed or non-finite content."""
+    # A file as written by `sample`: leading comment lines, each one line to
+    # splitlines() too, then a number on each "\n"-piece (float() ignores the
+    # whitespace around it, a "\r" too).
+    start = 0
+    while text.startswith("#", start):
+        stop = text.find("\n", start)
+        stop = len(text) if stop < 0 else stop
+        if len(text[start:stop].splitlines()) != 1:
+            break
+        start = stop + 1
+    try:
+        # One chunk's strings at a time: a 1e6-line file never holds 1e6
+        # string objects.
+        parts = [np.empty(0)]
+        for chunk in _chunks(text, start):
+            pieces = chunk.split("\n")
+            parts.append(np.fromiter(map(float, pieces), dtype=float, count=len(pieces)))
+        arr = np.concatenate(parts)
+        if np.isfinite(arr).all():
+            return arr
+    except ValueError:
+        pass
+    # Anything else (blank or inner comment lines, other line breaks, a
+    # malformed or non-finite value) goes line by line.
     lines = [s for s in map(str.strip, text.splitlines()) if s and not s.startswith("#")]
     try:
         arr = np.fromiter(map(float, lines), dtype=float, count=len(lines))

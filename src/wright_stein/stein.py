@@ -313,6 +313,14 @@ def _fd_second(f: Callable, x: float, h: float = 1e-3) -> float:
     return float(np.dot(_F6_COEF, vals)) / h**2
 
 
+def _finite_at(name: str, x: float, d2, fx) -> tuple[float, float]:
+    """f''(x) and f(x) as floats, or NonFiniteError naming x."""
+    d2, fx = float(d2), float(fx)
+    if not (math.isfinite(d2) and math.isfinite(fx)):
+        raise NonFiniteError(f"{name}: f or f'' is not finite at x={x!r}", x=x)
+    return d2, fx
+
+
 def stein_apply(f: Callable, x: float, second_derivative: Callable | None = None) -> float:
     """(A f)(x) = f''(x) - (1/3) x f(x) on the half line.
 
@@ -323,7 +331,8 @@ def stein_apply(f: Callable, x: float, second_derivative: Callable | None = None
     if not (0 <= x < math.inf):
         raise DomainError(f"stein_apply requires finite x >= 0, got {x}")
     d2 = second_derivative(x) if second_derivative is not None else _fd_second(f, x)
-    return float(d2) - (x / 3.0) * float(f(x))
+    d2, fx = _finite_at("stein_apply", x, d2, f(x))
+    return d2 - (x / 3.0) * fx
 
 
 def stein_apply_sym(f: Callable, x: float, second_derivative: Callable | None = None) -> float:
@@ -342,7 +351,8 @@ def stein_apply_sym(f: Callable, x: float, second_derivative: Callable | None = 
         fv = _vectorized(f)
         h = 1e-3
         d2 = float(np.dot(_C5_COEF, fv(x + h * _C5_OFFSETS))) / h**2
-    return float(d2) - (abs(x) / 3.0) * float(f(x))
+    d2, fx = _finite_at("stein_apply_sym", x, d2, f(x))
+    return d2 - (abs(x) / 3.0) * fx
 
 
 def expectation_mwright(h, negate: bool = False) -> float:

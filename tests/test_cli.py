@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wright_stein import cli
 from wright_stein.cli import _parse_grid, main, parse_samples_csv
 from wright_stein.mwright import _csv_rows, sample
 from wright_stein.numerics import GAMMA_4_3
@@ -268,7 +269,9 @@ class TestPlotdata:
 
 
 def test_csv_rows_match_per_value_format():
-    # The one-call row formatter writes what a per-value f-string writes.
+    # The row writer writes what a per-value f-string writes, on both of its
+    # paths (array blocks from 512 values on, one % call below) and across
+    # its block size.
     rng = np.random.default_rng(5)
     special = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, np.finfo(float).max]
     a = np.concatenate((rng.standard_normal(500) * 10.0 ** rng.integers(-300, 300, 500), special))
@@ -276,6 +279,34 @@ def test_csv_rows_match_per_value_format():
     ref = "".join(f"{x:.17g},{y:.17g}\n" for x, y in zip(a, b))
     assert _csv_rows(a, b) == ref
     assert _csv_rows(a) == "".join(f"{x:.17g}\n" for x in a)
+
+    # Random bit patterns over the whole double range, NaNs included.
+    bits = rng.integers(0, 2**64, 40_000, dtype=np.uint64, endpoint=False)
+    # The double nearest each 10^k, its neighbours and the doubles just below
+    # it.  Some lie below 10^k and still round up to it at 17 digits (1e-14
+    # and 1e-305 print as such); none of those has -4 <= k <= 16.
+    p10 = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    near = [np.nextafter(p10, 0.0), p10, np.nextafter(p10, np.inf)]
+    near += [p10 * (1.0 - j * 2.0**-53) for j in range(2, 12)]
+    # Dyadic values m 2^-e: exact decimal expansions with up to e digits after
+    # the point, so the 17-digit rounding meets exact ties.
+    ties = [np.ldexp(rng.integers(1, 2**k, 300).astype(float), -e)
+            for e in range(1, 71) for k in (12, 53)]
+    # Integers and short decimals, which end in zeros.
+    short = np.round(rng.uniform(-1e6, 1e6, 3000), 3)
+    whole = rng.integers(-10**16, 10**16, 3000).astype(float)
+    cases = [bits.view(np.float64), np.concatenate(near), np.concatenate(ties), short, whole]
+    for x in cases:
+        x = np.concatenate((x, -x))
+        assert _csv_rows(x) == "".join(f"{v:.17g}\n" for v in x)
+
+    # Negative multi-column mixes, at row counts across the block size.
+    mixed = np.concatenate(cases)
+    for n in (1, 2, 170, 171, 511, 512, 10_922, 10_923, 32_768, 32_769, 70_000):
+        cols = [rng.choice(mixed, n), -np.abs(rng.choice(mixed, n)), rng.standard_normal(n)]
+        ref = "".join(f"{x:.17g},{y:.17g},{z:.17g}\n" for x, y, z in zip(*cols))
+        assert _csv_rows(*cols) == ref, n
+    assert _csv_rows(cols[2]) == "".join(f"{z:.17g}\n" for z in cols[2])
 
 
 class TestEnvironment:
@@ -353,3 +384,55 @@ def test_arbitrary_csv_lines_keep_exit_contract(tmp_path_factory, lines, keep, s
     assert "Traceback" not in err.getvalue()
     if code == 2:
         assert out.getvalue() == ""
+
+
+def _parse_line_by_line(text):
+    # Reference reader: every line on its own, as the docstring describes.
+    values, non_finite = [], None
+    for i, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            v = float(line)
+        except ValueError:
+            raise ValueError(f"line {i}: cannot parse {line!r} as a number") from None
+        if not math.isfinite(v) and non_finite is None:
+            non_finite = f"line {i}: non-finite value {line!r}"
+        values.append(v)
+    if non_finite is not None:
+        raise ValueError(non_finite)
+    return np.array(values, dtype=float)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    head=st.lists(st.sampled_from(["#", "# generator=mwright-1/3 seed=1 n=3", "#\r", "# a\x0cb"]),
+                  max_size=3),
+    lines=st.lists(st.tuples(st.integers(0, 8), _CSV_LINE), max_size=5),
+    inner=st.lists(st.tuples(st.integers(0, 8), st.sampled_from(["#", "# c", " # c", ""])),
+                   max_size=2),
+    keep=st.integers(0, 8),
+    ending=st.sampled_from(["\n", "\r\n"]),
+    final=st.booleans(),
+    chunk=st.sampled_from([1, 7, 60, cli._PARSE_CHUNK]),
+)
+def test_parse_samples_csv_matches_line_by_line_reader(head, lines, inner, keep, ending, final,
+                                                       chunk):
+    body = _CSV_BODY[:keep]
+    for pos, line in lines + inner:
+        body.insert(min(pos, len(body)), line)
+    text = ending.join(head + body) + (ending if final else "")
+    default, cli._PARSE_CHUNK = cli._PARSE_CHUNK, chunk  # chunk edges fall inside the text
+    try:
+        expected = _parse_line_by_line(text)
+    except ValueError as e:
+        with pytest.raises(ValueError) as exc:
+            parse_samples_csv(text)
+        assert str(exc.value) == str(e)
+    else:
+        got = parse_samples_csv(text)
+        assert got.dtype == np.float64
+        assert got.tobytes() == expected.tobytes()
+    finally:
+        cli._PARSE_CHUNK = default

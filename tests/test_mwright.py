@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.interpolate import PchipInterpolator
@@ -8,6 +9,7 @@ from scipy.interpolate import PchipInterpolator
 from wright_stein.errors import DomainError, RangeError
 from wright_stein.mwright import (
     WrightParameter,
+    _kappa_third,
     cdf,
     density,
     density_prime_at_zero,
@@ -23,7 +25,7 @@ from wright_stein.numerics import (
     cell_integrals,
     integrate,
 )
-from wright_stein.specfun import _kanter, airy, wright_m_series
+from wright_stein.specfun import airy, wright_m_series
 
 THIRD = 1.0 / 3.0
 
@@ -236,11 +238,28 @@ class TestSampler:
         u = rng.random(500)
         e = rng.standard_exponential(500)
         signs = np.where(rng.random(500) < 0.5, -1.0, 1.0)
-        kappa = _kanter(THIRD, u, np.sinc(u))
+        kappa = _kappa_third(u)
         assert np.array_equal(sample(500, seed=77).values, e ** (2.0 / 3.0) / kappa)
         assert np.array_equal(
             sample(500, seed=77, symmetric=True).values, signs * e ** (2.0 / 3.0) / kappa
         )
+
+    def test_kappa_against_mpmath(self):
+        # Kanter's kappa(pi u) at beta = 1/3 to 50 digits, up to the last
+        # uniform below 1, where the sinc form was off by 0.38.
+        u = np.concatenate(
+            ([0.0, 0.5, 1.0 - 2.0**-30, 1.0 - 2.0**-53], np.random.default_rng(8).random(200))
+        )
+        got = _kappa_third(u)
+        with mp.workdps(50):
+            for ui, k in zip(u, got):
+                phi = mp.pi * mp.mpf(float(ui))
+                if ui == 0.0:
+                    ref = mp.cbrt(4) / 3
+                else:
+                    ref = (mp.sin(phi / 3) ** (mp.mpf(1) / 3)
+                           * mp.sin(2 * phi / 3) ** (mp.mpf(2) / 3) / mp.sin(phi))
+                assert abs(k - ref) <= 1e-15 * ref, ui
 
     def test_uniform_zero_gives_finite_draw(self, monkeypatch):
         class Edge:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from wright_stein import specfun
 from wright_stein import stein as stein_mod
-from wright_stein.errors import DomainError, SolverAccuracyError
+from wright_stein.errors import DomainError, NonFiniteError, SolverAccuracyError
 from wright_stein.mwright import density, density_sym
 from wright_stein.numerics import GAMMA_1_3, GAMMA_2_3, integrate
 from wright_stein.specfun import airy_many, scorer_gi
@@ -83,6 +84,27 @@ class TestSteinApply:
     def test_non_finite_refused(self, x):
         with pytest.raises(DomainError, match="finite"):
             stein_apply(np.cos, x)
+
+
+@pytest.mark.parametrize("apply", [stein_apply, stein_apply_sym])
+@pytest.mark.parametrize(
+    "f, d2",
+    [
+        (np.cos, lambda x: math.nan),
+        (np.cos, lambda x: -math.inf),
+        (lambda x: math.nan, lambda x: 0.0),
+        (lambda x: np.full_like(np.asarray(x, dtype=float), math.nan), None),
+    ],
+    ids=["nan-d2", "inf-d2", "nan-f", "nan-f-fd"],
+)
+def test_non_finite_f_or_second_derivative_refused(apply, f, d2):
+    # A non-finite value from the caller's f or f'' is refused, naming x,
+    # with no warning on the way (tier-1 turns warnings into errors).
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError, match="x=1.5") as exc:
+            apply(f, 1.5, d2)
+    assert exc.value.x == 1.5
 
 
 class TestSteinApplySym:
