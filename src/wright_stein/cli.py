@@ -18,6 +18,7 @@ import numpy as np
 
 from . import gof as gof_mod
 from . import mwright, specfun, stein
+from ._csvtext import _csv_rows, parse_samples_csv
 from .errors import (
     AiryOverflowError,
     DomainError,
@@ -180,7 +181,7 @@ def _cmd_eval(args) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_REJECTED
 
-    _emit("x,value\n" + mwright._csv_rows(xs, np.atleast_1d(vals)), args.output)
+    _emit("x,value\n" + _csv_rows(xs, np.atleast_1d(vals)), args.output)
     return EXIT_OK
 
 
@@ -224,71 +225,6 @@ def _cmd_sample(args) -> int:
         return EXIT_USAGE
     _emit(s.to_csv(), args.output)
     return EXIT_OK
-
-
-# Characters of CSV text split into lines at a time.
-_PARSE_CHUNK = 1 << 18
-
-
-def _chunks(text: str, start: int):
-    """text[start:] without a final "\n", cut after about every
-    _PARSE_CHUNK characters at a "\n", which is dropped."""
-    end = len(text) - text.endswith("\n")
-    while start < end:
-        stop = text.find("\n", min(start + _PARSE_CHUNK, end), end)
-        stop = end if stop < 0 else stop
-        yield text[start:stop]
-        start = stop + 1
-
-
-def parse_samples_csv(text: str):
-    """Values from one-per-line CSV; # comments ignored.  Raises ValueError
-    carrying the 1-based line number on malformed or non-finite content."""
-    # A file as written by `sample`: leading comment lines, each one line to
-    # splitlines() too, then a number on each "\n"-piece (float() ignores the
-    # whitespace around it, a "\r" too).
-    start = 0
-    while text.startswith("#", start):
-        stop = text.find("\n", start)
-        stop = len(text) if stop < 0 else stop
-        if len(text[start:stop].splitlines()) != 1:
-            break
-        start = stop + 1
-    try:
-        # One chunk's strings at a time: a 1e6-line file never holds 1e6
-        # string objects.
-        parts = [np.empty(0)]
-        for chunk in _chunks(text, start):
-            pieces = chunk.split("\n")
-            parts.append(np.fromiter(map(float, pieces), dtype=float, count=len(pieces)))
-        arr = np.concatenate(parts)
-        if np.isfinite(arr).all():
-            return arr
-    except ValueError:
-        pass
-    # Anything else (blank or inner comment lines, other line breaks, a
-    # malformed or non-finite value) goes line by line.
-    lines = [s for s in map(str.strip, text.splitlines()) if s and not s.startswith("#")]
-    try:
-        arr = np.fromiter(map(float, lines), dtype=float, count=len(lines))
-        if np.isfinite(arr).all():
-            return arr
-    except ValueError:
-        pass
-    # The line lookup runs only on failure.  A malformed line anywhere is
-    # reported before a non-finite value.
-    numbered = [
-        (i, s)
-        for i, s in enumerate(map(str.strip, text.splitlines()), start=1)
-        if s and not s.startswith("#")
-    ]
-    for i, line in numbered:
-        try:
-            float(line)
-        except ValueError:
-            raise ValueError(f"line {i}: cannot parse {line!r} as a number") from None
-    i, line = next((i, s) for i, s in numbered if not math.isfinite(float(s)))
-    raise ValueError(f"line {i}: non-finite value {line!r}")
 
 
 def _cmd_gof(args) -> int:
@@ -336,7 +272,7 @@ def _cmd_plotdata(args) -> int:
             return EXIT_USAGE
     cols = [np.asarray(mwright.density_sym(b, xs)) for b in betas]
     header = "x," + ",".join(f"beta={args.betas.split(',')[i].strip()}" for i in range(len(betas)))
-    _emit(header + "\n" + mwright._csv_rows(xs, *cols), args.output)
+    _emit(header + "\n" + _csv_rows(xs, *cols), args.output)
     return EXIT_OK
 
 

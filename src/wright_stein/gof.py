@@ -29,6 +29,7 @@ import numpy as np
 
 from .errors import DomainError, RangeError
 from .mwright import SampleSet
+from .numerics import _is_int
 from .stein import TestFunction, _as_test_function, _locate, _solve_batch, default_grid
 
 __all__ = [
@@ -147,7 +148,7 @@ def default_test_functions(k: int) -> list[TestFunction]:
     stay bounded on the whole line: on the half-line domain this is the
     same function as exp(-jx), and the symmetric engine requires bounded h.
     """
-    if not (isinstance(k, (int, np.integer)) and 1 <= k <= 16):
+    if not (_is_int(k) and 1 <= k <= 16):
         raise RangeError(f"default_test_functions requires 1 <= k <= 16, got {k}")
     return list(_FAMILY[: int(k)])
 
@@ -156,6 +157,8 @@ def _sample_values(samples) -> np.ndarray:
     if isinstance(samples, SampleSet):
         samples = samples.values
     vals = np.asarray(samples, dtype=float)
+    if vals.ndim != 1:
+        raise DomainError(f"samples must be a 1-d array, got shape {vals.shape}")
     bad = np.count_nonzero(~np.isfinite(vals))
     if bad:
         raise DomainError(f"samples must be finite; {bad} are NaN or infinite")
@@ -269,9 +272,11 @@ def _report(vals, hs, grid, sign_balance=None, at_zero=0) -> DiscrepancyReport:
 def discrepancy(samples, hs, grid: np.ndarray | None = None) -> DiscrepancyReport:
     """Half-line Stein discrepancy of a non-negative sample against M_{1/3}.
 
-    ``hs`` is a non-empty sequence of test functions.  They are treated as
-    pure: the solutions of a family on a grid are reused by later calls that
-    pass the same function objects (by identity) and an equal grid.
+    ``samples`` is a 1-d array or a ``SampleSet``; any other shape raises
+    ``DomainError``.  ``hs`` is a non-empty sequence of test functions.  They
+    are treated as pure: the solutions of a family on a grid are reused by
+    later calls that pass the same function objects (by identity) and an
+    equal grid.
     """
     vals = _sample_values(samples)
     if vals.size < MIN_SAMPLES:
@@ -287,8 +292,9 @@ def discrepancy_sym(samples, hs, grid: np.ndarray | None = None) -> DiscrepancyR
     Combines the operator means with the sign-balance z-score; the latter is
     a necessary condition on its own, so a grossly unbalanced sign split
     rejects even when every operator mean vanishes.  Samples exactly at 0
-    use the 0+ branch of f''; their count is reported.  Test functions are
-    treated as pure and their solutions reused, as in ``discrepancy``.
+    use the 0+ branch of f''; their count is reported.  As in
+    ``discrepancy``, a sample that is not 1-d raises ``DomainError``, and
+    test functions are treated as pure and their solutions reused.
     """
     vals = _sample_values(samples)
     if vals.size < MIN_SAMPLES:

@@ -97,9 +97,17 @@ def gamma_fn(x: float) -> float:
     if not (x > 0):
         raise DomainError(f"gamma_fn requires x > 0, got {x}")
     try:
-        return math.gamma(x)
+        g = math.gamma(x)
     except OverflowError:
-        raise RangeError(f"gamma_fn({x}) overflows a double") from None
+        g = math.inf
+    if g == math.inf:  # math.gamma(inf) returns inf
+        raise RangeError(f"gamma_fn({x}) overflows a double")
+    return g
+
+
+def _is_int(x) -> bool:
+    """True for a Python or numpy integer; a bool is not one."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 # Validate the precomputed constants against gamma_fn at import time.

@@ -52,9 +52,10 @@ from typing import Callable, NamedTuple
 import numpy as np
 from numpy.polynomial.polynomial import polyval
 
+from ._csvtext import _csv_rows
 from .errors import DomainError, NonFiniteError, SolverAccuracyError
 from .numerics import GAMMA_1_3, GAMMA_2_3, _vectorized, integrate
-from .mwright import _DENSITY_CUT, _csv_rows, density
+from .mwright import _DENSITY_CUT, density
 from .specfun import _GI_NORM, _GI_PRIME_NORM, _XGI_NORM
 from .specfun import _distinct, _green_at, _ones, airy_many, green_pass
 

@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wright_stein import cli
+from wright_stein import _csvtext
 from wright_stein.cli import _parse_grid, main, parse_samples_csv
-from wright_stein.mwright import _csv_rows, sample
+from wright_stein._csvtext import _csv_rows
+from wright_stein.mwright import sample
 from wright_stein.numerics import GAMMA_4_3
 
 
@@ -415,7 +416,7 @@ def _parse_line_by_line(text):
     keep=st.integers(0, 8),
     ending=st.sampled_from(["\n", "\r\n"]),
     final=st.booleans(),
-    chunk=st.sampled_from([1, 7, 60, cli._PARSE_CHUNK]),
+    chunk=st.sampled_from([1, 7, 60, _csvtext._PARSE_CHUNK]),
 )
 def test_parse_samples_csv_matches_line_by_line_reader(head, lines, inner, keep, ending, final,
                                                        chunk):
@@ -423,7 +424,8 @@ def test_parse_samples_csv_matches_line_by_line_reader(head, lines, inner, keep,
     for pos, line in lines + inner:
         body.insert(min(pos, len(body)), line)
     text = ending.join(head + body) + (ending if final else "")
-    default, cli._PARSE_CHUNK = cli._PARSE_CHUNK, chunk  # chunk edges fall inside the text
+    # Chunk edges fall inside the text.
+    default, _csvtext._PARSE_CHUNK = _csvtext._PARSE_CHUNK, chunk
     try:
         expected = _parse_line_by_line(text)
     except ValueError as e:
@@ -435,4 +437,4 @@ def test_parse_samples_csv_matches_line_by_line_reader(head, lines, inner, keep,
         assert got.dtype == np.float64
         assert got.tobytes() == expected.tobytes()
     finally:
-        cli._PARSE_CHUNK = default
+        _csvtext._PARSE_CHUNK = default

@@ -65,7 +65,7 @@ class TestFamily:
         for h in default_test_functions(16):
             assert h.check_bound(grid), h.label
 
-    @pytest.mark.parametrize("k", [0, 17, -1])
+    @pytest.mark.parametrize("k", [0, 17, -1, True])
     def test_k_out_of_range(self, k):
         with pytest.raises(RangeError):
             default_test_functions(k)
@@ -107,6 +107,12 @@ class TestHalfLine:
     def test_small_sample_rejected(self, hs):
         with pytest.raises(DomainError):
             discrepancy(sample(200, seed=1).values[:50], hs)
+        # A sample that is not 1-d is refused, not flattened.
+        for test, symmetric in ((discrepancy, False), (discrepancy_sym, True)):
+            vals = sample(20000, seed=7, symmetric=symmetric).values
+            for bad in (vals.reshape(100, 200), vals[:, None], np.float64(vals[0])):
+                with pytest.raises(DomainError, match="1-d"):
+                    test(bad, hs)
 
     def test_negative_sample_rejected(self, hs):
         with pytest.raises(DomainError):

@@ -226,8 +226,10 @@ class TestSampler:
     def test_invalid_n(self):
         with pytest.raises(DomainError):
             sample(0, seed=1)
+        with pytest.raises(DomainError):
+            sample(True, seed=1)
 
-    @pytest.mark.parametrize("seed", [-1, 1.5, "7", None])
+    @pytest.mark.parametrize("seed", [-1, 1.5, "7", None, True])
     def test_invalid_seed(self, seed):
         with pytest.raises(DomainError):
             sample(5, seed=seed)
@@ -324,6 +326,8 @@ class TestMoment:
     def test_domain_error(self):
         with pytest.raises(DomainError):
             moment(-1)
+        with pytest.raises(DomainError):
+            moment(True)
 
 
 class TestLaplace:

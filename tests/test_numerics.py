@@ -48,6 +48,8 @@ class TestGamma:
         assert math.isfinite(gamma_fn(171.6))
         with pytest.raises(RangeError):
             gamma_fn(200.0)
+        with pytest.raises(RangeError):
+            gamma_fn(math.inf)
 
     def test_relative_accuracy_sweep(self):
         # Against math.lgamma-independent identity: duplication formula
