@@ -108,7 +108,8 @@ def cdf(x):
 
 @dataclass(frozen=True)
 class SampleSet:
-    """Immutable array of draws plus provenance."""
+    """Immutable 1-d array of draws plus provenance.  Values of any other
+    shape raise DomainError."""
 
     values: np.ndarray
     seed: int
@@ -117,6 +118,8 @@ class SampleSet:
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
+        if vals.ndim != 1:
+            raise DomainError(f"SampleSet values must be 1-d, got shape {vals.shape}")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "size", int(vals.size))

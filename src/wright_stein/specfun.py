@@ -192,53 +192,65 @@ def _airy_series_core(x: np.ndarray):
     return ai, aip, bi, bip
 
 
-def _airy_asymptotic(x: np.ndarray):
-    """Asymptotic branch; returns scaled fields (ai_s, aip_s, bi_s, bip_s).
+def _airy_asymptotic(x: np.ndarray, primes: bool = True):
+    """Asymptotic branch; returns the scaled fields (ai_s, aip_s, bi_s, bip_s)
+    and zeta, or (ai_s, bi_s, zeta) when ``primes`` is false.
 
-    Sums the standard expansions in 1/zeta, stopping at the smallest term.
-    At the production switch point the optimal-truncation error is below
-    3e-16 relative; tests exercise the branch down to x ~ 7.8.
+    Sums the standard expansions in 1/zeta (DLMF 9.7.5-9.7.8), each point up
+    to its smallest term.  A point also stops once its term is below 1e-19:
+    any term it would still add is smaller, and added to sums that lie near
+    1 it changes no bit.  The points are summed sorted by zeta, so each term falls
+    from one point to the next: the settled points are always the top of
+    the live slice, which shrinks by them after every term.  At the
+    production switch point the optimal-truncation error is below 3e-16
+    relative; tests exercise the branch down to x ~ 7.8.
     """
     x = np.asarray(x, dtype=float)
     # zeta overflows to inf past x ~ 1e205; the scaled fields do not need it.
     with np.errstate(over="ignore"):
         zeta = (2.0 / 3.0) * x * np.sqrt(x)
-    s = 1.0 / zeta
-
-    sum_ai = np.ones_like(x)
-    sum_bi = np.ones_like(x)
-    sum_aip = np.ones_like(x)
-    sum_bip = np.ones_like(x)
-    term = np.ones_like(x)  # u_k * zeta^{-k}
-    prev = np.full_like(x, np.inf)
-    active = np.ones(x.shape, dtype=bool)
+    order = np.argsort(zeta, axis=None)
+    s = 1.0 / zeta.ravel()[order]
+    sums = np.ones((4 if primes else 2, x.size))  # ai, bi[, aip, bip]
+    # Each sum's factor on the term u_k zeta^{-k}, which is positive.
+    coef = np.ones((sums.shape[0], 1))
+    term = np.ones(x.size)
+    prev = np.full(x.size, np.inf)
+    active = np.ones(x.size, dtype=bool)
+    live = x.size
     sign = 1.0
 
     for k in range(1, 60):
         ratio = ((6 * k - 5) * (6 * k - 3) * (6 * k - 1)) / (216.0 * k * (2 * k - 1))
-        term = term * s * ratio
-        grown = np.abs(term) >= prev
-        active &= ~grown
-        if not active.any():
+        t = term[:live]
+        t *= s[:live]
+        t *= ratio
+        on = active[:live]
+        on &= t < prev[:live]
+        if not on.any():
             break
         sign = -sign
         vfac = -(6 * k + 1) / (6 * k - 1.0)
-        tu = np.where(active, term, 0.0)
-        sum_ai += sign * tu
-        sum_bi += tu
-        sum_aip += sign * vfac * tu
-        sum_bip += vfac * tu
-        prev = np.abs(term)
-        if float(np.max(np.where(active, np.abs(term), 0.0))) < 1e-19:
+        coef[:, 0] = (sign, 1.0, sign * vfac, vfac)[: coef.shape[0]]
+        sums[:, :live] += coef * np.where(on, t, 0.0)
+        prev[:live] = t
+        live = int(np.count_nonzero(t >= 1e-19))
+        if live == 0:
             break
 
+    # Back to the input's order and shape.
+    out = np.empty_like(sums)
+    out[:, order] = sums
+    sums = out.reshape((-1,) + x.shape)
     q = np.power(x, 0.25)
     inv_2sp = 1.0 / (2.0 * math.sqrt(math.pi))
     inv_sp = 1.0 / math.sqrt(math.pi)
-    ai_s = sum_ai * inv_2sp / q
-    bi_s = sum_bi * inv_sp / q
-    aip_s = -sum_aip * q * inv_2sp
-    bip_s = sum_bip * q * inv_sp
+    ai_s = sums[0] * inv_2sp / q
+    bi_s = sums[1] * inv_sp / q
+    if not primes:
+        return ai_s, bi_s, zeta
+    aip_s = -sums[2] * q * inv_2sp
+    bip_s = sums[3] * q * inv_sp
     return ai_s, aip_s, bi_s, bip_s, zeta
 
 
@@ -299,13 +311,15 @@ def _cheb_coefs() -> np.ndarray:
     return np.ascontiguousarray(coefs.astype(float).transpose(2, 1, 0))
 
 
-def _airy_entire_cached(u: np.ndarray):
-    """Unscaled (ai, aip, bi, bip) for u in [0, AIRY_SWITCH).
+def _clenshaw(u: np.ndarray, coefs: np.ndarray):
+    """The cached functions whose rows ``coefs`` holds, unscaled, for u in
+    [0, AIRY_SWITCH): all four of ``_cheb_coefs()`` (ai, aip, bi, bip), or
+    the Ai and Bi rows ``_cheb_coefs()[:, 0::2]``.
 
-    One Clenshaw recurrence in doubles over all points and all four
-    functions, each point gathering its own interval's coefficients.
+    One Clenshaw recurrence in doubles over all points and the given rows,
+    each point gathering its own interval's coefficients.  Each row's
+    arithmetic is the same whichever rows travel with it.
     """
-    coefs = _cheb_coefs()
     idx = np.clip(
         np.searchsorted(_CHEB_EDGES, u, side="right") - 1, 0, _N_CHEB_INT - 1
     )
@@ -325,7 +339,7 @@ def _airy_entire_cached(u: np.ndarray):
         c0, buf = buf, c0
     c1 *= t
     c1 += c0
-    return c1[0], c1[1], c1[2], c1[3]
+    return tuple(c1)
 
 
 def _times_exp(scaled, z, ez):
@@ -379,7 +393,7 @@ def airy_many(xs) -> AiryArrays:
 
     lo = flat < AIRY_SWITCH
     if lo.any():
-        a, apr, b, bpr = _airy_entire_cached(flat[lo])
+        a, apr, b, bpr = _clenshaw(flat[lo], _cheb_coefs())
         ez = np.exp(zeta[lo])
         ai[lo], aip[lo], bi[lo], bip[lo] = a, apr, b, bpr
         ai_s[lo] = a * ez
@@ -404,6 +418,25 @@ def airy_many(xs) -> AiryArrays:
         r(flat), r(ai), r(aip), r(bi), r(bip), r(zeta),
         r(ai_s), r(bi_s), r(aip_s), r(bip_s),
     )
+
+
+def _ai_bi_scaled(u: np.ndarray):
+    """``airy_many(u).ai_scaled`` and ``.bi_scaled``, bitwise, for an array
+    of finite u >= 0 of any shape, forming no other field: the Green's pass
+    reads only these two at its quadrature nodes."""
+    ai_s = np.empty_like(u)
+    bi_s = np.empty_like(u)
+    lo = u < AIRY_SWITCH
+    if lo.any():
+        ul = u[lo]
+        a, b = _clenshaw(ul, _cheb_coefs()[:, 0::2])
+        ez = np.exp((2.0 / 3.0) * ul * np.sqrt(ul))
+        ai_s[lo] = a * ez
+        bi_s[lo] = b / ez
+    hi = ~lo
+    if hi.any():
+        ai_s[hi], bi_s[hi], _ = _airy_asymptotic(u[hi], primes=False)
+    return ai_s, bi_s
 
 
 @dataclass(frozen=True)
@@ -451,13 +484,14 @@ def airy(x: float) -> AiryValues:
 # ---------------------------------------------------------------------------
 
 # Quadrature cells are graded in zeta = (2/3) u^(3/2), the exponent of the
-# Airy kernels: a cell spans at most _ZETA_STEP, so neither kernel changes by
-# more than e^_ZETA_STEP across it.  The tail ends _ZETA_CUT e-folds past the
-# last grid point.
-_ZETA_STEP = 1.0
+# Airy kernels: a cell spans at most _ZETA_STEP, two e-folds, so neither
+# kernel changes by more than e^2 across it, which the 15 Kronrod nodes
+# resolve (at 4 e-folds the CLI family's solves begin to need the adaptive
+# fallback).  The tail ends _ZETA_CUT e-folds past the last grid point.
+_ZETA_STEP = 2.0
 _ZETA_CUT = 45.0
-# Largest scale * x a Green's pass accepts: beyond ~1e10 a zeta step of 1
-# falls below the rounding of zeta itself and the grading collapses.
+# Largest scale * x a Green's pass accepts: beyond ~1e10 a zeta step of 2
+# moves u by only a few ulps and the grading collapses.
 GREEN_U_MAX = 1e8
 # Points per pass in _green_at; a pass holds ~3 kB per cell at its peak, and
 # a dense grid has about one cell per point.
@@ -483,10 +517,12 @@ def _distinct(a):
 
 def _cell_edges(grid: np.ndarray, scale: float):
     """Cell edges of a Green's pass: 0, the grid and the tail cutoff, with
-    each cell wider than _ZETA_STEP in zeta split equally in zeta.
+    each cell wider than _ZETA_STEP (two e-folds) in zeta split equally in
+    zeta.
 
-    A cell wider than 2 * _ZETA_CUT is graded over _ZETA_CUT from each end
-    only.  The cell left in between is returned marked in ``dropped``: both
+    A cell wider than 2 * _ZETA_CUT is graded from each end only, in
+    ceil(_ZETA_CUT / _ZETA_STEP) equal zeta steps that end exactly _ZETA_CUT
+    in.  The cell left in between is returned marked in ``dropped``: both
     kernels there are below e^-_ZETA_CUT of their values at the ends of the
     cell it was cut from, so it contributes nothing but its decay.  The
     edges depend on grid and scale alone, never on a right-hand side.
@@ -505,7 +541,8 @@ def _cell_edges(grid: np.ndarray, scale: float):
             n = math.ceil(span[i] / _ZETA_STEP)
             zs = z[i] + span[i] * np.arange(1, n) / n
         else:
-            ks = _ZETA_STEP * np.arange(1, round(_ZETA_CUT / _ZETA_STEP) + 1)
+            n = math.ceil(_ZETA_CUT / _ZETA_STEP)
+            ks = _ZETA_CUT * np.arange(1, n + 1) / n
             zs = np.concatenate((z[i] + ks, z[i + 1] - ks[::-1]))
         ts = (1.5 * zs) ** (2.0 / 3.0) / scale
         if span[i] > 2 * _ZETA_CUT:
@@ -546,7 +583,7 @@ def green_pass(grid: np.ndarray, rhs_fns: list[Callable], scale: float):
     pass of per-cell Gauss-Kronrod 7/15 quadrature.  The cells are the grid
     cells, a head [0, g_0] and a tail reaching 45 e-folds of the Ai kernel
     past the last grid point, each split into cells equally spaced in zeta
-    where it spans more than one e-fold (see ``_cell_edges``); dense grids
+    where it spans more than two e-folds (see ``_cell_edges``); dense grids
     keep their own cells.  Every exponential is carried in relative,
     non-positive form, so nothing overflows, and exponent differences are
     formed without cancellation, so far-out points keep full accuracy.  The
@@ -554,7 +591,8 @@ def green_pass(grid: np.ndarray, rhs_fns: list[Callable], scale: float):
     (``_scan``) rather than a loop over the cells.
 
     One Airy evaluation at the 15 Kronrod nodes of every cell serves every
-    right-hand side.  The cells depend on grid and scale only, so each
+    right-hand side; it forms only the two fields the kernels use
+    (``_ai_bi_scaled``).  The cells depend on grid and scale only, so each
     right-hand side's result is bitwise independent of the others.  Each
     kernel's cells go through ``numerics._kronrod_cells``: a cell keeps its
     K15 value, and a cell whose |K15 - G7| estimate for one right-hand side
@@ -592,21 +630,22 @@ def green_pass(grid: np.ndarray, rhs_fns: list[Callable], scale: float):
 
     # One row per cell: its 15 Kronrod nodes, every other one a GL7 node.
     nodes = (0.5 * (edges[1:] + edges[:-1]))[:, None] + half * _K15_X
-    an = airy_many(scale * nodes)
+    un = scale * nodes
+    ai_s, bi_s = _ai_bi_scaled(un)
     evals = nodes.size * m
 
     # Kernels relative to the owning cell's edge: P to its right edge, S to
     # its left, every exponent <= 0.  Exponents come from each node's offset
     # within its cell, so far-out nodes lose nothing to their rounding.
-    wP = an.bi_scaled * np.exp(-_zeta_gap(ue[1:, None], an.x, scale * half * (1 - _K15_X)))
-    wS = an.ai_scaled * np.exp(-_zeta_gap(an.x, ue[:-1, None], scale * half * (1 + _K15_X)))
+    wP = bi_s * np.exp(-_zeta_gap(ue[1:, None], un, scale * half * (1 - _K15_X)))
+    wS = ai_s * np.exp(-_zeta_gap(un, ue[:-1, None], scale * half * (1 + _K15_X)))
     wP[dropped] = wS[dropped] = 0.0
 
-    def kernel_p(a, i):
-        return a.bi_scaled * np.exp(-_zeta_gap(ue[i + 1], a.x, ue[i + 1] - a.x))
+    def kernel_p(u, i):
+        return _ai_bi_scaled(u)[1] * np.exp(-_zeta_gap(ue[i + 1], u, ue[i + 1] - u))
 
-    def kernel_s(a, i):
-        return a.ai_scaled * np.exp(-_zeta_gap(a.x, ue[i], a.x - ue[i]))
+    def kernel_s(u, i):
+        return _ai_bi_scaled(u)[0] * np.exp(-_zeta_gap(u, ue[i], u - ue[i]))
 
     cellP = np.empty((m, half.size))
     cellS = np.empty((m, half.size))
@@ -620,7 +659,7 @@ def green_pass(grid: np.ndarray, rhs_fns: list[Callable], scale: float):
                 w * hv,
                 half[:, 0],
                 lambda i, k=kernel, rv=rv: integrate(
-                    lambda ts: k(airy_many(scale * ts), i) * rv(ts),
+                    lambda ts: k(scale * ts, i) * rv(ts),
                     float(edges[i]), float(edges[i + 1]),
                 ),
             )
@@ -703,9 +742,9 @@ def airy_ai_tail_integral(x):
 # sup |Gi|, sup |x Gi(x)| and sup |Gi'| over x >= 0, attained at x = 0.609076,
 # 2.530764 and 0.  The tests' grid search over [0, 40] reproduces all three
 # bitwise, and mpmath agrees at the maximizers.
-_GI_NORM = 0.24577778954956087
-_XGI_NORM = 0.3457125663969613
-_GI_PRIME_NORM = 0.14942945245127492
+_GI_NORM = 0.24577778954956092
+_XGI_NORM = 0.34571256639696135
+_GI_PRIME_NORM = 0.14942945245127495
 
 
 def scorer_gi_norms() -> tuple[float, float]:

@@ -8,6 +8,7 @@ from scipy.interpolate import PchipInterpolator
 
 from wright_stein.errors import DomainError, RangeError
 from wright_stein.mwright import (
+    SampleSet,
     WrightParameter,
     _kappa_third,
     cdf,
@@ -302,6 +303,12 @@ class TestSampler:
         s = sample(5, seed=1)
         with pytest.raises(ValueError):
             s.values[0] = 3.0
+
+    @pytest.mark.parametrize("shape", [(), (2, 3), (2, 300)])
+    def test_sampleset_refuses_values_not_1d(self, shape):
+        # Such values used to report size 6 or 600 and then fail in to_csv.
+        with pytest.raises(DomainError, match="1-d"):
+            SampleSet(values=np.ones(shape), seed=0, generator="x")
 
 
 class TestMoment:

@@ -232,6 +232,42 @@ class TestAiryStructure:
             want[order] = getattr(flat, name)
             assert np.array_equal(got.ravel(), want)
 
+    @pytest.mark.parametrize(
+        "xs",
+        [
+            pytest.param(np.geomspace(AIRY_SWITCH, 1e8, 10_000), id="9-to-1e8"),
+            pytest.param(np.array([1e300]), id="1e300"),
+            pytest.param(
+                np.random.default_rng(3).permutation(
+                    np.concatenate((np.geomspace(AIRY_SWITCH, 1e4, 598), [1e300, 7.8]))
+                ).reshape(40, 15),
+                id="unsorted-2d",
+            ),
+        ],
+    )
+    def test_asymptotic_matches_full_loop(self, xs):
+        # Settled points leave the loop without changing a bit of any field.
+        want = _airy_asymptotic_full(xs)
+        assert [_bits(v) for v in _airy_asymptotic(xs)] == [_bits(v) for v in want]
+        ai_s, bi_s, zeta = _airy_asymptotic(xs, primes=False)
+        assert [_bits(ai_s), _bits(bi_s), _bits(zeta)] == [
+            _bits(want[0]), _bits(want[2]), _bits(want[4])
+        ]
+
+    def test_node_fields_match_airy_many(self):
+        # The Green's pass's two fields at its nodes are airy_many's, bit for
+        # bit, on both sides of the switch and at it.
+        rng = np.random.default_rng(11)
+        u = np.concatenate((
+            rng.uniform(0.0, 2.0 * AIRY_SWITCH, 2984),
+            np.geomspace(2.0 * AIRY_SWITCH, 1e8, 10),
+            [0.0, 5e-324, np.nextafter(AIRY_SWITCH, 0.0), AIRY_SWITCH,
+             np.nextafter(AIRY_SWITCH, 10.0), 1e300],
+        )).reshape(200, 15)
+        a = airy_many(u)
+        ai_s, bi_s = specfun._ai_bi_scaled(u)
+        assert (_bits(ai_s), _bits(bi_s)) == (_bits(a.ai_scaled), _bits(a.bi_scaled))
+
     def test_bessel_cross_check(self):
         # Ai(x) = (1/pi) sqrt(x/3) K_{1/3}(zeta) for x > 0.
         for x in (1.0, 4.0):
@@ -243,6 +279,56 @@ class TestAiryStructure:
 def _airy_series(x):
     """Maclaurin branch collapsed to doubles: (ai, aip, bi, bip)."""
     return tuple(hi + lo for hi, lo in _airy_series_core(x))
+
+
+def _airy_asymptotic_full(x):
+    """The asymptotic branch with every point carried until the slowest one
+    stops: the reference that ``_airy_asymptotic``, where settled points
+    leave the loop, must match bit for bit."""
+    x = np.asarray(x, dtype=float)
+    with np.errstate(over="ignore"):
+        zeta = (2.0 / 3.0) * x * np.sqrt(x)
+    s = 1.0 / zeta
+
+    sum_ai = np.ones_like(x)
+    sum_bi = np.ones_like(x)
+    sum_aip = np.ones_like(x)
+    sum_bip = np.ones_like(x)
+    term = np.ones_like(x)
+    prev = np.full_like(x, np.inf)
+    active = np.ones(x.shape, dtype=bool)
+    sign = 1.0
+
+    for k in range(1, 60):
+        ratio = ((6 * k - 5) * (6 * k - 3) * (6 * k - 1)) / (216.0 * k * (2 * k - 1))
+        term = term * s * ratio
+        grown = np.abs(term) >= prev
+        active &= ~grown
+        if not active.any():
+            break
+        sign = -sign
+        vfac = -(6 * k + 1) / (6 * k - 1.0)
+        tu = np.where(active, term, 0.0)
+        sum_ai += sign * tu
+        sum_bi += tu
+        sum_aip += sign * vfac * tu
+        sum_bip += vfac * tu
+        prev = np.abs(term)
+        if float(np.max(np.where(active, np.abs(term), 0.0))) < 1e-19:
+            break
+
+    q = np.power(x, 0.25)
+    inv_2sp = 1.0 / (2.0 * math.sqrt(math.pi))
+    inv_sp = 1.0 / math.sqrt(math.pi)
+    ai_s = sum_ai * inv_2sp / q
+    bi_s = sum_bi * inv_sp / q
+    aip_s = -sum_aip * q * inv_2sp
+    bip_s = sum_bip * q * inv_sp
+    return ai_s, aip_s, bi_s, bip_s, zeta
+
+
+def _bits(a):
+    return np.asarray(a).shape, np.asarray(a).tobytes()
 
 
 def _grid_max(values_fn, xs, vals, rounds=2):
@@ -414,6 +500,28 @@ class TestScorer:
         out = specfun.green_pass(grid, rhs, 3.0**-0.5)
         cells = specfun._cell_edges(grid, 3.0**-0.5)[0].size - 1
         assert out["evaluations"] == 15 * cells * len(rhs)
+
+    @pytest.mark.parametrize("grid", [[1.0, 30.0], [250.0, 310.0]])
+    def test_wide_gap_graded_exactly_to_the_cut(self, grid):
+        # A cell over 2 * _ZETA_CUT e-folds wide (the grid cell, and for the
+        # second grid the head [0, 250] too) is graded from each end in
+        # ceil(_ZETA_CUT / _ZETA_STEP) equal zeta steps, and the dropped cell
+        # between starts exactly _ZETA_CUT e-folds in.
+        grid = np.array(grid)
+        edges, dropped = specfun._cell_edges(grid, 1.0)
+        z = (2.0 / 3.0) * edges * np.sqrt(edges)
+        pos = np.searchsorted(edges, np.concatenate(([0.0], grid)))
+        wide = np.nonzero(np.diff(z[pos]) > 2 * specfun._ZETA_CUT)[0]
+        assert wide.size == np.count_nonzero(dropped) >= 1
+        n = math.ceil(specfun._ZETA_CUT / specfun._ZETA_STEP)
+        tol = 16 * np.finfo(float).eps * z[-1]
+        for w, i in zip(wide, np.nonzero(dropped)[0]):
+            lo, hi = pos[w], pos[w + 1]
+            assert i - lo == hi - (i + 1) == n
+            assert z[i] - z[lo] == pytest.approx(specfun._ZETA_CUT, abs=tol)
+            assert z[hi] - z[i + 1] == pytest.approx(specfun._ZETA_CUT, abs=tol)
+            steps = np.concatenate((np.diff(z[lo : i + 1]), np.diff(z[i + 1 : hi + 1])))
+            assert np.max(np.abs(steps - specfun._ZETA_CUT / n)) <= tol
 
     @pytest.mark.parametrize("m", [1, 12])
     def test_scan_matches_recurrence(self, m):

@@ -743,3 +743,33 @@ class TestProbeLattice:
         sol = solve_stein(_solve_family()["invquad2"], _parse_grid("0.875:15.7:0.046875"))
         assert calls == []
         assert sol.residual_sup <= stein_mod.RESIDUAL_TOL
+
+    def test_cli_family_without_fallback(self, monkeypatch):
+        # Every cell of the CLI family's passes meets the tolerance with its
+        # Kronrod pair, cells two e-folds wide included: on the default
+        # grids and on grids shaped like the benchmark's solves (320 points
+        # from 0 or 1 on the half line, 401 on the line), no solve calls the
+        # adaptive integrator.
+        from wright_stein.cli import _solve_family
+
+        calls = []
+        real = specfun.integrate
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(specfun, "integrate", counting)
+        fam = list(_solve_family().values())
+        cases = [
+            (stein_mod.default_grid(False), False),
+            (stein_mod.default_grid(True), True),
+            (np.arange(320) * (2 / 64), False),
+            (1.0 + np.arange(320) * (3 / 64), False),
+            ((np.arange(401) - 200) * (3 / 64), True),
+            ((np.arange(401) - 200) * (5 / 64), True),
+        ]
+        for grid, symmetric in cases:
+            sols = stein_mod._solve_batch(fam, grid, symmetric)
+            assert len(sols) == 17
+        assert calls == []
