@@ -276,8 +276,15 @@ def _cmd_plotdata(args) -> int:
     return EXIT_OK
 
 
+# The parser main uses, built on its first call.
+_parser = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    parser = _parser
     try:
         # parse_known_args so that "eval fn --beta B start:stop:step" works:
         # argparse does not match an optional positional that appears after

@@ -3,11 +3,12 @@
 The engine solves the Stein equation for the whole test-function family in
 one Green's pass (the Airy kernel depends on the grid, not on h), once per
 family, grid and kind in a process: the solutions do not depend on the
-sample, so the cell operators of the last few solved families are kept and
-reused.  Each call then sweeps its sample once (once per side on the
-symmetric line) into per-grid-cell power sums, from which the mean of
-(A f_h)(X) = f_h''(X) - (1/3) |X| f_h(X) over the sample and its standard
-error follow for every h.
+sample, so the cell operators of the last few solved families (each h's
+operator polynomial and its square on every grid cell, stacked over the
+family) are kept and reused.  Each call then sweeps its sample once (once
+per side on the symmetric line) into per-cell moments, from which the mean
+of (A f_h)(X) = f_h''(X) - (1/3) |X| f_h(X) over the sample and its
+standard error follow for the whole family in two row-wise reductions.
 Under the target law every such mean vanishes in expectation, so the
 standardized statistics behave like standard normals; the verdict thresholds
 (4 to accept, 5 to reject, gap inconclusive) are deliberate crude
@@ -165,9 +166,6 @@ def _sample_values(samples) -> np.ndarray:
     return vals
 
 
-_HANKEL = np.add.outer(np.arange(7), np.arange(7))
-
-
 class _SolveKey:
     """Memo key of one solve: test functions by identity, the grid by value
     and shape, and the kind.  Identity, not hash, so a TestFunction around an
@@ -191,26 +189,34 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _solved(key: _SolveKey) -> tuple[tuple, tuple]:
-    """Each side's knots, and each h's (cells, 7) operator polynomials per
-    side: A p = p'' - (t/3) p of its Hermite interpolant on each cell, in the
-    cell coordinate.  One Green's pass per key; a refused solve raises and
-    leaves nothing behind."""
+def _solved(key: _SolveKey) -> tuple:
+    """Per side, its knots and the family's operators stacked: Q, shape
+    (H, cells * 7), holds row h's A p = p'' - (t/3) p of its Hermite
+    interpolant p on each cell, in the cell coordinate; C, shape
+    (H, cells * 13), holds each of those polynomials' square, with
+    C_k = sum over j + l = k of q_j q_l.  One Green's pass per key; a
+    refused solve raises and leaves nothing behind."""
     sols = _solve_batch(key.hs, key.grid, key.symmetric)
-    knots = tuple(_frozen(p.knots) for p in sols[0]._pieces)
-    ops = tuple(tuple(_frozen(p.operator()) for p in sol._pieces) for sol in sols)
-    return knots, ops
+    sides = []
+    for pieces in zip(*(sol._pieces for sol in sols)):
+        q = np.stack([p.operator() for p in pieces])  # (H, cells, 7)
+        c = np.zeros(q.shape[:2] + (13,))
+        for j in range(7):
+            c[..., j : j + 7] += q[..., j : j + 1] * q
+        arrays = (pieces[0].knots, q.reshape(len(q), -1), c.reshape(len(c), -1))
+        sides.append(tuple(map(_frozen, arrays)))
+    return tuple(sides)
 
 
 def _power_sums(knots, t) -> np.ndarray:
-    """H[b, j, l] = sum of s^(j+l) over the points t in cell b of ``knots``,
-    s being each point's cell coordinate, for j, l = 0..6."""
+    """m[b, k] = sum of s^k over the points t in cell b of ``knots``, s
+    being each point's cell coordinate, for k = 0..12: shape (cells, 13)."""
     b, s = _locate(knots, t)
     sums, sk = [], np.ones_like(s)
     for _ in range(13):
         sums.append(np.bincount(b, weights=sk, minlength=knots.size - 1))
         sk *= s
-    return np.stack(sums, axis=1)[:, _HANKEL]
+    return np.stack(sums, axis=1)
 
 
 def _report(vals, hs, grid, sign_balance=None, at_zero=0) -> DiscrepancyReport:
@@ -223,24 +229,26 @@ def _report(vals, hs, grid, sign_balance=None, at_zero=0) -> DiscrepancyReport:
     if not hs:
         raise DomainError("goodness of fit needs at least one test function")
     grid = np.array(grid, dtype=float)
-    knots, ops = _solved(_SolveKey(hs, grid, symmetric))
+    solved = _solved(_SolveKey(hs, grid, symmetric))
     inside = (vals >= grid[0]) & (vals <= grid[-1])
     clipped = int(n - np.count_nonzero(inside))
     vin = vals[inside]
     sides = (np.abs(vin[vin >= 0]), -vin[vin < 0]) if symmetric else (vin,)
 
     # On each cell (A f_h)(x) = f'' - (|x|/3) f of the Hermite interpolant is
-    # a degree-6 polynomial q in the cell coordinate s.  Every h has the
-    # grid's cells, so one sweep builds the power sums, and each h's sum and
-    # sum of squares over the sample are q . H[:, 0] and q^T H q.  Clipped
-    # points count as A f_h = 0.
-    hankels = [_power_sums(k, t) for k, t in zip(knots, sides)]
+    # a degree-6 polynomial q in the cell coordinate s, and its square the
+    # degree-12 polynomial C.  Every h has the grid's cells, so one sweep per
+    # side builds the per-cell moments m of s^0..s^12, and each h's sum and
+    # sum of squares over the sample are q . m[:, :7] and C . m: one row-wise
+    # reduction over the family each, whose row h does not depend on the
+    # other rows.  Clipped points count as A f_h = 0.
+    totals = sumsqs = 0.0
+    for (knots, q, c), t in zip(solved, sides):
+        m = _power_sums(knots, t)
+        totals = totals + (q * m[:, :7].ravel()).sum(axis=1)
+        sumsqs = sumsqs + (c * m.ravel()).sum(axis=1)
     stats = []
-    for h, qs in zip(hs, ops):
-        total = sumsq = 0.0
-        for q, hk in zip(qs, hankels):
-            total += float(np.einsum("bj,bj->", q, hk[:, 0]))
-            sumsq += float(np.einsum("bj,bjl,bl->", q, hk, q))
+    for h, total, sumsq in zip(hs, totals.tolist(), sumsqs.tolist()):
         mean = total / n
         se = math.sqrt(max(sumsq - total * mean, 0.0) / (n - 1) / n)
         if se > 0:

@@ -108,7 +108,8 @@ def cdf(x):
 
 @dataclass(frozen=True)
 class SampleSet:
-    """Immutable 1-d array of draws plus provenance.  Values of any other
+    """Immutable 1-d array of draws plus provenance.  The values are a
+    read-only copy, so the caller's array stays its own; values of any other
     shape raise DomainError."""
 
     values: np.ndarray
@@ -117,7 +118,7 @@ class SampleSet:
     size: int = field(default=0)
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
+        vals = np.array(self.values, dtype=float)
         if vals.ndim != 1:
             raise DomainError(f"SampleSet values must be 1-d, got shape {vals.shape}")
         vals.setflags(write=False)
@@ -160,11 +161,13 @@ def sample(n: int, seed: int, symmetric: bool = False) -> SampleSet:
     rng = np.random.default_rng(seed)
     u = rng.random(n)
     e = rng.standard_exponential(n)
-    xs = e ** (2.0 / 3.0) / _kappa_third(u)
+    # In place, so that with the copy SampleSet takes, no more arrays are
+    # alive at once than before it copied.
+    xs = e ** (2.0 / 3.0)
+    xs /= _kappa_third(u)
     label = "mwright-sym-1/3" if symmetric else "mwright-1/3"
     if symmetric:
-        signs = np.where(rng.random(n) < 0.5, -1.0, 1.0)
-        xs = xs * signs
+        xs *= np.where(rng.random(n) < 0.5, -1.0, 1.0)
     return SampleSet(values=xs, seed=int(seed), generator=label)
 
 

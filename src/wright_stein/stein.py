@@ -140,9 +140,36 @@ class BoundReport:
 
 def _locate(knots, t):
     """Cell index and cell coordinate s of each point t on ``knots``; points
-    outside the knots take the end cell."""
-    b = np.clip(np.searchsorted(knots, t, side="right") - 1, 0, knots.size - 2)
-    return b, (t - knots[b]) / (knots[b + 1] - knots[b])
+    outside the knots take the end cell, NaN the last.
+
+    The cell is clip(searchsorted(knots, t, "right") - 1, 0, cells - 1),
+    found by arithmetic: the uniform map from [knots[0], knots[-1]] guesses
+    it, one step down or up corrects it on a uniform grid, and only the
+    points still outside their cell (on a non-uniform grid) are searched.
+    """
+    shape, t = np.shape(t), np.reshape(t, -1)
+    last = knots.size - 2
+    g = t - knots[0]
+    g *= (last + 1) / (knots[-1] - knots[0])
+    # fmin takes NaN to the last cell, so no NaN reaches the integer cast.
+    b = np.maximum(np.fmin(g, last, out=g), 0, out=g).astype(np.intp)
+    # Every b is a valid cell, so "clip" only skips the buffered copy; lo
+    # takes over g's memory, which keeps a 1e6-point sweep's peak down.
+    lo, hi = knots.take(b, out=g, mode="clip"), knots[1:].take(b, mode="clip")
+    off = np.flatnonzero(((t < lo) & (b > 0)) | ((t >= hi) & (b < last)))
+    if off.size:
+        # One step down or up (off cells are never stepped out of range);
+        # what is still off goes to the binary search.
+        to = t[off]
+        c = b[off] - (to < lo[off]) + (to >= hi[off])
+        miss = ((to < knots[c]) & (c > 0)) | ((to >= knots[c + 1]) & (c < last))
+        c[miss] = np.clip(np.searchsorted(knots, to[miss], side="right") - 1, 0, last)
+        b[off], lo[off], hi[off] = c, knots[c], knots[c + 1]
+    # s = (t - lo) / (hi - lo), in place.
+    hi -= lo
+    s = np.subtract(t, lo, out=lo)
+    s /= hi
+    return b.reshape(shape), s.reshape(shape)
 
 
 class _Hermite(NamedTuple):

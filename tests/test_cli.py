@@ -336,6 +336,30 @@ class TestExitCodeContract:
         assert "line 2002" in err
         assert out == ""
 
+    def test_one_parser_across_calls(self, capsys, monkeypatch):
+        from wright_stein import cli
+
+        built = []
+        real = cli.build_parser
+
+        def counting():
+            built.append(1)
+            return real()
+
+        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setattr(cli, "build_parser", counting)
+        # Two leftovers after the grid: a usage error from the parser.
+        code, out, err = run(capsys, ["eval", "mwright", "--beta", "1/7", "0:2:0.5", "x"])
+        assert code == 2 and out == "" and "unrecognized arguments: 0:2:0.5 x" in err
+        # Nothing of that call carries over: eval ai refuses a --beta.
+        code, out, _ = run(capsys, ["eval", "ai", "0:0:1"])
+        assert code == 0
+        header, rows = parse_csv(out)
+        assert header == ["x", "value"]
+        assert rows[0, 1] == pytest.approx(0.3550280538878172, abs=1e-13)
+        assert built == [1]
+        assert cli.build_parser() is not cli.build_parser()
+
     def test_parse_rejects_infinity(self):
         with pytest.raises(ValueError, match="line 3"):
             parse_samples_csv("1.0\n# c\n-inf\n2.0\n")

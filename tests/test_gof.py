@@ -383,10 +383,13 @@ class TestSolveMemo:
     def test_entries_read_only(self, hs, passes):
         grid = default_grid()
         discrepancy(sample(200, seed=16), hs)
-        knots, ops = gof._solved(gof._SolveKey(tuple(hs), grid, False))
+        (side,) = gof._solved(gof._SolveKey(tuple(hs), grid, False))
         assert len(passes) == 1
-        assert len(knots) == 1 and len(ops) == len(hs)
-        for a in (*knots, *(q for qs in ops for q in qs)):
+        knots, q, c = side
+        cells = grid.size - 1
+        assert knots.shape == grid.shape
+        assert q.shape == (len(hs), cells * 7) and c.shape == (len(hs), cells * 13)
+        for a in side:
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[0] = 0.0
@@ -461,6 +464,11 @@ def _pointwise_stats(vals, hs, symmetric, grid):
 
 # Negative side on [-8, 0] in steps of 0.04, positive side on [0, 12] in 0.05.
 ASYMMETRIC_GRID = np.concatenate((np.linspace(-8.0, 0.0, 201)[:-1], np.linspace(0.0, 12.0, 241)))
+# Cells graded like sqrt(|x|), 1.5e-3 wide at 0: no uniform map finds their
+# cells, so the sweep's binary-search fallback places the points.
+_U = np.linspace(0.0, 1.0, 400)
+GRADED_GRID = 12.0 * _U**1.5
+GRADED_SYM_GRID = np.concatenate((-8.0 * _U[1:200][::-1] ** 1.5, 12.0 * _U[:301] ** 1.5))
 
 
 class TestPowerSums:
@@ -469,15 +477,26 @@ class TestPowerSums:
 
     @pytest.mark.parametrize(
         "case",
-        ["half-line", "symmetric", "half-line-from-0.25", "asymmetric", "asymmetric-wide", "exp1"],
+        [
+            "half-line",
+            "symmetric",
+            "half-line-from-0.25",
+            "asymmetric",
+            "asymmetric-wide",
+            "exp1",
+            "half-line-graded",
+            "symmetric-graded",
+        ],
     )
     def test_match_pointwise(self, case):
         rng = np.random.default_rng(5)
-        symmetric = case in ("symmetric", "asymmetric", "asymmetric-wide")
+        symmetric = case in ("symmetric", "asymmetric", "asymmetric-wide", "symmetric-graded")
         grid = {
             "half-line-from-0.25": np.linspace(0.25, 12.0, 400),
             "asymmetric": ASYMMETRIC_GRID,
             "asymmetric-wide": ASYMMETRIC_GRID,
+            "half-line-graded": GRADED_GRID,
+            "symmetric-graded": GRADED_SYM_GRID,
         }.get(case, default_grid(symmetric))
         if case == "exp1":
             vals = rng.exponential(1.0, 5000)
@@ -493,6 +512,17 @@ class TestPowerSums:
         for s, (mean, se) in zip(rep.per_function, _pointwise_stats(vals, hs, symmetric, grid)):
             assert abs(s.mean - mean) <= 1e-12 * abs(mean), s.label
             assert abs(s.std_error - se) <= 1e-12 * se, s.label
+
+    @pytest.mark.parametrize("symmetric", [False, True])
+    def test_alone_equals_in_family(self, symmetric):
+        # Each h's row of the family's reductions depends on that row only.
+        test = discrepancy_sym if symmetric else discrepancy
+        vals = sample(5000, seed=22, symmetric=symmetric).values
+        family = default_test_functions(16)
+        together = test(vals, family).per_function
+        for h, s in zip(family, together):
+            (alone,) = test(vals, [h]).per_function
+            assert (alone.mean, alone.std_error) == (s.mean, s.std_error), h.label
 
     @pytest.mark.parametrize("symmetric", [False, True])
     def test_stein_identity(self, hs, symmetric):

@@ -304,6 +304,13 @@ class TestSampler:
         with pytest.raises(ValueError):
             s.values[0] = 3.0
 
+    def test_sampleset_copies_the_callers_array(self):
+        g = np.linspace(0.0, 1.0, 5)
+        s = SampleSet(values=g, seed=0, generator="x")
+        assert g.flags.writeable
+        g[0] = 3.0
+        assert s.values[0] == 0.0 and not s.values.flags.writeable
+
     @pytest.mark.parametrize("shape", [(), (2, 3), (2, 300)])
     def test_sampleset_refuses_values_not_1d(self, shape):
         # Such values used to report size 6 or 600 and then fail in to_csv.

@@ -367,6 +367,64 @@ class TestSymmetricSolver:
         assert "# expectation_h_neg=" in text
 
 
+class TestLocate:
+    """_locate finds each point's cell by arithmetic, with the cells and
+    coordinates of the binary-search rule, bit for bit."""
+
+    GRIDS = {
+        "half-line": stein_mod.default_grid(),
+        # Knots of the symmetric default grid's sides: x >= 0, and |x| of
+        # x < 0 with the mirror side's own 0.
+        "symmetric-pos": stein_mod.default_grid(True)[200:],
+        "symmetric-mirror": np.abs(stein_mod.default_grid(True)[:201][::-1]),
+        "geomspace": np.geomspace(1e-3, 12.0, 300),
+        "two-point": np.array([0.5, 2.0]),
+    }
+
+    @staticmethod
+    def searched(knots, t):
+        b = np.clip(np.searchsorted(knots, t, side="right") - 1, 0, knots.size - 2)
+        return b, (t - knots[b]) / (knots[b + 1] - knots[b])
+
+    @pytest.mark.parametrize("name", list(GRIDS))
+    def test_matches_binary_search(self, name, monkeypatch):
+        knots = self.GRIDS[name]
+        rng = np.random.default_rng(4)
+        span = knots[-1] - knots[0]
+        t = np.concatenate((
+            knots,
+            np.nextafter(knots, -np.inf),
+            np.nextafter(knots, np.inf),
+            rng.uniform(knots[0] - span / 4, knots[-1] + span / 4, 20_000),
+            [-np.inf, np.inf, np.nan, -1e300, 1e300, -0.0, 0.0],
+        ))
+        want_b, want_s = self.searched(knots, t)
+        searched = []
+        real = np.searchsorted
+
+        def counting(a, v, *args, **kwargs):
+            searched.append(np.size(v))
+            return real(a, v, *args, **kwargs)
+
+        monkeypatch.setattr(np, "searchsorted", counting)
+        b, s = stein_mod._locate(knots, t)
+        assert b.dtype == np.intp and np.array_equal(b, want_b)
+        assert np.array_equal(s, want_s, equal_nan=True)
+        assert b[np.isnan(t)] == knots.size - 2
+        # Uniform grids need no binary search; the geometric one falls back.
+        assert (sum(searched) > 0) == (name == "geomspace")
+
+    def test_keeps_shape(self):
+        knots = self.GRIDS["half-line"]
+        t = np.random.default_rng(5).uniform(-1.0, 13.0, (4, 5))
+        b, s = stein_mod._locate(knots, t)
+        want_b, want_s = self.searched(knots, t)
+        assert np.array_equal(b, want_b) and np.array_equal(s, want_s)
+        b, s = stein_mod._locate(knots, np.float64(3.3))
+        assert b.shape == s.shape == ()
+        assert (b, s) == self.searched(knots, np.float64(3.3))
+
+
 class TestHermiteInterpolant:
     """The per-cell quintic Hermite interpolant behind interpolators() and GoF."""
 
