@@ -227,16 +227,16 @@ def _cmd_sample(args) -> int:
     return EXIT_OK
 
 
+def _read_samples(path: str) -> np.ndarray:
+    """The draws in a sample CSV; its text is freed before they go on."""
+    with open(path) as fh:
+        return parse_samples_csv(fh.read())
+
+
 def _cmd_gof(args) -> int:
     try:
-        with open(args.input) as fh:
-            text = fh.read()
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        vals = parse_samples_csv(text)
-    except ValueError as e:
+        vals = _read_samples(args.input)
+    except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     try:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -82,6 +83,45 @@ _K15_WPOS = (
 # take the _GL7_W weights.
 _K15_X = np.concatenate((np.negative(_K15_POS), [0.0], _K15_POS[::-1]))
 _K15_W = np.concatenate((_K15_WPOS, _K15_WPOS[-2::-1]))
+
+
+@lru_cache(maxsize=1)
+def _k15_legendre() -> np.ndarray:
+    """The (15, 15) map from values at the nodes _K15_X to the Legendre
+    coefficients c_0..c_14 of their degree-14 interpolant p.
+
+    c_n = (2n + 1)/2 * int P_n p, and GL15 integrates the degree <= 28
+    products P_n p exactly, so the map needs only p at the GL15 nodes, its
+    Lagrange form there: no linear solve.
+    """
+    # ratio[j, k, m] = (y_j - x_m) / (x_k - x_m), with 1 where m = k.
+    eye = np.eye(15, dtype=bool)
+    num = _GL15_X[:, None, None] - _K15_X
+    den = np.where(eye, 1.0, _K15_X[:, None] - _K15_X)
+    lagrange = np.where(eye, 1.0, num / den).prod(axis=2)  # l_k(y_j)
+    vander = np.polynomial.legendre.legvander(_GL15_X, 14)  # P_n(y_j)
+    leg = (np.arange(15) + 0.5)[:, None] * ((vander.T * _GL15_W) @ lagrange)
+    leg.setflags(write=False)  # one shared copy
+    return leg
+
+
+def _k15_partial_weights(tau: np.ndarray) -> np.ndarray:
+    """Weights of the partial integrals int_{-1}^tau and int_tau^1 of the
+    15-node interpolant, shape (2, tau.size, 15): row 0 is exactly 0 at
+    tau = -1 and row 1 at tau = 1, where the other row is ``_K15_W``.
+
+    From the Legendre form: int_{-1}^tau P_0 = tau + 1 and, for n >= 1,
+    int_{-1}^tau P_n = (P_{n+1} - P_{n-1})(tau) / (2n + 1) = -int_tau^1 P_n.
+    """
+    tau = np.asarray(tau, dtype=float)
+    v = np.polynomial.legendre.legvander(tau, 15)
+    lo = np.empty((2, tau.size, 15))
+    lo[0, :, 0] = tau + 1.0
+    lo[0, :, 1:] = (v[:, 2:] - v[:, :-2]) / (2 * np.arange(1, 15) + 1)
+    lo[1, :, 0] = 1.0 - tau
+    lo[1, :, 1:] = -lo[0, :, 1:]
+    return lo @ _k15_legendre()
+
 
 GAMMA_1_3 = 2.678938534707747633655693
 GAMMA_2_3 = 1.354117939426400416945288

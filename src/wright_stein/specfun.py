@@ -33,7 +33,10 @@ from .numerics import (
     _GL15_W,
     _GL15_X,
     _K15_X,
+    TOL,
     _check_finite,
+    _k15_legendre,
+    _k15_partial_weights,
     _kronrod_cells,
     _vectorized,
     integrate,
@@ -201,7 +204,8 @@ def _airy_asymptotic(x: np.ndarray, primes: bool = True):
     any term it would still add is smaller, and added to sums that lie near
     1 it changes no bit.  The points are summed sorted by zeta, so each term falls
     from one point to the next: the settled points are always the top of
-    the live slice, which shrinks by them after every term.  At the
+    the live slice, which shrinks by them after every term.  Each point's
+    sums are thus the same whatever other points share the call.  At the
     production switch point the optimal-truncation error is below 3e-16
     relative; tests exercise the branch down to x ~ 7.8.
     """
@@ -439,6 +443,36 @@ def _ai_bi_scaled(u: np.ndarray):
     return ai_s, bi_s
 
 
+def _pass_airy(un: np.ndarray, up: np.ndarray):
+    """The Airy fields a Green's pass reads, each bitwise as ``airy_many``
+    forms it: (ai_scaled, bi_scaled) at the quadrature nodes ``un`` (any
+    shape) and (ai_scaled, ai_prime_scaled, bi_scaled, bi_prime_scaled,
+    zeta) at the 1-d points ``up``.
+
+    Every node and point at or past AIRY_SWITCH goes through one
+    ``_airy_asymptotic`` call: its cost is mostly per call, and each
+    point's sums do not depend on the other points of the call.
+    """
+    ai_n, bi_n = np.empty_like(un), np.empty_like(un)
+    lo_n = un < AIRY_SWITCH
+    ai_n[lo_n], bi_n[lo_n] = _ai_bi_scaled(un[lo_n])
+    with np.errstate(over="ignore"):  # inf past u ~ 1e205, as in airy_many
+        zeta = (2.0 / 3.0) * up * np.sqrt(up)
+    at = np.empty((4, up.size))
+    lo_p = up < AIRY_SWITCH
+    if lo_p.any():
+        a, ap, b, bp = _clenshaw(up[lo_p], _cheb_coefs())
+        ez = np.exp(zeta[lo_p])
+        at[:, lo_p] = a * ez, ap * ez, b / ez, bp / ez
+    hi_n, hi_p = ~lo_n, ~lo_p
+    k = np.count_nonzero(hi_n)
+    if k or hi_p.any():
+        a, ap, b, bp, _ = _airy_asymptotic(np.concatenate((un[hi_n], up[hi_p])))
+        ai_n[hi_n], bi_n[hi_n] = a[:k], b[:k]
+        at[:, hi_p] = a[k:], ap[k:], b[k:], bp[k:]
+    return (ai_n, bi_n), (*at, zeta)
+
+
 @dataclass(frozen=True)
 class AiryValues:
     """Ai, Bi and derivatives at one point, with exponentially scaled forms.
@@ -512,7 +546,7 @@ def _distinct(a):
     """The distinct values of ``a`` in ascending order, as ``np.unique``
     gives them, without the ``numpy.ma`` import of its first call."""
     a = np.sort(a)
-    return a[np.concatenate(([True], a[1:] != a[:-1]))]
+    return a[np.concatenate((np.ones(min(a.size, 1), dtype=bool), a[1:] != a[:-1]))]
 
 
 def _cell_edges(grid: np.ndarray, scale: float):
@@ -570,14 +604,15 @@ def _scan(c, d):
     return c
 
 
-def green_pass(grid: np.ndarray, rhs_fns: list[Callable], scale: float):
+def green_pass(grid: np.ndarray, rhs_fns: list[Callable], scale: float, points=None):
     """Cumulative scaled prefix/suffix Airy Green's integrals over a grid.
 
-    For sorted grid points g_i >= 0 and u = scale * g, computes, for each
-    right-hand side r in ``rhs_fns``,
+    For sorted points p_i in [0, grid[-1]] (``points``, by default the grid
+    itself) and u = scale * p, computes, for each right-hand side r in
+    ``rhs_fns``,
 
-        P_i = int_0^{g_i}   Bi(scale*t) r(t) dt * e^{-zeta(u_i)}
-        S_i = int_{g_i}^inf Ai(scale*t) r(t) dt * e^{+zeta(u_i)}
+        P_i = int_0^{p_i}   Bi(scale*t) r(t) dt * e^{-zeta(u_i)}
+        S_i = int_{p_i}^inf Ai(scale*t) r(t) dt * e^{+zeta(u_i)}
 
     and the full-line integral int_0^inf Ai(scale*t) r(t) dt, in one O(n)
     pass of per-cell Gauss-Kronrod 7/15 quadrature.  The cells are the grid
@@ -587,12 +622,28 @@ def green_pass(grid: np.ndarray, rhs_fns: list[Callable], scale: float):
     keep their own cells.  Every exponential is carried in relative,
     non-positive form, so nothing overflows, and exponent differences are
     formed without cancellation, so far-out points keep full accuracy.  The
-    cell integrals accumulate into P and S by one doubling scan each
-    (``_scan``) rather than a loop over the cells.
+    cell integrals accumulate into P and S at the cell edges by one doubling
+    scan each (``_scan``) rather than a loop over the cells.
+
+    A point on a cell edge reads the edge's values.  A point p inside a cell
+    [a, b] (a tap) reads them from the cell's edges and a partial integral
+    of the cell's own 15-node interpolant, at no extra evaluation:
+
+        P(p) = e^{-(zeta(p) - zeta(a))} P(a) + e^{zeta(b) - zeta(p)} int_a^p wP r
+        S(p) = e^{zeta(p) - zeta(b)} S(b) + e^{zeta(p) - zeta(a)} int_p^b wS r
+
+    with wP, wS the cell's two kernels at its nodes and the weights of
+    ``numerics._k15_partial_weights``.  A tap takes both partial integrals
+    from the adaptive integrator instead where its cell was redone for that
+    right-hand side, or where the interpolant of r has not converged: its
+    top two Legendre coefficients, times the cell's half-width and largest
+    kernel value, exceed ``numerics.TOL``.  A point inside a dropped cell
+    (see ``_cell_edges``) joins the grid.
 
     One Airy evaluation at the 15 Kronrod nodes of every cell serves every
-    right-hand side; it forms only the two fields the kernels use
-    (``_ai_bi_scaled``).  The cells depend on grid and scale only, so each
+    right-hand side; it forms only the two fields the kernels use, and
+    every node and point at or past AIRY_SWITCH goes through one asymptotic
+    call (``_pass_airy``).  The cells depend on grid and scale only, so each
     right-hand side's result is bitwise independent of the others.  Each
     kernel's cells go through ``numerics._kronrod_cells``: a cell keeps its
     K15 value, and a cell whose |K15 - G7| estimate for one right-hand side
@@ -600,11 +651,11 @@ def green_pass(grid: np.ndarray, rhs_fns: list[Callable], scale: float):
     adaptive integrator, to that same tolerance, for that right-hand side
     alone.
 
-    Returns a dict with, per right-hand side and grid point (shape
+    Returns a dict with, per right-hand side and point (shape
     (len(rhs_fns), n)), the Green's values ``g`` = Ai P + Bi S and
-    ``g_prime`` = Ai' P + Bi' S (Airy functions at scale * g_i, formed from
+    ``g_prime`` = Ai' P + Bi' S (Airy functions at scale * p_i, formed from
     their scaled fields) and the tail ``tail`` = S e^{-zeta(u_i)} =
-    int_{g_i}^inf Ai(scale*t) r(t) dt; ``full_line`` of shape
+    int_{p_i}^inf Ai(scale*t) r(t) dt; ``full_line`` of shape
     (len(rhs_fns),); an error estimate per right-hand side, shape
     (len(rhs_fns),); and the number of integrand evaluations.
     """
@@ -615,6 +666,12 @@ def green_pass(grid: np.ndarray, rhs_fns: list[Callable], scale: float):
         raise DomainError("green_pass grid must be strictly increasing")
     if grid[0] < 0:
         raise DomainError("green_pass grid must be non-negative")
+    pts = grid if points is None else np.asarray(points, dtype=float)
+    if not (
+        pts.ndim == 1 and pts.size and np.all(np.diff(pts) > 0)
+        and pts[0] >= 0 and pts[-1] <= grid[-1]
+    ):
+        raise DomainError("green_pass points must be increasing, in [0, grid[-1]]")
 
     if scale * grid[-1] > GREEN_U_MAX:
         raise RangeError(
@@ -625,13 +682,22 @@ def green_pass(grid: np.ndarray, rhs_fns: list[Callable], scale: float):
     rvs = [_vectorized(r) for r in rhs_fns]
     m = len(rvs)
     edges, dropped = _cell_edges(grid, scale)
+    cell = np.searchsorted(edges, pts, side="right") - 1
+    inside = edges[cell] != pts
+    if np.any(dropped[cell] & inside):
+        # Both kernels are negligible in a dropped cell only near its ends.
+        grid = _distinct(np.concatenate((grid, pts[dropped[cell] & inside])))
+        edges, dropped = _cell_edges(grid, scale)
+        cell = np.searchsorted(edges, pts, side="right") - 1
+        inside = edges[cell] != pts
     ue = scale * edges
+    mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])[:, None]
 
     # One row per cell: its 15 Kronrod nodes, every other one a GL7 node.
-    nodes = (0.5 * (edges[1:] + edges[:-1]))[:, None] + half * _K15_X
+    nodes = mid[:, None] + half * _K15_X
     un = scale * nodes
-    ai_s, bi_s = _ai_bi_scaled(un)
+    (ai_s, bi_s), (p_ai, p_aip, p_bi, p_bip, p_zeta) = _pass_airy(un, scale * pts)
     evals = nodes.size * m
 
     # Kernels relative to the owning cell's edge: P to its right edge, S to
@@ -647,6 +713,25 @@ def green_pass(grid: np.ndarray, rhs_fns: list[Callable], scale: float):
     def kernel_s(u, i):
         return _ai_bi_scaled(u)[0] * np.exp(-_zeta_gap(u, ue[i], u - ue[i]))
 
+    def adaptive(kernel, rv, i, a, b):
+        return integrate(lambda ts: kernel(scale * ts, i) * rv(ts), float(a), float(b))
+
+    # The taps' partial-integral weights, kernels and exponentials folded
+    # in: one (2, taps, 15) array that every right-hand side reads.  A
+    # tap-free pass skips this and the two blocks below.
+    ct = cell[inside]
+    tp = pts[inside]
+    if tp.size:
+        d_pa = _zeta_gap(scale * tp, ue[ct], scale * (tp - edges[ct]))
+        d_bp = _zeta_gap(ue[ct + 1], scale * tp, scale * (edges[ct + 1] - tp))
+        wt = _k15_partial_weights((tp - mid[ct]) / half[ct, 0]) * half[ct]
+        wt[0] *= np.exp(d_bp)[:, None] * wP[ct]
+        wt[1] *= np.exp(d_pa)[:, None] * wS[ct]
+        # How far a Legendre coefficient of r on a tap's cell moves its
+        # partial integrals.
+        reach = half[ct, 0] * np.maximum(wP[ct], wS[ct]).max(axis=1)
+        part = np.empty((2, m, tp.size))
+
     cellP = np.empty((m, half.size))
     cellS = np.empty((m, half.size))
     err = np.zeros(m)
@@ -654,36 +739,46 @@ def green_pass(grid: np.ndarray, rhs_fns: list[Callable], scale: float):
         hv = rv(nodes.ravel())
         _check_finite(nodes.ravel(), hv)
         hv = hv.reshape(nodes.shape)
+        redone = np.zeros(half.size, dtype=bool)
         for tgt, w, kernel in ((cellP[j], wP, kernel_p), (cellS[j], wS, kernel_s)):
-            tgt[:], e, n_redo = _kronrod_cells(
-                w * hv,
-                half[:, 0],
-                lambda i, k=kernel, rv=rv: integrate(
-                    lambda ts: k(scale * ts, i) * rv(ts),
-                    float(edges[i]), float(edges[i + 1]),
-                ),
-            )
+
+            def redo(i, kernel=kernel, rv=rv):
+                redone[i] = True
+                return adaptive(kernel, rv, i, edges[i], edges[i + 1])
+
+            tgt[:], e, n_redo = _kronrod_cells(w * hv, half[:, 0], redo)
             err[j] += float(np.sum(e))
             evals += n_redo
+        if tp.size:
+            ht = hv[ct]
+            part[:, j] = (wt * ht).sum(axis=2)
+            top = np.abs(ht @ _k15_legendre()[13:].T).sum(axis=1)
+            for t in np.nonzero(redone[ct] | (reach * top > TOL))[0]:
+                i = ct[t]
+                lo = adaptive(kernel_p, rv, i, edges[i], tp[t])
+                hi = adaptive(kernel_s, rv, i, tp[t], edges[i + 1])
+                part[:, j, t] = lo.value * math.exp(d_bp[t]), hi.value * math.exp(d_pa[t])
+                err[j] += lo.error_estimate + hi.error_estimate
+                evals += lo.evaluations + hi.evaluations
     # Beyond the cutoff and in each dropped cell the kernels are below e^-45
     # of their values at the nearest kept edge.
     err += math.exp(-_ZETA_CUT) * (1 + np.count_nonzero(dropped))
 
     decay = np.exp(-_zeta_gap(ue[1:], ue[:-1], scale * 2.0 * half[:, 0]))
-    P = np.zeros((m, edges.size))
-    S = np.zeros((m, edges.size))
-    P[:, 1:] = _scan(cellP, decay)
-    S[:, -2::-1] = _scan(cellS[:, ::-1], decay[::-1])
+    Pe = np.zeros((m, edges.size))
+    Se = np.zeros((m, edges.size))
+    Pe[:, 1:] = _scan(cellP, decay)
+    Se[:, -2::-1] = _scan(cellS[:, ::-1], decay[::-1])
 
-    full_line = S[:, 0]  # edges[0] = 0, where e^zeta = 1
-    at_grid = np.searchsorted(edges, grid)
-    P, S = P[:, at_grid], S[:, at_grid]
-    ag = airy_many(scale * grid)
+    P, S = Pe[:, cell], Se[:, cell]
+    if tp.size:
+        P[:, inside] = np.exp(-d_pa) * Pe[:, ct] + part[0]
+        S[:, inside] = np.exp(-d_bp) * Se[:, ct + 1] + part[1]
     return {
-        "g": ag.ai_scaled * P + ag.bi_scaled * S,
-        "g_prime": ag.ai_prime_scaled * P + ag.bi_prime_scaled * S,
-        "tail": S * np.exp(-ag.zeta),
-        "full_line": full_line,
+        "g": p_ai * P + p_bi * S,
+        "g_prime": p_aip * P + p_bip * S,
+        "tail": S * np.exp(-p_zeta),
+        "full_line": Se[:, 0],  # edges[0] = 0, where e^zeta = 1
         "error_estimate": err,
         "evaluations": evals,
     }

@@ -14,10 +14,13 @@ the ODE itself.
 
 The Airy kernel depends only on the points, not on h, so every solve is one
 Green's pass: every h (and, on the symmetric line, every mirrored h(-s)) is
-one right-hand side, over the sorted union of both sides' grid points and
-their residual probe points.  f(0) and f'(0) come from the full-line
-integrals, since at x = 0 the prefix integral vanishes.  Each solution is
-bitwise independent of the other members of the family.
+one right-hand side.  The pass integrates cells between both sides' grid
+points, the lattice below their first points and the probes past the last
+grid point; every other residual probe is read inside its cell, from the
+cell's own quadrature nodes (see ``specfun.green_pass``).  f(0) and f'(0)
+come from the full-line integrals, since at x = 0 the prefix integral
+vanishes.  Each solution is bitwise independent of the other members of the
+family.
 
 Two implementation details worth knowing:
 
@@ -46,7 +49,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -468,29 +471,30 @@ def _probe_groups(grid: np.ndarray) -> tuple[np.ndarray, list]:
     return lat, groups
 
 
-def _snap(points: np.ndarray, anchors: np.ndarray) -> np.ndarray:
-    """``points``, each moved onto the nearest of the sorted ``anchors``
-    where that lies within rounding of it."""
-    i = np.searchsorted(anchors, points)
-    lo = anchors[np.maximum(i - 1, 0)]
-    hi = anchors[np.minimum(i, anchors.size - 1)]
-    near = np.where(points - lo <= hi - points, lo, hi)
-    return np.where(np.abs(near - points) <= _rounding(anchors[-1]), near, points)
+@lru_cache(maxsize=1)
+def _bi_at_0() -> tuple[float, float]:
+    """Bi(0) and Bi'(0) as ``airy_many`` forms them; at 0 the scaled
+    fields are the functions."""
+    at_0 = airy_many(np.zeros(1))
+    return float(at_0.bi_scaled[0]), float(at_0.bi_prime_scaled[0])
 
 
 def _halfline_solve(sides: list[tuple[list[TestFunction], np.ndarray]]) -> list[list[dict]]:
     """Solve the half-line Stein equation for every (test functions, grid)
     side in ``sides``, all in one Green's pass; see module docstring.
 
-    The pass runs over the sorted union of every side's grid points, its
-    residual probe points and its lattice below its first point (see
-    ``_lattice``), and carries the right-hand sides
-    [every side's h, ..., 1].  Each h is then finished on its own rows and
+    The pass returns values at the sorted union of every side's grid
+    points, its residual probe points and its lattice below its first point
+    (see ``_lattice``), and carries the right-hand sides
+    [every side's h, ..., 1].  Its cells end at the grid points, the
+    lattice below them and the probes past the last grid point, so the
+    tail is laid out as if every probe were a cell edge; the other probes
+    are read inside their cells.  Each h is then finished on its own rows and
     its own side's points (expectation ratio, f, f', f'', probe residual),
     so its result is bitwise independent of every other h.  Returns
     one list of result dicts per side.
     """
-    laid = []
+    laid, edges, points = [], [], []
     for hs, grid in sides:
         grid = np.asarray(grid, dtype=float)
         if grid.ndim != 1 or grid.size == 0:
@@ -505,25 +509,23 @@ def _halfline_solve(sides: list[tuple[list[TestFunction], np.ndarray]]) -> list[
             raise DomainError(
                 f"solver refuses x_max > {X_MAX_CAP} (grid reaches {grid[-1]})"
             )
-        laid.append((hs, grid, *_probe_groups(grid)))
-    # Probes off one side's lattice that land within rounding of a lattice
-    # point of any side take that point, so no pass point is doubled.
-    anchors = _distinct(np.concatenate([lat for _, _, lat, _ in laid]))
-    points = []
-    for i, (hs, grid, lat, groups) in enumerate(laid):
-        groups = [(mask, _snap(pr, anchors), coef, sq) for mask, pr, coef, sq in groups]
-        points += [lat[lat < grid[0]], grid] + [g[1].ravel() for g in groups]
-        laid[i] = hs, grid, groups
+        lat, groups = _probe_groups(grid)
+        laid.append((hs, grid, groups))
+        head = lat[lat < grid[0]]
+        edges += [head, grid]
+        points += [head, grid] + [g[1].ravel() for g in groups]
     tp = _distinct(np.concatenate(points))
+    top = max(grid[-1] for _, grid, _ in laid)
+    cells = _distinct(np.concatenate(edges + [tp[tp > top]]))
 
     fns = [tf.fn for hs, _, _ in laid for tf in hs]
-    out = green_pass(tp, fns + [_ones], _SCALE)
+    out = green_pass(cells, fns + [_ones], _SCALE, points=tp)
     g_1, gp_1 = out["g"][-1], out["g_prime"][-1]
     I1 = float(out["full_line"][-1])
     # At x = 0 the prefix integral is 0 and the suffix integral is the
     # full-line one, so there g = Bi(0) full_line and g' = Bi'(0) full_line.
-    at_0 = airy_many(np.zeros(1))
-    g_0, gp_0 = at_0.bi_scaled * out["full_line"], at_0.bi_prime_scaled * out["full_line"]
+    bi_0, bip_0 = _bi_at_0()
+    g_0, gp_0 = bi_0 * out["full_line"], bip_0 * out["full_line"]
 
     def finish(j, tf, grid, idx_grid, groups):
         """Row j of the pass as the solution for tf on its side's grid, whose

@@ -241,6 +241,40 @@ class TestGof:
         vals = parse_samples_csv("# hdr\n\n1.5\n# c\n2.5\n")
         assert np.array_equal(vals, [1.5, 2.5])
 
+    def test_input_text_freed_before_the_sweep(self, tmp_path, capsys, monkeypatch):
+        # The file's text is gone by the time the test runs: what is still
+        # allocated then is the draws (8 bytes each), not the ~20 bytes of
+        # text per draw.
+        import tracemalloc
+
+        from wright_stein import gof as gof_mod
+
+        p = tmp_path / "mw.csv"
+        run(capsys, ["sample", "200000", "--seed", "3", "-o", str(p)])
+        size = p.stat().st_size
+        held = []
+        real = gof_mod.discrepancy
+
+        def recording(*args, **kwargs):
+            held.append(tracemalloc.get_traced_memory()[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(gof_mod, "discrepancy", recording)
+        tracemalloc.start()
+        try:
+            code, _, _ = run(capsys, ["gof", str(p), "--k", "2"])
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert len(held) == 1 and held[0] < size / 2, (held, size)
+
+    def test_undecodable_file_is_a_usage_error(self, tmp_path, capsys):
+        p = tmp_path / "bin.csv"
+        p.write_bytes(b"1.0\n\xff\xfe\n")
+        code, out, err = run(capsys, ["gof", str(p)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+
 
 class TestPlotdata:
     def test_default_curve_identities(self, capsys):

@@ -583,6 +583,62 @@ class TestScorer:
             scorer_gi(1.5e8)
 
 
+class TestGreenPassTaps:
+    """Points inside a pass's cells read their integrals from the cell's
+    15-node interpolant (the solver's stencil probes; see test_stein)."""
+
+    def test_partial_weights_at_the_ends(self):
+        from wright_stein.numerics import _K15_W, _k15_partial_weights
+
+        w = _k15_partial_weights(np.array([-1.0, 1.0]))
+        assert w.shape == (2, 2, 15)
+        assert np.all(w[0, 0] == 0.0) and np.all(w[1, 1] == 0.0)
+        assert np.max(np.abs(w[0, 1] - _K15_W)) <= 1e-15
+        assert np.max(np.abs(w[1, 0] - _K15_W)) <= 1e-15
+
+    def test_partial_weights_exact_on_legendre(self):
+        from numpy.polynomial import legendre
+
+        from wright_stein.numerics import _K15_X, _k15_partial_weights
+
+        tau = np.random.default_rng(20).uniform(-1.0, 1.0, 64)
+        w = _k15_partial_weights(tau)
+        for n in range(15):
+            c = np.zeros(n + 1)
+            c[n] = 1.0
+            antider = legendre.legint(c, lbnd=-1.0)
+            lower = legendre.legval(tau, antider)
+            upper = legendre.legval(1.0, antider) - lower
+            vals = legendre.legval(_K15_X, c)
+            assert np.max(np.abs(w[0] @ vals - lower)) <= 1e-14, n
+            assert np.max(np.abs(w[1] @ vals - upper)) <= 1e-14, n
+
+    def test_distinct(self):
+        empty = specfun._distinct(np.empty(0))
+        assert empty.shape == (0,) and empty.dtype == float
+        a = np.random.default_rng(21).integers(0, 50, 200).astype(float)
+        assert np.array_equal(specfun._distinct(a), np.unique(a))
+
+    def test_point_in_dropped_cell_joins_the_grid(self):
+        # [1, 30] spans ~109 e-folds, so its middle is dropped; 18 lies
+        # there and is read as a cell edge.
+        grid = np.array([1.0, 30.0])
+        edges, dropped = specfun._cell_edges(grid, 1.0)
+        i = np.searchsorted(edges, 18.0) - 1
+        assert dropped[i]
+        out = specfun.green_pass(grid, [np.cos, _ones], 1.0, points=np.array([1.0, 18.0, 30.0]))
+        want = specfun.green_pass(np.array([1.0, 18.0, 30.0]), [np.cos, _ones], 1.0)
+        for key in ("g", "g_prime", "tail", "full_line"):
+            assert np.array_equal(out[key], want[key])
+
+    @pytest.mark.parametrize(
+        "points", [[], [1.0, 0.5], [-0.5, 1.0], [1.0, 2.5], [[0.5, 1.0]], [0.5, np.nan]]
+    )
+    def test_points_checked(self, points):
+        with pytest.raises(DomainError):
+            specfun.green_pass(np.array([0.0, 1.0, 2.0]), [_ones], 1.0, points=np.array(points))
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(x=st.floats(20.0, 1e4))
 def test_scorer_asymptotic_series(x):

@@ -831,3 +831,109 @@ class TestProbeLattice:
             sols = stein_mod._solve_batch(fam, grid, symmetric)
             assert len(sols) == 17
         assert calls == []
+
+
+class TestTapPass:
+    """The Green's pass integrates cells only at the grid, the head lattice
+    and the tail; every other residual probe is a tap, read inside its cell
+    from the cell's 15-node interpolant."""
+
+    TABLES_GRID = 0.25 + np.arange(320) * 0.046875
+    EXP2 = TestFunction(lambda x: np.exp(-2 * np.abs(x)), 1.0, "exp2", even=True)
+
+    @staticmethod
+    def layout(monkeypatch, h, grid):
+        """The (cells, points) a solve hands its Green's pass."""
+        seen = []
+        real = stein_mod.green_pass
+
+        def recording(cells, *args, points=None, **kwargs):
+            seen.append((np.array(cells), np.array(points)))
+            return real(cells, *args, points=points, **kwargs)
+
+        monkeypatch.setattr(stein_mod, "green_pass", recording)
+        solve_stein(h, grid)
+        (pair,) = seen
+        return pair
+
+    @pytest.mark.parametrize("grid", [None, TABLES_GRID], ids=["default", "tables"])
+    def test_taps_match_all_edges_pass(self, monkeypatch, grid):
+        cells, points = self.layout(monkeypatch, H_COS, grid)
+        assert np.setdiff1d(points, cells).size > cells.size / 2
+        fns = [np.cos, self.EXP2.fn, specfun._ones]
+        taps = specfun.green_pass(cells, fns, stein_mod._SCALE, points=points)
+        edges = specfun.green_pass(points, fns, stein_mod._SCALE)
+        for key in ("g", "g_prime", "tail"):
+            assert np.max(np.abs(taps[key] - edges[key])) <= 2e-15
+        # Points on cell edges read the edge values of the tap-free pass.
+        plain = specfun.green_pass(cells, fns, stein_mod._SCALE)
+        on = np.isin(points, cells)
+        for key in ("g", "g_prime", "tail"):
+            assert np.array_equal(taps[key][:, on], plain[key])
+        assert np.array_equal(taps["full_line"], plain["full_line"])
+
+    def test_default_pass_evaluations(self, monkeypatch):
+        # 15 nodes per cell for cos and the constant, over 424 cells; the
+        # same solve with every probe a cell edge integrates 827.
+        counts = []
+        real = stein_mod.green_pass
+
+        def counting(*args, **kwargs):
+            out = real(*args, **kwargs)
+            counts.append(out["evaluations"])
+            return out
+
+        monkeypatch.setattr(stein_mod, "green_pass", counting)
+        solve_stein(H_COS)
+        assert len(counts) == 1 and counts[0] <= 430 * 15 * 2
+
+    @pytest.mark.parametrize("symmetric", [False, True])
+    def test_kinks_inside_cells(self, monkeypatch, symmetric):
+        # h = max(0, x - c)^p e^-|x| has a C^(p-1) kink at c inside a grid
+        # cell.  Taps whose cell interpolant has not converged take their
+        # partial integrals from the adaptive integrator; each solve is
+        # solved or refused as with every probe a cell edge, and f agrees.
+        cell_redos, calls = [], []
+        real_cells, real_integrate = specfun._kronrod_cells, specfun.integrate
+
+        def counting_cells(ys, half, redo):
+            def counted(i):
+                cell_redos.append(i)
+                return redo(i)
+
+            return real_cells(ys, half, counted)
+
+        def counting_integrate(*args, **kwargs):
+            calls.append(1)
+            return real_integrate(*args, **kwargs)
+
+        monkeypatch.setattr(specfun, "_kronrod_cells", counting_cells)
+        monkeypatch.setattr(specfun, "integrate", counting_integrate)
+        real_pass = stein_mod.green_pass
+
+        def all_edges(cells, fns, scale, points=None):
+            return real_pass(points, fns, scale)
+
+        solve = solve_stein_sym if symmetric else solve_stein
+        tap_redos = 0
+        for p in (1, 2, 3):
+            for c in (3.333, 5.01, 7.77):
+                h = TestFunction(
+                    lambda x, c=c, p=p: np.maximum(0.0, x - c) ** p * np.exp(-np.abs(x)),
+                    1.0, f"kink{p}@{c}", even=False,
+                )
+                outcomes = []
+                for pass_fn in (real_pass, all_edges):
+                    monkeypatch.setattr(stein_mod, "green_pass", pass_fn)
+                    del calls[:], cell_redos[:]
+                    try:
+                        outcomes.append(solve(h).f)
+                    except SolverAccuracyError:
+                        outcomes.append(None)
+                    if pass_fn is real_pass:
+                        tap_redos += (len(calls) - len(cell_redos)) // 2
+                taps, edges = outcomes
+                assert (taps is None) == (edges is None), h.label
+                if taps is not None:
+                    assert np.max(np.abs(taps - edges)) <= 1e-10, h.label
+        assert tap_redos >= 1
