@@ -184,8 +184,9 @@ def _gl_pair(fv: Callable, a: float, b: float) -> tuple[float, float, int]:
     xs = np.concatenate((mid + half * _GL15_X, mid + half * _GL7_X))
     ys = fv(xs)
     _check_finite(xs, ys)
-    i15 = half * float(np.dot(_GL15_W, ys[:15]))
-    i7 = half * float(np.dot(_GL7_W, ys[15:]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        i15 = half * float(np.dot(_GL15_W, ys[:15]))
+        i7 = half * float(np.dot(_GL7_W, ys[15:]))
     err = abs(i15 - i7) + 1e-300
     return i15, err, xs.size
 
@@ -195,7 +196,8 @@ def integrate(f: Callable, a: float, b: float) -> IntegralResult:
 
     Both bounds must be finite.  On success the reported error estimate
     satisfies ``error <= TOL * max(1, |value|)``.  If ``MAX_SUBDIVISIONS``
-    run out first, ToleranceNotMetError carries the best estimate.
+    run out first, ToleranceNotMetError carries the best estimate.  An
+    integral whose rule sums leave double range raises RangeError.
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise DomainError(f"integrate requires finite bounds, got a={a}, b={b}")
@@ -230,6 +232,9 @@ def integrate(f: Callable, a: float, b: float) -> IntegralResult:
         heapq.heappush(heap, (-re, im, ib, rv, re))
         subdivisions += 1
 
+    # An overflowing rule sum stops the loop with an inf or NaN total.
+    if not (math.isfinite(total_val) and math.isfinite(total_err)):
+        raise RangeError(f"the integral over [{a!r}, {b!r}] leaves double range")
     return IntegralResult(total_val, total_err, n_eval)
 
 

@@ -196,8 +196,8 @@ def _airy_series_core(x: np.ndarray):
 
 
 def _airy_asymptotic(x: np.ndarray, primes: bool = True):
-    """Asymptotic branch; returns the scaled fields (ai_s, aip_s, bi_s, bip_s)
-    and zeta, or (ai_s, bi_s, zeta) when ``primes`` is false.
+    """Asymptotic branch; returns the scaled fields (ai_s, bi_s, aip_s,
+    bip_s), or (ai_s, bi_s) when ``primes`` is false.
 
     Sums the standard expansions in 1/zeta (DLMF 9.7.5-9.7.8), each point up
     to its smallest term.  A point also stops once its term is below 1e-19:
@@ -252,10 +252,8 @@ def _airy_asymptotic(x: np.ndarray, primes: bool = True):
     ai_s = sums[0] * inv_2sp / q
     bi_s = sums[1] * inv_sp / q
     if not primes:
-        return ai_s, bi_s, zeta
-    aip_s = -sums[2] * q * inv_2sp
-    bip_s = sums[3] * q * inv_sp
-    return ai_s, aip_s, bi_s, bip_s, zeta
+        return ai_s, bi_s
+    return ai_s, bi_s, -sums[2] * q * inv_2sp, sums[3] * q * inv_sp
 
 
 # Piecewise-Chebyshev cache of Ai, Ai', Bi, Bi' on [0, AIRY_SWITCH].
@@ -397,6 +395,8 @@ def airy_many(xs) -> AiryArrays:
 
     lo = flat < AIRY_SWITCH
     if lo.any():
+        # The unscaled fields straight from the cache: _scaled would need a
+        # second Clenshaw pass to give them back.
         a, apr, b, bpr = _clenshaw(flat[lo], _cheb_coefs())
         ez = np.exp(zeta[lo])
         ai[lo], aip[lo], bi[lo], bip[lo] = a, apr, b, bpr
@@ -406,8 +406,9 @@ def airy_many(xs) -> AiryArrays:
         bip_s[lo] = bpr / ez
     hi = ~lo
     if hi.any():
-        a_s, ap_s, b_s, bp_s, z = _airy_asymptotic(flat[hi])
+        a_s, b_s, ap_s, bp_s = _airy_asymptotic(flat[hi])
         ai_s[hi], aip_s[hi], bi_s[hi], bip_s[hi] = a_s, ap_s, b_s, bp_s
+        z = zeta[hi]
         with np.errstate(over="ignore", under="ignore"):
             ez = np.exp(z)
             ai[hi] = a_s / ez
@@ -424,53 +425,44 @@ def airy_many(xs) -> AiryArrays:
     )
 
 
-def _ai_bi_scaled(u: np.ndarray):
-    """``airy_many(u).ai_scaled`` and ``.bi_scaled``, bitwise, for an array
-    of finite u >= 0 of any shape, forming no other field: the Green's pass
-    reads only these two at its quadrature nodes."""
-    ai_s = np.empty_like(u)
-    bi_s = np.empty_like(u)
+def _scaled(u: np.ndarray, primes):
+    """``airy_many(u)``'s scaled fields, bitwise, at finite u >= 0 of any
+    shape: arrays shaped like u, (ai_scaled, bi_scaled) and, if ``primes``
+    (a bool, or a mask shaped like u) is set anywhere, (ai_prime_scaled,
+    bi_prime_scaled), which are defined only where it is set.  They are
+    separate arrays: one stacked block crosses glibc's mmap threshold on a
+    320-point solve, and its page faults cost the pass ~0.1 ms.
+
+    Below AIRY_SWITCH each field is one Clenshaw row, the same whichever
+    rows and points travel with it.  At and past it every point goes
+    through one ``_airy_asymptotic`` call, with derivative sums for all if
+    any asks: its cost is mostly per call, and a point's sums do not depend
+    on the others.  So a Green's pass hands over its nodes and points
+    together, and the nodes get derivative sums they do not read.  Against
+    a call for each, that saves ~0.3 ms on a 320-point solve and costs
+    ~0.02 ms on a Gi pass at 5 points past x = 250.
+    """
+    want = np.broadcast_to(primes, u.shape)
+    out = tuple(np.empty(u.shape) for _ in range(4 if want.any() else 2))
     lo = u < AIRY_SWITCH
     if lo.any():
         ul = u[lo]
-        a, b = _clenshaw(ul, _cheb_coefs()[:, 0::2])
         ez = np.exp((2.0 / 3.0) * ul * np.sqrt(ul))
-        ai_s[lo] = a * ez
-        bi_s[lo] = b / ez
+        a, b = _clenshaw(ul, _cheb_coefs()[:, 0::2])
+        out[0][lo], out[1][lo] = a * ez, b / ez
+        lp = lo & want
+        if lp.any():
+            ap, bp = _clenshaw(u[lp], _cheb_coefs()[:, 1::2])
+            ez = ez[want[lo]]
+            out[2][lp], out[3][lp] = ap * ez, bp / ez
     hi = ~lo
     if hi.any():
-        ai_s[hi], bi_s[hi], _ = _airy_asymptotic(u[hi], primes=False)
-    return ai_s, bi_s
-
-
-def _pass_airy(un: np.ndarray, up: np.ndarray):
-    """The Airy fields a Green's pass reads, each bitwise as ``airy_many``
-    forms it: (ai_scaled, bi_scaled) at the quadrature nodes ``un`` (any
-    shape) and (ai_scaled, ai_prime_scaled, bi_scaled, bi_prime_scaled,
-    zeta) at the 1-d points ``up``.
-
-    Every node and point at or past AIRY_SWITCH goes through one
-    ``_airy_asymptotic`` call: its cost is mostly per call, and each
-    point's sums do not depend on the other points of the call.
-    """
-    ai_n, bi_n = np.empty_like(un), np.empty_like(un)
-    lo_n = un < AIRY_SWITCH
-    ai_n[lo_n], bi_n[lo_n] = _ai_bi_scaled(un[lo_n])
-    with np.errstate(over="ignore"):  # inf past u ~ 1e205, as in airy_many
-        zeta = (2.0 / 3.0) * up * np.sqrt(up)
-    at = np.empty((4, up.size))
-    lo_p = up < AIRY_SWITCH
-    if lo_p.any():
-        a, ap, b, bp = _clenshaw(up[lo_p], _cheb_coefs())
-        ez = np.exp(zeta[lo_p])
-        at[:, lo_p] = a * ez, ap * ez, b / ez, bp / ez
-    hi_n, hi_p = ~lo_n, ~lo_p
-    k = np.count_nonzero(hi_n)
-    if k or hi_p.any():
-        a, ap, b, bp, _ = _airy_asymptotic(np.concatenate((un[hi_n], up[hi_p])))
-        ai_n[hi_n], bi_n[hi_n] = a[:k], b[:k]
-        at[:, hi_p] = a[k:], ap[k:], b[k:], bp[k:]
-    return (ai_n, bi_n), (*at, zeta)
+        f = _airy_asymptotic(u[hi], primes=len(out) == 4)
+        out[0][hi], out[1][hi] = f[:2]
+        if len(f) == 4:
+            hp, at = hi & want, want[hi]
+            out[2][hp], out[3][hp] = f[2][at], f[3][at]
+    return out
 
 
 @dataclass(frozen=True)
@@ -640,10 +632,9 @@ def green_pass(grid: np.ndarray, rhs_fns: list[Callable], scale: float, points=N
     kernel value, exceed ``numerics.TOL``.  A point inside a dropped cell
     (see ``_cell_edges``) joins the grid.
 
-    One Airy evaluation at the 15 Kronrod nodes of every cell serves every
-    right-hand side; it forms only the two fields the kernels use, and
-    every node and point at or past AIRY_SWITCH goes through one asymptotic
-    call (``_pass_airy``).  The cells depend on grid and scale only, so each
+    One ``_scaled`` call at the 15 Kronrod nodes of every cell and at the
+    points serves every right-hand side, and the adaptive redos use the
+    same helper.  The cells depend on grid and scale only, so each
     right-hand side's result is bitwise independent of the others.  Each
     kernel's cells go through ``numerics._kronrod_cells``: a cell keeps its
     K15 value, and a cell whose |K15 - G7| estimate for one right-hand side
@@ -696,8 +687,12 @@ def green_pass(grid: np.ndarray, rhs_fns: list[Callable], scale: float, points=N
 
     # One row per cell: its 15 Kronrod nodes, every other one a GL7 node.
     nodes = mid[:, None] + half * _K15_X
-    un = scale * nodes
-    (ai_s, bi_s), (p_ai, p_aip, p_bi, p_bip, p_zeta) = _pass_airy(un, scale * pts)
+    k = nodes.size
+    u = scale * np.concatenate((nodes.ravel(), pts))
+    fields = _scaled(u, np.repeat((False, True), (k, pts.size)))
+    un, up = u[:k].reshape(nodes.shape), u[k:]
+    ai_s, bi_s = (f[:k].reshape(nodes.shape) for f in fields[:2])
+    p_ai, p_bi, p_aip, p_bip = (f[k:] for f in fields)
     evals = nodes.size * m
 
     # Kernels relative to the owning cell's edge: P to its right edge, S to
@@ -708,10 +703,10 @@ def green_pass(grid: np.ndarray, rhs_fns: list[Callable], scale: float, points=N
     wP[dropped] = wS[dropped] = 0.0
 
     def kernel_p(u, i):
-        return _ai_bi_scaled(u)[1] * np.exp(-_zeta_gap(ue[i + 1], u, ue[i + 1] - u))
+        return _scaled(u, False)[1] * np.exp(-_zeta_gap(ue[i + 1], u, ue[i + 1] - u))
 
     def kernel_s(u, i):
-        return _ai_bi_scaled(u)[0] * np.exp(-_zeta_gap(u, ue[i], u - ue[i]))
+        return _scaled(u, False)[0] * np.exp(-_zeta_gap(u, ue[i], u - ue[i]))
 
     def adaptive(kernel, rv, i, a, b):
         return integrate(lambda ts: kernel(scale * ts, i) * rv(ts), float(a), float(b))
@@ -777,7 +772,7 @@ def green_pass(grid: np.ndarray, rhs_fns: list[Callable], scale: float, points=N
     return {
         "g": p_ai * P + p_bi * S,
         "g_prime": p_aip * P + p_bip * S,
-        "tail": S * np.exp(-p_zeta),
+        "tail": S * np.exp(-(2.0 / 3.0) * up * np.sqrt(up)),
         "full_line": Se[:, 0],  # edges[0] = 0, where e^zeta = 1
         "error_estimate": err,
         "evaluations": evals,
@@ -940,6 +935,7 @@ def mittag_leffler(beta: float, z):
         raise DomainError(f"mittag_leffler requires beta in (0, 1], got {beta}")
     if beta < ML_BETA_MIN:
         raise RangeError(f"mittag_leffler supports beta >= {ML_BETA_MIN}, got {beta}")
+    beta = float(beta)  # a 0-d array cannot key the cached layout
     zs = np.asarray(z, dtype=float)
     flat = zs.ravel()
     if np.isnan(flat).any():
@@ -1037,6 +1033,7 @@ def wright_m_series(beta: float, x):
         raise RangeError(
             f"wright_m_series supports beta <= {WRIGHT_BETA_MAX}, got {beta}"
         )
+    beta = float(beta)  # a 0-d array cannot key the cached rule
     xs = np.asarray(x, dtype=float)
     if not np.all((xs >= 0) & np.isfinite(xs)):
         raise DomainError("wright_m_series requires finite x >= 0")

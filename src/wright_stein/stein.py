@@ -17,10 +17,10 @@ Green's pass: every h (and, on the symmetric line, every mirrored h(-s)) is
 one right-hand side.  The pass integrates cells between both sides' grid
 points, the lattice below their first points and the probes past the last
 grid point; every other residual probe is read inside its cell, from the
-cell's own quadrature nodes (see ``specfun.green_pass``).  f(0) and f'(0)
-come from the full-line integrals, since at x = 0 the prefix integral
-vanishes.  Each solution is bitwise independent of the other members of the
-family.
+cell's own quadrature nodes (see ``specfun.green_pass``).  x = 0 is always
+among the pass's points, and f(0) and f'(0) for the boundary identity are
+read from its row like every other point's.  Each solution is bitwise
+independent of the other members of the family.
 
 Two implementation details worth knowing:
 
@@ -49,7 +49,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -60,7 +60,7 @@ from .errors import DomainError, NonFiniteError, SolverAccuracyError
 from .numerics import GAMMA_1_3, GAMMA_2_3, _vectorized, integrate
 from .mwright import _DENSITY_CUT, density
 from .specfun import _GI_NORM, _GI_PRIME_NORM, _XGI_NORM
-from .specfun import _distinct, _green_at, _ones, airy_many, green_pass
+from .specfun import _distinct, _green_at, _ones, green_pass
 
 __all__ = [
     "TestFunction",
@@ -443,8 +443,11 @@ def _probe_groups(grid: np.ndarray) -> tuple[np.ndarray, list]:
     spaced up to rounding; elsewhere (at the ends of the lattice and where
     cells of different width meet) the probes are x + j*delta, still evenly
     spaced, since a five-point stencil with unequal sides is only third
-    order.  Points closer than 2*delta to the boundary take step x/2, and
-    x = 0 itself a forward six-point stencil of step delta/4.
+    order.  A point closer than 2*delta to the boundary whose lattice
+    stencil is not evenly spaced (x = 0 among them) takes the forward
+    six-point stencil of step delta/4 at x: a centered stencil there would
+    need a step below x/2, which divides the ~1e-16 noise of f by its
+    square.
     """
     tol = float(_rounding(grid[-1] + 2 * PROBE_DELTA))
     lat, at = _lattice(grid, tol)
@@ -457,33 +460,25 @@ def _probe_groups(grid: np.ndarray) -> tuple[np.ndarray, list]:
     idx = at[:, None] + mult.astype(int)[:, None] * _C5_OFFSETS.astype(int)
     on = lat[np.clip(idx, 0, lat.size - 1)]
     even = (idx[:, 0] >= 0) & (idx[:, -1] < lat.size) & (np.ptp(np.diff(on), axis=1) <= tol)
-    steps = np.where(grid >= 2 * delta, delta, grid / 2.0)
-    steps = np.where(even, (on[:, -1] - on[:, 0]) / 4.0, steps)
+    steps = np.where(even, (on[:, -1] - on[:, 0]) / 4.0, delta)
     probes = np.where(even[:, None], on, grid[:, None] + steps[:, None] * _C5_OFFSETS)
+    near = ~even & (grid < 2 * delta)
 
     groups = []
     for mask, pr, coef, st in (
-        (grid > 0, probes, _C5_COEF, steps),
-        (grid == 0.0, grid[:, None] + (delta[:, None] / 4.0) * _F6_OFFSETS, _F6_COEF, delta / 4.0),
+        (~near, probes, _C5_COEF, steps),
+        (near, grid[:, None] + (delta[:, None] / 4.0) * _F6_OFFSETS, _F6_COEF, delta / 4.0),
     ):
         if mask.any():
             groups.append((mask, pr[mask], coef, st[mask] ** 2))
     return lat, groups
 
 
-@lru_cache(maxsize=1)
-def _bi_at_0() -> tuple[float, float]:
-    """Bi(0) and Bi'(0) as ``airy_many`` forms them; at 0 the scaled
-    fields are the functions."""
-    at_0 = airy_many(np.zeros(1))
-    return float(at_0.bi_scaled[0]), float(at_0.bi_prime_scaled[0])
-
-
 def _halfline_solve(sides: list[tuple[list[TestFunction], np.ndarray]]) -> list[list[dict]]:
     """Solve the half-line Stein equation for every (test functions, grid)
     side in ``sides``, all in one Green's pass; see module docstring.
 
-    The pass returns values at the sorted union of every side's grid
+    The pass returns values at the sorted union of 0, every side's grid
     points, its residual probe points and its lattice below its first point
     (see ``_lattice``), and carries the right-hand sides
     [every side's h, ..., 1].  Its cells end at the grid points, the
@@ -514,7 +509,8 @@ def _halfline_solve(sides: list[tuple[list[TestFunction], np.ndarray]]) -> list[
         head = lat[lat < grid[0]]
         edges += [head, grid]
         points += [head, grid] + [g[1].ravel() for g in groups]
-    tp = _distinct(np.concatenate(points))
+    # x = 0 is a cell edge of every pass, where the boundary values are read.
+    tp = _distinct(np.concatenate(points + [np.zeros(1)]))
     top = max(grid[-1] for _, grid, _ in laid)
     cells = _distinct(np.concatenate(edges + [tp[tp > top]]))
 
@@ -522,10 +518,6 @@ def _halfline_solve(sides: list[tuple[list[TestFunction], np.ndarray]]) -> list[
     out = green_pass(cells, fns + [_ones], _SCALE, points=tp)
     g_1, gp_1 = out["g"][-1], out["g_prime"][-1]
     I1 = float(out["full_line"][-1])
-    # At x = 0 the prefix integral is 0 and the suffix integral is the
-    # full-line one, so there g = Bi(0) full_line and g' = Bi'(0) full_line.
-    bi_0, bip_0 = _bi_at_0()
-    g_0, gp_0 = bi_0 * out["full_line"], bip_0 * out["full_line"]
 
     def finish(j, tf, grid, idx_grid, groups):
         """Row j of the pass as the solution for tf on its side's grid, whose
@@ -537,8 +529,6 @@ def _halfline_solve(sides: list[tuple[list[TestFunction], np.ndarray]]) -> list[
         fp_tp = _PREF_FP * (out["g_prime"][j] - Eh * gp_1)
         ht_tp = hv(tp) - Eh
         fpp_tp = (tp / 3.0) * f_tp + ht_tp
-        f_0 = float(_PREF_F * (g_0[j] - Eh * g_0[-1]))
-        fp_0 = float(_PREF_FP * (gp_0[j] - Eh * gp_0[-1]))
 
         for name, arr in (("f", f_tp), ("f_prime", fp_tp), ("f_double_prime", fpp_tp)):
             bad = ~np.isfinite(arr)
@@ -581,7 +571,7 @@ def _halfline_solve(sides: list[tuple[list[TestFunction], np.ndarray]]) -> list[
             "expectation_h": Eh,
             "residuals": resid,
             "residual_sup": residual_sup,
-            "boundary_residual": fp_0 / GAMMA_2_3 - f_0 / GAMMA_1_3,
+            "boundary_residual": float(fp_tp[0] / GAMMA_2_3 - f_tp[0] / GAMMA_1_3),
             "error_estimate": error_estimate,
         }
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -151,6 +152,22 @@ class TestIntegrate:
     def test_scalar_only_integrand_supported(self):
         r = integrate(math.exp, 0.0, 1.0)
         assert r.value == pytest.approx(math.e - 1.0, abs=1e-10)
+
+    @pytest.mark.parametrize(
+        "f, b",
+        [
+            (lambda x: np.full_like(x, 1e308), 1.0),
+            (lambda x: np.where(x < 0.5, 1e308, -1e308), 1.0),
+            # Every bisected piece fits; their sum, 2e308, does not.
+            (lambda x: np.where(x < 2e8, 1e300, 0.0), 1e10),
+        ],
+        ids=["rule-sum", "mixed-signs", "total"],
+    )
+    def test_overflow_is_range_error(self, f, b):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RangeError, match="leaves double range"):
+                integrate(f, 0.0, b)
 
 
 class TestCellIntegrals:

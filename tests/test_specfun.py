@@ -164,7 +164,7 @@ class TestAiryStructure:
         band = np.linspace(7.8, 10.5, 28)
         ai, aip, bi, bip = _airy_series(band)
         z = (2.0 / 3.0) * band * np.sqrt(band)
-        a_s, ap_s, b_s, bp_s, _ = _airy_asymptotic(band)
+        a_s, b_s, ap_s, bp_s = _airy_asymptotic(band)
         assert np.max(np.abs(ai * np.exp(z) / a_s - 1.0)) <= 1e-11
         assert np.max(np.abs(aip * np.exp(z) / ap_s - 1.0)) <= 1e-11
         assert np.max(np.abs(bi * np.exp(-z) / b_s - 1.0)) <= 1e-11
@@ -247,16 +247,14 @@ class TestAiryStructure:
     )
     def test_asymptotic_matches_full_loop(self, xs):
         # Settled points leave the loop without changing a bit of any field.
-        want = _airy_asymptotic_full(xs)
-        assert [_bits(v) for v in _airy_asymptotic(xs)] == [_bits(v) for v in want]
-        ai_s, bi_s, zeta = _airy_asymptotic(xs, primes=False)
-        assert [_bits(ai_s), _bits(bi_s), _bits(zeta)] == [
-            _bits(want[0]), _bits(want[2]), _bits(want[4])
-        ]
+        want = [_bits(v) for v in _airy_asymptotic_full(xs)]
+        assert [_bits(v) for v in _airy_asymptotic(xs)] == want
+        assert [_bits(v) for v in _airy_asymptotic(xs, primes=False)] == want[:2]
 
     def test_node_fields_match_airy_many(self):
-        # The Green's pass's two fields at its nodes are airy_many's, bit for
-        # bit, on both sides of the switch and at it.
+        # The Green's pass's fields are airy_many's, bit for bit, on both
+        # sides of the switch and at it, with the derivative rows wherever
+        # they are asked for: everywhere, nowhere, or by a mask.
         rng = np.random.default_rng(11)
         u = np.concatenate((
             rng.uniform(0.0, 2.0 * AIRY_SWITCH, 2984),
@@ -264,9 +262,19 @@ class TestAiryStructure:
             [0.0, 5e-324, np.nextafter(AIRY_SWITCH, 0.0), AIRY_SWITCH,
              np.nextafter(AIRY_SWITCH, 10.0), 1e300],
         )).reshape(200, 15)
+        mask = np.arange(u.size).reshape(u.shape) % 2 == 1
         a = airy_many(u)
-        ai_s, bi_s = specfun._ai_bi_scaled(u)
-        assert (_bits(ai_s), _bits(bi_s)) == (_bits(a.ai_scaled), _bits(a.bi_scaled))
+        for primes in (True, False, mask):
+            fields = specfun._scaled(u, primes)
+            assert [f.shape for f in fields] == [u.shape] * (2 if primes is False else 4)
+            assert (_bits(fields[0]), _bits(fields[1])) == (
+                _bits(a.ai_scaled), _bits(a.bi_scaled)
+            )
+            if primes is not False:
+                at = np.broadcast_to(primes, u.shape)
+                assert (_bits(fields[2][at]), _bits(fields[3][at])) == (
+                    _bits(a.ai_prime_scaled[at]), _bits(a.bi_prime_scaled[at])
+                )
 
     def test_bessel_cross_check(self):
         # Ai(x) = (1/pi) sqrt(x/3) K_{1/3}(zeta) for x > 0.
@@ -324,7 +332,7 @@ def _airy_asymptotic_full(x):
     bi_s = sum_bi * inv_sp / q
     aip_s = -sum_aip * q * inv_2sp
     bip_s = sum_bip * q * inv_sp
-    return ai_s, aip_s, bi_s, bip_s, zeta
+    return ai_s, bi_s, aip_s, bip_s
 
 
 def _bits(a):
@@ -650,6 +658,16 @@ class TestMittagLeffler:
     @pytest.mark.parametrize("z", [-1.0, 0.0, 1.0, -30.0, -12.5, 7.25, 30.0])
     def test_beta_one_is_exp(self, z):
         assert mittag_leffler(1.0, z) == pytest.approx(math.exp(z), abs=1e-12)
+
+    @pytest.mark.parametrize("fn, beta, x", [
+        (mittag_leffler, 1.0 / 3.0, -1.0),
+        (mittag_leffler, 0.5, 2.0),
+        (wright_m_series, 0.25, 1.0),
+        (wright_m_series, 0, 2.0),
+    ])
+    def test_zero_d_array_beta(self, fn, beta, x):
+        # The cached rules are keyed on the float a 0-d array holds.
+        assert fn(np.array(beta), x) == fn(float(beta), x)
 
     @pytest.mark.parametrize("beta", [0.2, 1.0 / 3.0, 0.5, 0.9, 1.0])
     def test_at_zero(self, beta):

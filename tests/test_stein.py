@@ -766,12 +766,10 @@ class TestProbeLattice:
         _, groups = stein_mod._probe_groups(grid)
         for mask, probes, coef, steps_sq in groups:
             x, step = grid[mask], np.sqrt(steps_sq)
-            if coef.size == 6:  # forward stencil at x = 0: delta / 4
+            if coef.size == 6:  # forward stencil, below 2 * delta: delta / 4
                 step = 4.0 * step
-            # Below 2 * delta the centered stencil shrinks to x / 2.
-            far = (x >= 2 * pd) | (x == 0)
-            assert np.all(step[far] >= pd / 2) and np.all(step[far] <= pd * (1 + 1e-12))
-            assert np.all((step[~far] <= pd * (1 + 1e-12)) | (step[~far] == x[~far] / 2))
+                assert np.all(x < 2 * step)
+            assert np.all(step >= pd / 2) and np.all(step <= pd * (1 + 1e-12))
             # Each stencil is evenly spaced up to rounding.
             offsets = (probes - probes[:, :1]) / step[:, None] * (4.0 if coef.size == 6 else 1.0)
             assert np.max(np.abs(np.diff(offsets, axis=1) - 1.0)) <= 1e-9
@@ -784,6 +782,17 @@ class TestProbeLattice:
         assert len(fam) == 17
         for sol in stein_mod._solve_batch(fam, grid, False):
             assert sol.residual_sup <= stein_mod.RESIDUAL_TOL
+
+    def test_fine_grid_solved(self):
+        # On a grid finer than PROBE_DELTA the points below 2 * delta take
+        # the forward stencil of x = 0.  A centered stencil of step x / 2
+        # divided the ~1e-16 noise of f by x^2 / 4 and refused this grid.
+        fine = np.arange(100_001) * 2e-5
+        sol = solve_stein(H_COS, fine)
+        assert sol.residual_sup <= 1e-8
+        coarse = solve_stein(H_COS, fine[::500])
+        # 3.7e-13 measured: the scans' rounding over 1e5 cells.
+        assert np.max(np.abs(sol.f[::500] - coarse.f)) <= 1e-12
 
     def test_head_on_the_grid_step(self, monkeypatch):
         # A grid from 0.875: the pass integrates [0, 0.875] on the grid's
@@ -871,6 +880,30 @@ class TestTapPass:
         for key in ("g", "g_prime", "tail"):
             assert np.array_equal(taps[key][:, on], plain[key])
         assert np.array_equal(taps["full_line"], plain["full_line"])
+
+    def test_boundary_values_from_the_row_at_0(self, monkeypatch):
+        # A grid from 0.875 still hands the pass x = 0, a cell edge where
+        # P = 0 and S is the full-line integral; f(0) and f'(0) for the
+        # boundary identity come from that row.
+        from wright_stein.cli import _parse_grid
+
+        seen = []
+        real = stein_mod.green_pass
+
+        def recording(cells, fns, scale, points=None):
+            out = real(cells, fns, scale, points=points)
+            seen.append((np.array(points), out))
+            return out
+
+        monkeypatch.setattr(stein_mod, "green_pass", recording)
+        sol = solve_stein(H_COS, _parse_grid("0.875:15.7:0.046875"))
+        ((points, out),) = seen
+        assert points[0] == 0.0 and sol.grid[0] == 0.875
+        assert np.array_equal(out["g"][:, 0], airy_many(np.zeros(1)).bi * out["full_line"])
+        eh = out["full_line"][0] / out["full_line"][-1]
+        f0 = stein_mod._PREF_F * (out["g"][0, 0] - eh * out["g"][-1, 0])
+        fp0 = stein_mod._PREF_FP * (out["g_prime"][0, 0] - eh * out["g_prime"][-1, 0])
+        assert sol.boundary_residual == fp0 / GAMMA_2_3 - f0 / GAMMA_1_3
 
     def test_default_pass_evaluations(self, monkeypatch):
         # 15 nodes per cell for cos and the constant, over 424 cells; the
