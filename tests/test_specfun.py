@@ -17,7 +17,6 @@ from wright_stein import specfun
 from wright_stein.specfun import (
     _CHEB_EDGES,
     AIRY_SWITCH,
-    _airy_asymptotic,
     _airy_series_core,
     _green_at,
     _ones,
@@ -161,14 +160,15 @@ class TestAiryStructure:
                 assert np.max(resid / cols[2]) <= 1e-6
 
     def test_overlap_band_between_branches(self):
-        band = np.linspace(7.8, 10.5, 28)
+        # Past the switch, up to where the double-double series still holds.
+        band = np.linspace(AIRY_SWITCH, 10.5, 28)
         ai, aip, bi, bip = _airy_series(band)
         z = (2.0 / 3.0) * band * np.sqrt(band)
-        a_s, b_s, ap_s, bp_s = _airy_asymptotic(band)
-        assert np.max(np.abs(ai * np.exp(z) / a_s - 1.0)) <= 1e-11
-        assert np.max(np.abs(aip * np.exp(z) / ap_s - 1.0)) <= 1e-11
-        assert np.max(np.abs(bi * np.exp(-z) / b_s - 1.0)) <= 1e-11
-        assert np.max(np.abs(bip * np.exp(-z) / bp_s - 1.0)) <= 1e-11
+        a = airy_many(band)
+        assert np.max(np.abs(ai * np.exp(z) / a.ai_scaled - 1.0)) <= 1e-11
+        assert np.max(np.abs(aip * np.exp(z) / a.ai_prime_scaled - 1.0)) <= 1e-11
+        assert np.max(np.abs(bi * np.exp(-z) / a.bi_scaled - 1.0)) <= 1e-11
+        assert np.max(np.abs(bip * np.exp(-z) / a.bi_prime_scaled - 1.0)) <= 1e-11
 
     def test_cheb_cache_matches_series(self):
         xs = np.linspace(0.0, AIRY_SWITCH - 1e-9, 1234)
@@ -239,17 +239,62 @@ class TestAiryStructure:
             pytest.param(np.array([1e300]), id="1e300"),
             pytest.param(
                 np.random.default_rng(3).permutation(
-                    np.concatenate((np.geomspace(AIRY_SWITCH, 1e4, 598), [1e300, 7.8]))
+                    np.concatenate((np.geomspace(AIRY_SWITCH, 1e4, 598), [1e300, 10.0]))
                 ).reshape(40, 15),
                 id="unsorted-2d",
             ),
         ],
     )
     def test_asymptotic_matches_full_loop(self, xs):
-        # Settled points leave the loop without changing a bit of any field.
-        want = [_bits(v) for v in _airy_asymptotic_full(xs)]
-        assert [_bits(v) for v in _airy_asymptotic(xs)] == want
-        assert [_bits(v) for v in _airy_asymptotic(xs, primes=False)] == want[:2]
+        # The far series against the expansions summed to their smallest
+        # term, in any shape and order.
+        a = airy_many(xs)
+        got = (a.ai_scaled, a.bi_scaled, a.ai_prime_scaled, a.bi_prime_scaled)
+        for g, want in zip(got, _airy_asymptotic_full(xs)):
+            assert g.shape == xs.shape
+            assert np.max(np.abs(g / want - 1.0)) <= 2e-15
+
+    def test_far_series_vs_oracle_relative(self):
+        # Dense in [9, 1e4], the switch, the next double past it, and 1e6.
+        xs = np.concatenate((
+            np.geomspace(AIRY_SWITCH, 1e4, 800), np.linspace(AIRY_SWITCH, 25.0, 200),
+            [AIRY_SWITCH, np.nextafter(AIRY_SWITCH, 10.0), 1e6],
+        ))
+        a = airy_many(xs)
+        with mp.workdps(30):
+            for got, fn, d, sign in (
+                (a.ai_scaled, mp.airyai, 0, 1),
+                (a.ai_prime_scaled, mp.airyai, 1, 1),
+                (a.bi_scaled, mp.airybi, 0, -1),
+                (a.bi_prime_scaled, mp.airybi, 1, -1),
+            ):
+                ref = np.array([
+                    float(fn(x, d) * mp.exp(sign * 2 * x * mp.sqrt(x) / 3))
+                    for x in map(mp.mpf, xs)
+                ])
+                assert np.max(np.abs(got / ref - 1.0)) <= 5e-16
+
+    def test_far_coefficients_are_the_40_digit_fit(self):
+        assert np.array_equal(specfun._FAR_COEFS[:, :, 0].T, _far_fit())
+        lead = [float(v / mp.sqrt(mp.pi)) for v in (0.5, -0.5, 1.0, 1.0)]
+        assert np.allclose(specfun._FAR_LEAD[:, 0], lead, rtol=2.3e-16, atol=0)
+        # The tails the far-series comment cites.
+        tail = np.abs(specfun._FAR_COEFS[12:, :, 0])
+        assert tail[:, 2:].max() <= 2.3e-18 and tail[:, :2].max() <= 7.6e-21
+
+    def test_far_series_at_the_top_of_double_range(self):
+        xs = np.array([1e300, 1.7e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            a = airy_many(xs)
+            fields = specfun._scaled(xs, True)
+        for f in (a.ai_scaled, a.bi_scaled, a.ai_prime_scaled, a.bi_prime_scaled):
+            assert np.all(np.isfinite(f)) and np.all(f != 0)
+        assert [_bits(f) for f in fields] == [
+            _bits(a.ai_scaled), _bits(a.bi_scaled),
+            _bits(a.ai_prime_scaled), _bits(a.bi_prime_scaled),
+        ]
+        assert np.all(a.ai == 0) and np.all(a.ai_prime == 0)
 
     def test_node_fields_match_airy_many(self):
         # The Green's pass's fields are airy_many's, bit for bit, on both
@@ -290,9 +335,10 @@ def _airy_series(x):
 
 
 def _airy_asymptotic_full(x):
-    """The asymptotic branch with every point carried until the slowest one
-    stops: the reference that ``_airy_asymptotic``, where settled points
-    leave the loop, must match bit for bit."""
+    """The scaled fields (ai, bi, ai', bi') from the expansions DLMF
+    9.7.5-9.7.8, every point carried until the slowest one stops at its
+    smallest term: an oracle for the far series that shares none of its
+    code."""
     x = np.asarray(x, dtype=float)
     with np.errstate(over="ignore"):
         zeta = (2.0 / 3.0) * x * np.sqrt(x)
@@ -333,6 +379,27 @@ def _airy_asymptotic_full(x):
     aip_s = -sum_aip * q * inv_2sp
     bip_s = sum_bip * q * inv_sp
     return ai_s, bi_s, aip_s, bip_s
+
+
+def _far_fit(n=17):
+    """The far series rebuilt: the 40-digit interpolant at n Chebyshev
+    nodes of u^(1/4) ai_scaled, u^(-1/4) ai_prime_scaled, u^(1/4) bi_scaled
+    and u^(-1/4) bi_prime_scaled in t = 2 (AIRY_SWITCH / u)^(3/2) - 1, lead
+    taken off the first coefficient, rounded to doubles: (4, n)."""
+    with mp.workdps(40):
+        theta = [mp.pi * (2 * k + 1) / (2 * n) for k in range(n)]
+        vals = []
+        for th in theta:
+            u = AIRY_SWITCH * ((1 + mp.cos(th)) / 2) ** (-mp.mpf(2) / 3)
+            z = 2 * u * mp.sqrt(u) / 3
+            q = mp.root(u, 4)
+            vals.append((q * mp.exp(z) * mp.airyai(u), mp.exp(z) * mp.airyai(u, 1) / q,
+                         q * mp.exp(-z) * mp.airybi(u), mp.exp(-z) * mp.airybi(u, 1) / q))
+        c = [[2 * mp.fsum(v[r] * mp.cos(j * th) for v, th in zip(vals, theta)) / n
+              for j in range(n)] for r in range(4)]
+        for r in range(4):
+            c[r][0] = c[r][0] / 2 - specfun._FAR_LEAD[r, 0]
+        return np.array([[float(x) for x in row] for row in c])
 
 
 def _bits(a):
@@ -944,6 +1011,15 @@ class TestWrightMKanter:
         ref = _m_series_mp(beta, x, digits)
         assert abs(_m_series_mp(beta, x, digits + 20) - ref) <= 1e-20 * abs(ref)
         assert got == pytest.approx(float(ref), rel=tol)
+
+    @pytest.mark.parametrize("beta", [0.45, 0.48])
+    def test_documented_bound_where_it_peaks(self, beta):
+        # The README's 3e-14 for beta <= 1/2: the error grows like z ulps of
+        # e^-z, z = (x kappa)^(1/(1-beta)), and peaks at x = 20 near beta = 1/2
+        # (2.8e-14 at 0.48, 1.7e-14 at 0.45).
+        got = wright_m_series(beta, 20.0)
+        ref = _m_series_mp(beta, 20.0, 25 + int(-math.log10(got)))
+        assert got == pytest.approx(float(ref), rel=3e-14)
 
     def test_far_tail_underflows_to_zero(self):
         # Far past the series' reach (~1e13 terms); the value underflows.
