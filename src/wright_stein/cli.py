@@ -1,10 +1,17 @@
 """Command-line front door.
 
-Verbs: eval, solve, sample, gof, plotdata.  Exit status contract: 0 success
-or verdict "consistent"; 1 rejected verdicts, unmet solver tolerances, and
-domain errors in evaluation; 2 usage or parse errors; 3 inconclusive
-verdicts.  All numbers print with 17 significant digits so output
-round-trips bit-faithfully.
+Verbs: eval, solve, sample, gof, plotdata.  All numbers print with 17
+significant digits so output round-trips bit-faithfully.  Verbs raise;
+``main`` alone prints ``error: <message>`` and picks the exit status:
+
+- 0: success, or gof verdict "consistent".
+- 1: gof verdict "rejected"; a library refusal that is not a usage error
+  for the verb (unmet solver tolerance, a domain or range error in eval or
+  plotdata, Bi overflow, non-finite values); out of memory.
+- 2: usage: a bad option, grid, number or sample file, an unwritable
+  output path, and a DomainError from solve or sample, or a DomainError
+  or RangeError from gof.
+- 3: gof verdict "inconclusive".
 """
 
 from __future__ import annotations
@@ -19,13 +26,7 @@ import numpy as np
 from . import gof as gof_mod
 from . import mwright, specfun, stein
 from ._csvtext import _csv_rows, parse_samples_csv
-from .errors import (
-    AiryOverflowError,
-    DomainError,
-    RangeError,
-    SolverAccuracyError,
-    WrightSteinError,
-)
+from .errors import AiryOverflowError, DomainError, RangeError, WrightSteinError
 
 __all__ = ["main", "build_parser"]
 
@@ -136,50 +137,39 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_eval(args) -> int:
+    if args.grid is not None and args.grid_opt is not None:
+        raise ValueError("eval takes one grid, positional or --grid, not both")
     spec = args.grid_opt if args.grid_opt is not None else args.grid
     if spec is None:
-        print("error: eval needs a grid (positional or --grid=start:stop:step)",
-              file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        xs = _parse_grid(spec)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("eval needs a grid (positional or --grid=start:stop:step)")
+    xs = _parse_grid(spec)
 
     needs_beta = args.function in ("ml", "mwright", "mwright-sym")
     if needs_beta and args.beta is None:
-        print(f"error: --beta is required for {args.function}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"--beta is required for {args.function}")
     if not needs_beta and args.beta is not None:
-        print(f"error: --beta is not accepted for {args.function}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"--beta is not accepted for {args.function}")
     try:
         beta = _parse_number(args.beta) if args.beta is not None else None
     except ValueError as e:
-        print(f"error: --beta: {e}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"--beta: {e}") from None
 
-    try:
-        if args.function in ("ai", "bi"):
-            a = specfun.airy_many(xs)
-            vals = a.ai if args.function == "ai" else a.bi
-            bad = ~np.isfinite(vals)
-            if bad.any():
-                raise AiryOverflowError(
-                    f"unscaled {args.function} overflows at x={float(xs[bad][0])!r}"
-                )
-        elif args.function == "gi":
-            vals = specfun.scorer_gi(xs)
-        elif args.function == "ml":
-            vals = specfun.mittag_leffler(beta, xs)
-        elif args.function == "mwright":
-            vals = np.asarray(mwright.density(beta, xs))
-        else:
-            vals = np.asarray(mwright.density_sym(beta, xs))
-    except (AiryOverflowError, DomainError, RangeError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_REJECTED
+    if args.function in ("ai", "bi"):
+        a = specfun.airy_many(xs)
+        vals = a.ai if args.function == "ai" else a.bi
+        bad = ~np.isfinite(vals)
+        if bad.any():
+            raise AiryOverflowError(
+                f"unscaled {args.function} overflows at x={float(xs[bad][0])!r}"
+            )
+    elif args.function == "gi":
+        vals = specfun.scorer_gi(xs)
+    elif args.function == "ml":
+        vals = specfun.mittag_leffler(beta, xs)
+    elif args.function == "mwright":
+        vals = np.asarray(mwright.density(beta, xs))
+    else:
+        vals = np.asarray(mwright.density_sym(beta, xs))
 
     _emit("x,value\n" + _csv_rows(xs, np.atleast_1d(vals)), args.output)
     return EXIT_OK
@@ -188,41 +178,18 @@ def _cmd_eval(args) -> int:
 def _cmd_solve(args) -> int:
     family = _solve_family()
     if args.h_label not in family:
-        print(
-            f"error: unknown test function {args.h_label!r}; "
-            f"choose from {sorted(family)}",
-            file=sys.stderr,
+        raise ValueError(
+            f"unknown test function {args.h_label!r}; choose from {sorted(family)}"
         )
-        return EXIT_USAGE
     tf = family[args.h_label]
-    grid = None
-    if args.grid is not None:
-        try:
-            grid = _parse_grid(args.grid)
-        except ValueError as e:
-            print(f"error: {e}", file=sys.stderr)
-            return EXIT_USAGE
-    try:
-        if args.symmetric:
-            sol = stein.solve_stein_sym(tf, grid)
-        else:
-            sol = stein.solve_stein(tf, grid)
-    except SolverAccuracyError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_REJECTED
-    except DomainError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    _emit(sol.to_csv(), args.output)
+    grid = None if args.grid is None else _parse_grid(args.grid)
+    solve = stein.solve_stein_sym if args.symmetric else stein.solve_stein
+    _emit(solve(tf, grid).to_csv(), args.output)
     return EXIT_OK
 
 
 def _cmd_sample(args) -> int:
-    try:
-        s = mwright.sample(args.n, seed=args.seed, symmetric=args.symmetric)
-    except DomainError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+    s = mwright.sample(args.n, seed=args.seed, symmetric=args.symmetric)
     _emit(s.to_csv(), args.output)
     return EXIT_OK
 
@@ -234,20 +201,10 @@ def _read_samples(path: str) -> np.ndarray:
 
 
 def _cmd_gof(args) -> int:
-    try:
-        vals = _read_samples(args.input)
-    except (OSError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        hs = gof_mod.default_test_functions(args.k)
-        if args.symmetric:
-            rep = gof_mod.discrepancy_sym(vals, hs)
-        else:
-            rep = gof_mod.discrepancy(vals, hs)
-    except (DomainError, RangeError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+    vals = _read_samples(args.input)
+    hs = gof_mod.default_test_functions(args.k)
+    test = gof_mod.discrepancy_sym if args.symmetric else gof_mod.discrepancy
+    rep = test(vals, hs)
     _emit(rep.to_csv() if args.csv else rep.to_table(), args.output)
     return {
         "consistent": EXIT_OK,
@@ -257,24 +214,29 @@ def _cmd_gof(args) -> int:
 
 
 def _cmd_plotdata(args) -> int:
-    try:
-        betas = [_parse_number(b) for b in args.betas.split(",") if b.strip()]
-        xs = _parse_grid(args.grid)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+    labels = [b.strip() for b in args.betas.split(",") if b.strip()]
+    betas = [_parse_number(b) for b in labels]
+    xs = _parse_grid(args.grid)
     if not betas:
-        print("error: no betas given", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("no betas given")
     for b in betas:
         if not (0 <= b <= 0.5):
-            print(f"error: beta {b} outside [0, 1/2]", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError(f"beta {b} outside [0, 1/2]")
     cols = [np.asarray(mwright.density_sym(b, xs)) for b in betas]
-    header = "x," + ",".join(f"beta={args.betas.split(',')[i].strip()}" for i in range(len(betas)))
+    header = "x," + ",".join(f"beta={label}" for label in labels)
     _emit(header + "\n" + _csv_rows(xs, *cols), args.output)
     return EXIT_OK
 
+
+# Each verb's command, and the library errors that are usage errors (exit 2)
+# for it; every other WrightSteinError exits 1.
+_VERBS = {
+    "eval": (_cmd_eval, ()),
+    "solve": (_cmd_solve, (DomainError,)),
+    "sample": (_cmd_sample, (DomainError,)),
+    "gof": (_cmd_gof, (DomainError, RangeError)),
+    "plotdata": (_cmd_plotdata, ()),
+}
 
 # The parser main uses, built on its first call.
 _parser = None
@@ -302,21 +264,17 @@ def main(argv=None) -> int:
                 parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as e:
         return int(e.code) if e.code is not None else EXIT_USAGE
+    command, usage_errors = _VERBS[args.verb]
     try:
-        if args.verb == "eval":
-            return _cmd_eval(args)
-        if args.verb == "solve":
-            return _cmd_solve(args)
-        if args.verb == "sample":
-            return _cmd_sample(args)
-        if args.verb == "gof":
-            return _cmd_gof(args)
-        if args.verb == "plotdata":
-            return _cmd_plotdata(args)
-    except WrightSteinError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_REJECTED
-    return EXIT_USAGE
+        return command(args)
+    except (WrightSteinError, MemoryError, ValueError, OSError) as e:
+        # WrightSteinError first: DomainError and RangeError are ValueErrors.
+        if isinstance(e, WrightSteinError):
+            code = EXIT_USAGE if isinstance(e, usage_errors) else EXIT_REJECTED
+        else:
+            code = EXIT_REJECTED if isinstance(e, MemoryError) else EXIT_USAGE
+        print(f"error: {str(e) or type(e).__name__}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -122,6 +122,13 @@ class TestEval:
 
         assert rows[0, 1] == airy(0.7).bi  # bit-exact through the CSV
 
+    def test_two_grids_refused(self, capsys):
+        for argv in (["eval", "ai", "0:1:1", "--grid=0:2:1"],
+                     ["eval", "ml", "--beta", "1/3", "--grid=0:1:1", "0:2:1"]):
+            code, out, err = run(capsys, argv)
+            assert (code, out) == (2, "")
+            assert err == "error: eval takes one grid, positional or --grid, not both\n"
+
 
 class TestSolve:
     def test_const_gives_zero_column(self, capsys):
@@ -299,6 +306,13 @@ class TestPlotdata:
     def test_beta_out_of_range(self, capsys):
         assert run(capsys, ["plotdata", "--betas", "0.6"])[0] == 2
 
+    def test_header_skips_empty_betas(self, capsys):
+        code, out, _ = run(capsys, ["plotdata", "--betas", "0,,1/3", "--grid=-1:1:1"])
+        assert code == 0
+        header, rows = parse_csv(out)
+        assert header == ["x", "beta=0", "beta=1/3"]
+        assert rows.shape == (3, 3)
+
     def test_unknown_verb(self, capsys):
         assert main(["frobnicate"]) == 2
 
@@ -397,6 +411,77 @@ class TestExitCodeContract:
     def test_parse_rejects_infinity(self):
         with pytest.raises(ValueError, match="line 3"):
             parse_samples_csv("1.0\n# c\n-inf\n2.0\n")
+
+
+def _sample_file(tmp_path):
+    p = tmp_path / "mw.csv"
+    p.write_text(sample(2000, seed=9).to_csv())
+    return str(p)
+
+
+# One quick invocation per verb; "@" is the sample file.
+_VERB_ARGV = {
+    "eval": ["eval", "ai", "0:1:1"],
+    "solve": ["solve", "--h", "cos", "--grid", "0:2:0.5"],
+    "sample": ["sample", "10"],
+    "gof": ["gof", "@", "--k", "2"],
+    "plotdata": ["plotdata", "--grid=0:1:1"],
+}
+
+
+def _verb_argv(verb, tmp_path):
+    return [_sample_file(tmp_path) if a == "@" else a for a in _VERB_ARGV[verb]]
+
+
+class TestErrorExit:
+    @pytest.mark.parametrize("target", ["missing-dir", "directory"])
+    @pytest.mark.parametrize("verb", sorted(_VERB_ARGV))
+    def test_unwritable_output_is_usage_error(self, tmp_path, capsys, verb, target):
+        path = tmp_path / "missing" / "x.csv" if target == "missing-dir" else tmp_path
+        code, out, err = run(capsys, [*_verb_argv(verb, tmp_path), "-o", str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: [Errno ") and err.count("\n") == 1
+
+    def test_out_of_memory_exits_one(self, capsys, monkeypatch):
+        from wright_stein import mwright
+
+        # numpy's MemoryError names the allocation; Python's own has no
+        # message, and the line then names the error.
+        for raised, line in ((MemoryError("Unable to allocate 745. GiB"),
+                              "error: Unable to allocate 745. GiB\n"),
+                             (MemoryError(), "error: MemoryError\n")):
+            def no_memory(*args, raised=raised, **kwargs):
+                raise raised
+
+            monkeypatch.setattr(mwright, "sample", no_memory)
+            code, out, err = run(capsys, ["sample", "100000000000"])
+            assert (code, out, err) == (1, "", line)
+
+    # The library call each verb makes, and the exit code of each refusal.
+    @pytest.mark.parametrize("verb, module, name, codes", [
+        ("eval", "specfun", "airy_many", (1, 1, 1, 1)),
+        ("solve", "stein", "solve_stein", (2, 1, 1, 1)),
+        ("sample", "mwright", "sample", (2, 1, 1, 1)),
+        ("gof", "gof", "discrepancy", (2, 2, 1, 1)),
+        ("plotdata", "mwright", "density_sym", (1, 1, 1, 1)),
+    ])
+    def test_library_refusals_map_to_the_exit_table(self, tmp_path, capsys, monkeypatch,
+                                                    verb, module, name, codes):
+        import importlib
+
+        from wright_stein.errors import (
+            DomainError, NonFiniteError, RangeError, SolverAccuracyError)
+
+        argv = _verb_argv(verb, tmp_path)
+        owner = importlib.import_module(f"wright_stein.{module}")
+        for error, want in zip(
+                (DomainError, RangeError, SolverAccuracyError, NonFiniteError), codes):
+            def refuse(*args, error=error, **kwargs):
+                raise error(f"planted {error.__name__}")
+
+            monkeypatch.setattr(owner, name, refuse)
+            code, out, err = run(capsys, argv)
+            assert (code, out, err) == (want, "", f"error: planted {error.__name__}\n"), error
 
 
 _GRID_PART = st.one_of(
