@@ -136,9 +136,10 @@ def _csv_block(v: np.ndarray, sep: np.ndarray) -> bytes:
     return np.compress(out != 0, out).tobytes()
 
 
-def _csv_rows(*cols) -> str:
-    """CSV rows of equal-length columns, byte for byte the text of
-    ``"%.17g"`` (17 significant digits, so each double round-trips).
+def _csv_pieces(*cols):
+    """The text of CSV rows of equal-length columns, one block at a time,
+    byte for byte the text of ``"%.17g"`` (17 significant digits, so each
+    double round-trips).
 
     Below _CSV_ARRAY_MIN values it is one % formatting call.  Otherwise
     ``_csv_block`` forms blocks of about _CSV_BLOCK values by array
@@ -152,38 +153,27 @@ def _csv_rows(*cols) -> str:
     flat = cols[0] if len(cols) == 1 else np.column_stack(cols).ravel()
     if flat.size < _CSV_ARRAY_MIN:
         row = ",".join(["%.17g"] * len(cols)) + "\n"
-        return row * len(cols[0]) % tuple(flat.tolist())
+        yield row * len(cols[0]) % tuple(flat.tolist())
+        return
     flat = np.asarray(flat, dtype=float)
     step = max(1, _CSV_BLOCK // len(cols)) * len(cols)
     sep = np.tile(np.array([44] * (len(cols) - 1) + [10], np.uint32), step // len(cols))
-    text = b"".join([
-        _csv_block(flat[i : i + step], sep[: min(step, flat.size - i)])
-        for i in range(0, flat.size, step)
-    ])
-    return text.decode("ascii")
+    for i in range(0, flat.size, step):
+        yield _csv_block(flat[i : i + step], sep[: min(step, flat.size - i)]).decode("ascii")
+
+
+def _csv_rows(*cols) -> str:
+    """All of ``_csv_pieces(*cols)`` as one string."""
+    return "".join(_csv_pieces(*cols))
 
 
 # Characters of CSV text split into lines at a time.
 _PARSE_CHUNK = 1 << 18
 
 
-def _chunks(text: str, start: int):
-    """text[start:] without a final "\n", cut after about every
-    _PARSE_CHUNK characters at a "\n", which is dropped."""
-    end = len(text) - text.endswith("\n")
-    while start < end:
-        stop = text.find("\n", min(start + _PARSE_CHUNK, end), end)
-        stop = end if stop < 0 else stop
-        yield text[start:stop]
-        start = stop + 1
-
-
-def parse_samples_csv(text: str):
-    """Values from one-per-line CSV; # comments ignored.  Raises ValueError
-    carrying the 1-based line number on malformed or non-finite content."""
-    # A file as written by `sample`: leading comment lines, each one line to
-    # splitlines() too, then a number on each "\n"-piece (float() ignores the
-    # whitespace around it, a "\r" too).
+def _comments_end(text: str) -> int:
+    """Where the leading comment lines of text end: lines that start with
+    "#" and are one line to splitlines() too."""
     start = 0
     while text.startswith("#", start):
         stop = text.find("\n", start)
@@ -191,22 +181,80 @@ def parse_samples_csv(text: str):
         if len(text[start:stop].splitlines()) != 1:
             break
         start = stop + 1
+    return start
+
+
+def _chunks(reads):
+    """The text of successive reads from the end of its leading comment
+    lines, without a final "\n": each read is cut after its last "\n",
+    which is dropped, and the rest carries over.  Raises ValueError when the
+    comment lines fill the first read, whose end is then no known line
+    end."""
+    reads = iter(reads)
+    text = next(reads, "")
+    start = _comments_end(text)
+    if text and start >= len(text):
+        raise ValueError("leading comment lines longer than one read")
+    rest = []
+    while text:
+        cut = text.rfind("\n", start)
+        if cut >= 0:
+            rest.append(text[start:cut])
+            yield "".join(rest)
+            rest, start = [], cut + 1
+        rest.append(text[start:])
+        text, start = next(reads, ""), 0
+    last = "".join(rest)
+    if last:
+        yield last
+
+
+def _finite_values(chunks):
+    """The number on each "\n"-piece of each chunk (float() ignores the
+    whitespace around it, a "\r" too), or None at the first piece that is
+    not a number (or not decodable) and when a value is not finite.  One
+    chunk's strings at a time: a 1e6-line file never holds 1e6 string
+    objects."""
+    parts = [np.empty(0)]
     try:
-        # One chunk's strings at a time: a 1e6-line file never holds 1e6
-        # string objects.
-        parts = [np.empty(0)]
-        for chunk in _chunks(text, start):
+        for chunk in chunks:
             pieces = chunk.split("\n")
             parts.append(np.fromiter(map(float, pieces), dtype=float, count=len(pieces)))
-        arr = np.concatenate(parts)
-        if np.isfinite(arr).all():
-            return arr
-    except ValueError:
-        pass
+    except ValueError:  # UnicodeDecodeError is one
+        return None
+    arr = np.concatenate(parts)
+    return arr if np.isfinite(arr).all() else None
+
+
+def parse_samples_csv(source):
+    """Values from one-per-line CSV; # comments ignored.  Raises ValueError
+    carrying the 1-based line number on malformed or non-finite content.
+
+    ``source`` is the CSV text or an open text file, read from where it
+    stands.  A seekable file is read _PARSE_CHUNK characters at a time, so
+    its whole text is never held; on any failure, a decode error too, it is
+    read again as one text, so messages and line numbers are those of the
+    text.  Any other file is read whole first.
+    """
+    # A file as written by `sample`: leading comment lines, then a number on
+    # each "\n"-piece.
+    if isinstance(source, str) or not source.seekable():
+        text = source if isinstance(source, str) else source.read()
+        reads = (text[i : i + _PARSE_CHUNK] for i in range(0, len(text), _PARSE_CHUNK))
+    else:
+        text, at = None, source.tell()
+        reads = iter(lambda: source.read(_PARSE_CHUNK), "")
+    arr = _finite_values(_chunks(reads))
+    if arr is not None:
+        return arr
+    if text is None:
+        source.seek(at)
+        text = source.read()
     # Anything else (blank or inner comment lines, other line breaks, a
-    # malformed or non-finite value) takes one more pass over the value
-    # lines.  The pass stops at the first malformed line, so a malformed line
-    # anywhere is reported before a non-finite value.
+    # malformed or non-finite value, a decode error, comment lines that fill
+    # the first read) takes one more pass over the value lines.  The pass
+    # stops at the first malformed line, so a malformed line anywhere is
+    # reported before a non-finite value.
     lines = [s for s in map(str.strip, text.splitlines()) if s and not s.startswith("#")]
     rest = iter(lines)
     try:

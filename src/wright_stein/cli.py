@@ -17,7 +17,10 @@ significant digits so output round-trips bit-faithfully.  Verbs raise;
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
+import os
+import stat
 import sys
 from fractions import Fraction
 
@@ -72,12 +75,31 @@ def _parse_grid(spec: str) -> np.ndarray:
     return start + step * np.arange(n)
 
 
-def _emit(text: str, path: str | None) -> None:
+@contextlib.contextmanager
+def _output(path: str | None):
+    """The verb's output: stdout, or the file at path.  A verb that fails
+    after opening its file leaves no file behind, as a truncated sample
+    file would read as a smaller sample.  What is removed is the regular
+    file that was opened, through a link too; a device or a pipe stays."""
     if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+        yield sys.stdout
+        return
+    fh = open(path, "w")
+    opened = os.fstat(fh.fileno())
+    try:
+        with fh:
+            yield fh
+    except BaseException:
+        real = os.path.realpath(path)
+        with contextlib.suppress(OSError):
+            if stat.S_ISREG(opened.st_mode) and os.path.samestat(opened, os.stat(real)):
+                os.remove(real)
+        raise
+
+
+def _emit(text: str, path: str | None) -> None:
+    with _output(path) as fh:
+        fh.write(text)
 
 
 def _solve_family() -> dict:
@@ -190,18 +212,14 @@ def _cmd_solve(args) -> int:
 
 def _cmd_sample(args) -> int:
     s = mwright.sample(args.n, seed=args.seed, symmetric=args.symmetric)
-    _emit(s.to_csv(), args.output)
+    with _output(args.output) as fh:
+        s.to_csv(fh)
     return EXIT_OK
 
 
-def _read_samples(path: str) -> np.ndarray:
-    """The draws in a sample CSV; its text is freed before they go on."""
-    with open(path) as fh:
-        return parse_samples_csv(fh.read())
-
-
 def _cmd_gof(args) -> int:
-    vals = _read_samples(args.input)
+    with open(args.input) as fh:
+        vals = parse_samples_csv(fh)
     hs = gof_mod.default_test_functions(args.k)
     test = gof_mod.discrepancy_sym if args.symmetric else gof_mod.discrepancy
     rep = test(vals, hs)

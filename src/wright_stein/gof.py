@@ -232,7 +232,7 @@ def _report(vals, hs, grid, sign_balance=None, at_zero=0) -> DiscrepancyReport:
     solved = _solved(_SolveKey(hs, grid, symmetric))
     inside = (vals >= grid[0]) & (vals <= grid[-1])
     clipped = int(n - np.count_nonzero(inside))
-    vin = vals[inside]
+    vin = vals if clipped == 0 else vals[inside]
     sides = (np.abs(vin[vin >= 0]), -vin[vin < 0]) if symmetric else (vin,)
 
     # On each cell (A f_h)(x) = f'' - (|x|/3) f of the Hermite interpolant is

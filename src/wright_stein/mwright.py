@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._csvtext import _csv_rows
+from ._csvtext import _csv_pieces
 from .errors import DomainError, RangeError
 from .numerics import GAMMA_1_3, _is_int, gamma_fn, integrate
 from .specfun import _green_at, _ones, airy_many, mittag_leffler
@@ -41,6 +41,8 @@ MOMENT_MAX = 12
 # Upper limit standing in for +inf in quadratures against M_{1/3}, whose
 # density is below 1e-42 beyond it.
 _DENSITY_CUT = 40.0
+# Draws per block of the sampler's temporaries.
+_SAMPLE_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -125,9 +127,17 @@ class SampleSet:
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "size", int(vals.size))
 
-    def to_csv(self) -> str:
+    def to_csv(self, file=None) -> str | None:
+        """The sample as CSV: a "# generator=... seed=... n=..." line, then
+        one value per line.  Returns the text; given an open text file,
+        writes it there block by block instead, so the whole text is never
+        held."""
         head = f"# generator={self.generator} seed={self.seed} n={self.size}\n"
-        return head + _csv_rows(self.values)
+        if file is None:
+            return "".join([head, *_csv_pieces(self.values)])
+        file.write(head)
+        file.writelines(_csv_pieces(self.values))
+        return None
 
 
 def _kappa_third(u):
@@ -156,18 +166,28 @@ def sample(n: int, seed: int, symmetric: bool = False) -> SampleSet:
     """
     if not (_is_int(n) and n >= 1):
         raise DomainError(f"sample requires n >= 1, got {n}")
+    if n > np.iinfo(np.intp).max:
+        raise DomainError(f"sample requires n <= {np.iinfo(np.intp).max}, the largest array")
     if not (_is_int(seed) and seed >= 0):
         raise DomainError(f"sample requires an integer seed >= 0, got {seed!r}")
     rng = np.random.default_rng(seed)
-    u = rng.random(n)
-    e = rng.standard_exponential(n)
-    # In place, so that with the copy SampleSet takes, no more arrays are
-    # alive at once than before it copied.
-    xs = e ** (2.0 / 3.0)
-    xs /= _kappa_third(u)
-    label = "mwright-sym-1/3" if symmetric else "mwright-1/3"
+    # Two full-length arrays at once, the copy SampleSet takes counted, and
+    # one block of temporaries: the uniforms become kappa in place and the
+    # exponentials the draws.  Blocks of signs from the stream are the
+    # doubles of one call.
+    kappa = rng.random(n)
+    blocks = [slice(i, i + _SAMPLE_BLOCK) for i in range(0, n, _SAMPLE_BLOCK)]
+    for b in blocks:
+        kappa[b] = _kappa_third(kappa[b])
+    xs = rng.standard_exponential(n)
+    for b in blocks:
+        np.power(xs[b], 2.0 / 3.0, out=xs[b])
+        xs[b] /= kappa[b]
+    del kappa
     if symmetric:
-        xs *= np.where(rng.random(n) < 0.5, -1.0, 1.0)
+        for b in blocks:
+            np.negative(xs[b], out=xs[b], where=rng.random(xs[b].size) < 0.5)
+    label = "mwright-sym-1/3" if symmetric else "mwright-1/3"
     return SampleSet(values=xs, seed=int(seed), generator=label)
 
 

@@ -2,11 +2,14 @@ import contextlib
 import io
 import math
 import os
+import subprocess
+import sys
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wright_stein import _csvtext
@@ -193,6 +196,11 @@ class TestSample:
     def test_zero_is_usage_error(self, capsys):
         assert run(capsys, ["sample", "0"])[0] == 2
 
+    def test_size_beyond_any_array_is_usage_error(self, capsys):
+        code, out, err = run(capsys, ["sample", "1" + "0" * 400])
+        assert (code, out) == (2, "")
+        assert err == f"error: sample requires n <= {np.iinfo(np.intp).max}, the largest array\n"
+
     def test_matches_library_sampler(self, capsys):
         _, out, _ = run(capsys, ["sample", "5", "--seed", "11"])
         vals = np.array([float(l) for l in out.splitlines()[1:]])
@@ -252,8 +260,6 @@ class TestGof:
         # The file's text is gone by the time the test runs: what is still
         # allocated then is the draws (8 bytes each), not the ~20 bytes of
         # text per draw.
-        import tracemalloc
-
         from wright_stein import gof as gof_mod
 
         p = tmp_path / "mw.csv"
@@ -281,6 +287,37 @@ class TestGof:
         code, out, err = run(capsys, ["gof", str(p)])
         assert (code, out) == (2, "")
         assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("chunk", [7, 60, None])
+    def test_undecodable_leading_comment_reports_the_whole_file_offset(
+            self, tmp_path, capsys, monkeypatch, chunk):
+        # The bad byte lies past the first 8 KiB the file object decodes at
+        # a time, so only a read of the whole text names its offset in the
+        # file.
+        p = tmp_path / "bin.csv"
+        p.write_bytes(b"# " + b"x" * 10_000 + b"\xff\n1.0\n2.0\n")
+        with pytest.raises(UnicodeDecodeError) as whole, open(p) as fh:
+            fh.read()
+        if chunk is not None:
+            monkeypatch.setattr(_csvtext, "_PARSE_CHUNK", chunk)
+        assert run(capsys, ["gof", str(p)]) == (2, "", f"error: {whole.value}\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+    @pytest.mark.parametrize("last", ["", "nan\n"])
+    def test_pipe_into_stdin_matches_the_file(self, tmp_path, last):
+        # A pipe cannot seek: it is read whole, then parsed as the file is.
+        import wright_stein
+
+        p = tmp_path / "mw.csv"
+        p.write_text(sample(20_000, seed=6, symmetric=True).to_csv() + last)
+        src = os.path.dirname(os.path.dirname(wright_stein.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        cmd = [sys.executable, "-m", "wright_stein.cli", "gof", "--symmetric"]
+        by_file = subprocess.run([*cmd, str(p)], env=env, capture_output=True)
+        piped = subprocess.run([*cmd, "/dev/stdin"], env=env, capture_output=True,
+                               input=p.read_bytes())
+        assert piped.returncode == by_file.returncode == (2 if last else 0)
+        assert (piped.stdout, piped.stderr) == (by_file.stdout, by_file.stderr)
 
 
 class TestPlotdata:
@@ -442,6 +479,33 @@ class TestErrorExit:
         assert (code, out) == (2, "")
         assert err.startswith("error: [Errno ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("target", ["file", "link", "stdout"])
+    def test_failed_sample_leaves_no_truncated_file(self, tmp_path, capsys, monkeypatch,
+                                                   target):
+        # The 3rd of 7 blocks fails after the first two were written: the
+        # file goes, as it would read as a smaller sample.  Through a link,
+        # the file it names goes and the link stays; stdout keeps the lines
+        # written.
+        text = sample(200_000, seed=0).to_csv()
+        real, calls = _csvtext._csv_block, []
+
+        def failing(*args):
+            calls.append(1)
+            if len(calls) == 3:
+                raise MemoryError
+            return real(*args)
+
+        monkeypatch.setattr(_csvtext, "_csv_block", failing)
+        p = tmp_path / "f.csv"
+        if target == "link":
+            p.symlink_to(tmp_path / "elsewhere.csv")
+        output = [] if target == "stdout" else ["-o", str(p)]
+        code, out, err = run(capsys, ["sample", "200000", *output])
+        written = "".join(text.splitlines(keepends=True)[: 1 + 2 * _csvtext._CSV_BLOCK])
+        assert (code, out, err) == (1, written if output == [] else "", "error: MemoryError\n")
+        assert os.path.lexists(p) == (target == "link")
+        assert not (tmp_path / "elsewhere.csv").exists()
+
     def test_out_of_memory_exits_one(self, capsys, monkeypatch):
         from wright_stein import mwright
 
@@ -549,35 +613,80 @@ def _parse_line_by_line(text):
     return np.array(values, dtype=float)
 
 
+def _outcome(parse, source):
+    """The bytes of the array read, or the text of the ValueError."""
+    try:
+        got = parse(source)
+    except ValueError as e:
+        return str(e)
+    assert got.dtype == np.float64
+    return got.tobytes()
+
+
+_HEAD = "# generator=mwright-1/3 seed=1 n=3"
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(
-    head=st.lists(st.sampled_from(["#", "# generator=mwright-1/3 seed=1 n=3", "#\r", "# a\x0cb"]),
-                  max_size=3),
+    head=st.lists(st.sampled_from(["#", _HEAD, "#\r", "# a\x0cb", "# 12"]), max_size=3),
     lines=st.lists(st.tuples(st.integers(0, 8), _CSV_LINE), max_size=5),
     inner=st.lists(st.tuples(st.integers(0, 8), st.sampled_from(["#", "# c", " # c", ""])),
                    max_size=2),
     keep=st.integers(0, 8),
-    ending=st.sampled_from(["\n", "\r\n"]),
+    ending=st.sampled_from(["\n", "\r\n", "\r"]),
     final=st.booleans(),
     chunk=st.sampled_from([1, 7, 60, _csvtext._PARSE_CHUNK]),
 )
-def test_parse_samples_csv_matches_line_by_line_reader(head, lines, inner, keep, ending, final,
-                                                       chunk):
+# "\r\n" and lone "\r" line ends, and comment lines longer than a chunk.
+@example(head=[_HEAD], lines=[], inner=[], keep=8, ending="\r\n", final=True, chunk=7)
+@example(head=[_HEAD], lines=[], inner=[], keep=8, ending="\r", final=True, chunk=60)
+@example(head=[_HEAD] * 3, lines=[], inner=[], keep=8, ending="\n", final=False, chunk=60)
+# A comment cut by the first read whose tail reads as a number.
+@example(head=["# 12"], lines=[], inner=[], keep=8, ending="\n", final=True, chunk=1)
+def test_parse_samples_csv_matches_line_by_line_reader(tmp_path_factory, head, lines, inner,
+                                                       keep, ending, final, chunk):
     body = _CSV_BODY[:keep]
     for pos, line in lines + inner:
         body.insert(min(pos, len(body)), line)
     text = ending.join(head + body) + (ending if final else "")
+    # The text as a file too, read in text mode as gof reads it.
+    path = tmp_path_factory.getbasetemp() / "parse.csv"
+    path.write_text(text, encoding="utf-8", newline="")
     # Chunk edges fall inside the text.
     default, _csvtext._PARSE_CHUNK = _csvtext._PARSE_CHUNK, chunk
     try:
-        expected = _parse_line_by_line(text)
-    except ValueError as e:
-        with pytest.raises(ValueError) as exc:
-            parse_samples_csv(text)
-        assert str(exc.value) == str(e)
-    else:
-        got = parse_samples_csv(text)
-        assert got.dtype == np.float64
-        assert got.tobytes() == expected.tobytes()
+        expected = _outcome(_parse_line_by_line, text)
+        assert _outcome(parse_samples_csv, text) == expected
+        with open(path, encoding="utf-8") as fh:
+            assert _outcome(parse_samples_csv, fh) == expected
     finally:
         _csvtext._PARSE_CHUNK = default
+
+
+def _traced_peak(call) -> float:
+    """The most memory call held at once, in MiB; numpy reports its
+    buffers to tracemalloc."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    # 1e6 draws are 7.6 MiB and their text 19.5 MB.  The bounds leave the
+    # sampler two arrays of draws, the sample verb those and a block of
+    # text, and gof the draws and its sweep's arrays, each with a few MiB to
+    # spare: whole-array temporaries or the whole text would go over them.
+    def test_sampler(self):
+        assert _traced_peak(lambda: sample(10**6, 5)) <= 24
+
+    def test_sample_verb(self, tmp_path, capsys):
+        p = str(tmp_path / "f.csv")
+        assert _traced_peak(lambda: main(["sample", "1000000", "-o", p])) <= 30
+
+    def test_gof_verb(self, tmp_path, capsys):
+        p = str(tmp_path / "f.csv")
+        assert main(["sample", "1000000", "-o", p]) == 0
+        assert _traced_peak(lambda: main(["gof", p])) <= 38

@@ -229,6 +229,10 @@ class TestSampler:
             sample(0, seed=1)
         with pytest.raises(DomainError):
             sample(True, seed=1)
+        # Sizes no array can have: a DomainError, not numpy's ValueError.
+        for n in (np.iinfo(np.intp).max + 1, 10**400):
+            with pytest.raises(DomainError, match="the largest array"):
+                sample(n, seed=1)
 
     @pytest.mark.parametrize("seed", [-1, 1.5, "7", None, True])
     def test_invalid_seed(self, seed):
