@@ -150,21 +150,17 @@ def _csv_pieces(*cols):
     4-digit groups.  Zeros, subnormals, values printed in exponent form, inf
     and nan keep % formatting, one call per block.
     """
-    flat = cols[0] if len(cols) == 1 else np.column_stack(cols).ravel()
-    if flat.size < _CSV_ARRAY_MIN:
-        row = ",".join(["%.17g"] * len(cols)) + "\n"
-        yield row * len(cols[0]) % tuple(flat.tolist())
+    k, n = len(cols), len(cols[0])
+    if n * k < _CSV_ARRAY_MIN:
+        yield (",".join(["%.17g"] * k) + "\n") * n % tuple(np.column_stack(cols).ravel().tolist())
         return
-    flat = np.asarray(flat, dtype=float)
-    step = max(1, _CSV_BLOCK // len(cols)) * len(cols)
-    sep = np.tile(np.array([44] * (len(cols) - 1) + [10], np.uint32), step // len(cols))
-    for i in range(0, flat.size, step):
-        yield _csv_block(flat[i : i + step], sep[: min(step, flat.size - i)]).decode("ascii")
-
-
-def _csv_rows(*cols) -> str:
-    """All of ``_csv_pieces(*cols)`` as one string."""
-    return "".join(_csv_pieces(*cols))
+    rows = max(1, _CSV_BLOCK // k)
+    sep = np.tile(np.array([44] * (k - 1) + [10], np.uint32), rows)
+    for i in range(0, n, rows):
+        # This block's rows, interleaved; a single column's slice is no copy.
+        block = [c[i : i + rows] for c in cols]
+        block = np.asarray(block[0] if k == 1 else np.column_stack(block).ravel(), dtype=float)
+        yield _csv_block(block, sep[: block.size]).decode("ascii")
 
 
 # Characters of CSV text split into lines at a time.

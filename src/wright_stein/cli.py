@@ -28,7 +28,7 @@ import numpy as np
 
 from . import gof as gof_mod
 from . import mwright, specfun, stein
-from ._csvtext import _csv_rows, parse_samples_csv
+from ._csvtext import _csv_pieces, parse_samples_csv
 from .errors import AiryOverflowError, DomainError, RangeError, WrightSteinError
 
 __all__ = ["main", "build_parser"]
@@ -78,9 +78,9 @@ def _parse_grid(spec: str) -> np.ndarray:
 @contextlib.contextmanager
 def _output(path: str | None):
     """The verb's output: stdout, or the file at path.  A verb that fails
-    after opening its file leaves no file behind, as a truncated sample
-    file would read as a smaller sample.  What is removed is the regular
-    file that was opened, through a link too; a device or a pipe stays."""
+    after opening its file leaves no file behind, as a truncated file would
+    read as a smaller sample or a shorter table.  The regular file that was
+    opened is removed, through a link too; a device or a pipe stays."""
     if path is None:
         yield sys.stdout
         return
@@ -95,11 +95,6 @@ def _output(path: str | None):
             if stat.S_ISREG(opened.st_mode) and os.path.samestat(opened, os.stat(real)):
                 os.remove(real)
         raise
-
-
-def _emit(text: str, path: str | None) -> None:
-    with _output(path) as fh:
-        fh.write(text)
 
 
 def _solve_family() -> dict:
@@ -193,7 +188,9 @@ def _cmd_eval(args) -> int:
     else:
         vals = np.asarray(mwright.density_sym(beta, xs))
 
-    _emit("x,value\n" + _csv_rows(xs, np.atleast_1d(vals)), args.output)
+    with _output(args.output) as fh:
+        fh.write("x,value\n")
+        fh.writelines(_csv_pieces(xs, np.atleast_1d(vals)))
     return EXIT_OK
 
 
@@ -206,7 +203,9 @@ def _cmd_solve(args) -> int:
     tf = family[args.h_label]
     grid = None if args.grid is None else _parse_grid(args.grid)
     solve = stein.solve_stein_sym if args.symmetric else stein.solve_stein
-    _emit(solve(tf, grid).to_csv(), args.output)
+    text = solve(tf, grid).to_csv()
+    with _output(args.output) as fh:
+        fh.write(text)
     return EXIT_OK
 
 
@@ -223,7 +222,9 @@ def _cmd_gof(args) -> int:
     hs = gof_mod.default_test_functions(args.k)
     test = gof_mod.discrepancy_sym if args.symmetric else gof_mod.discrepancy
     rep = test(vals, hs)
-    _emit(rep.to_csv() if args.csv else rep.to_table(), args.output)
+    text = rep.to_csv() if args.csv else rep.to_table()
+    with _output(args.output) as fh:
+        fh.write(text)
     return {
         "consistent": EXIT_OK,
         "rejected": EXIT_REJECTED,
@@ -241,8 +242,9 @@ def _cmd_plotdata(args) -> int:
         if not (0 <= b <= 0.5):
             raise ValueError(f"beta {b} outside [0, 1/2]")
     cols = [np.asarray(mwright.density_sym(b, xs)) for b in betas]
-    header = "x," + ",".join(f"beta={label}" for label in labels)
-    _emit(header + "\n" + _csv_rows(xs, *cols), args.output)
+    with _output(args.output) as fh:
+        fh.write("x," + ",".join(f"beta={label}" for label in labels) + "\n")
+        fh.writelines(_csv_pieces(xs, *cols))
     return EXIT_OK
 
 

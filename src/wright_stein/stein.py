@@ -55,7 +55,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 from numpy.polynomial.polynomial import polyval
 
-from ._csvtext import _csv_rows
+from ._csvtext import _csv_pieces
 from .errors import DomainError, NonFiniteError, SolverAccuracyError
 from .numerics import GAMMA_1_3, GAMMA_2_3, _vectorized, integrate
 from .mwright import _DENSITY_CUT, density
@@ -310,7 +310,7 @@ class SteinSolution:
         )
         buf.write("x,f,f_prime,f_double_prime,residual\n")
         res = self.residuals if self.residuals is not None else np.zeros_like(self.grid)
-        buf.write(_csv_rows(self.grid, self.f, self.f_prime, self.f_double_prime, res))
+        buf.writelines(_csv_pieces(self.grid, self.f, self.f_prime, self.f_double_prime, res))
         return buf.getvalue()
 
 
@@ -329,6 +329,8 @@ def default_grid(symmetric: bool = False) -> np.ndarray:
     The symmetric grid is built as an exact mirror of its positive half, so
     the two sides of a symmetric solve see bitwise-identical abscissae.
     """
+    if not isinstance(symmetric, (bool, np.bool_)):
+        raise DomainError(f"default_grid: symmetric must be a bool, got {symmetric!r}")
     if symmetric:
         half = np.linspace(0.0, 12.0, 201)
         return np.concatenate((-half[1:][::-1], half))

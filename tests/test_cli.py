@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from wright_stein import _csvtext
 from wright_stein.cli import _parse_grid, main, parse_samples_csv
-from wright_stein._csvtext import _csv_rows
+from wright_stein._csvtext import _csv_pieces
 from wright_stein.mwright import sample
 from wright_stein.numerics import GAMMA_4_3
 
@@ -354,6 +354,10 @@ class TestPlotdata:
         assert main(["frobnicate"]) == 2
 
 
+def _csv_rows(*cols):
+    return "".join(_csv_pieces(*cols))
+
+
 def test_csv_rows_match_per_value_format():
     # The row writer writes what a per-value f-string writes, on both of its
     # paths (array blocks from 512 values on, one % call below) and across
@@ -470,6 +474,16 @@ def _verb_argv(verb, tmp_path):
     return [_sample_file(tmp_path) if a == "@" else a for a in _VERB_ARGV[verb]]
 
 
+# Each writing verb on at least 3 blocks: its argv, the lines before its rows
+# and its number of columns.
+_BIG_WRITES = {
+    "sample": (["sample", "200000"], 1, 1),
+    "eval": (["eval", "mwright", "--beta", "0", "--grid=0:5:1e-4"], 1, 2),
+    "plotdata": (["plotdata", "--betas", "0,1/2", "--grid=-5:5:2e-4"], 1, 3),
+    "solve": (["solve", "--h", "cos", "--grid", "0:20:1e-3"], 7, 5),
+}
+
+
 class TestErrorExit:
     @pytest.mark.parametrize("target", ["missing-dir", "directory"])
     @pytest.mark.parametrize("verb", sorted(_VERB_ARGV))
@@ -479,14 +493,20 @@ class TestErrorExit:
         assert (code, out) == (2, "")
         assert err.startswith("error: [Errno ") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("target", ["file", "link", "stdout"])
+    @pytest.mark.parametrize("verb, target", [
+        pytest.param(verb, target, id=target if verb == "sample" else f"{verb}-{target}")
+        for verb in _BIG_WRITES for target in ("file", "link", "stdout")])
     def test_failed_sample_leaves_no_truncated_file(self, tmp_path, capsys, monkeypatch,
-                                                   target):
-        # The 3rd of 7 blocks fails after the first two were written: the
-        # file goes, as it would read as a smaller sample.  Through a link,
-        # the file it names goes and the link stays; stdout keeps the lines
-        # written.
-        text = sample(200_000, seed=0).to_csv()
+                                                   verb, target):
+        # The 3rd block fails after the first two were written: the file
+        # goes, as it would read as a smaller sample or a shorter table.
+        # Through a link, the file it names goes and the link stays; stdout
+        # keeps the lines written.  solve forms its whole text before it
+        # opens its output, so it writes nothing.
+        argv, head, cols = _BIG_WRITES[verb]
+        code, text, _ = run(capsys, argv)
+        rows = _csvtext._CSV_BLOCK // cols
+        assert code == 0 and text.count("\n") > head + 2 * rows
         real, calls = _csvtext._csv_block, []
 
         def failing(*args):
@@ -500,11 +520,26 @@ class TestErrorExit:
         if target == "link":
             p.symlink_to(tmp_path / "elsewhere.csv")
         output = [] if target == "stdout" else ["-o", str(p)]
-        code, out, err = run(capsys, ["sample", "200000", *output])
-        written = "".join(text.splitlines(keepends=True)[: 1 + 2 * _csvtext._CSV_BLOCK])
-        assert (code, out, err) == (1, written if output == [] else "", "error: MemoryError\n")
+        code, out, err = run(capsys, [*argv, *output])
+        written = "".join(text.splitlines(keepends=True)[: head + 2 * rows])
+        if verb == "solve" or output:
+            written = ""
+        assert (code, out, err) == (1, written, "error: MemoryError\n")
         assert os.path.lexists(p) == (target == "link")
         assert not (tmp_path / "elsewhere.csv").exists()
+
+    @pytest.mark.parametrize("argv, want", [
+        (["solve", "--h", "cos", "--grid", "0:25:0.1"], 2),
+        (["eval", "bi", "--grid", "0:110:10"], 1),
+        (["plotdata", "--betas", "0.7"], 2),
+    ], ids=["solve", "eval", "plotdata"])
+    def test_refused_run_leaves_existing_output(self, tmp_path, capsys, argv, want):
+        # Each verb computes its result before it opens its output.
+        p = tmp_path / "f.csv"
+        p.write_bytes(b"# kept\r\n1.5\n")
+        code, out, err = run(capsys, [*argv, "-o", str(p)])
+        assert (code, out, err.count("\n")) == (want, "", 1) and err.startswith("error: ")
+        assert p.read_bytes() == b"# kept\r\n1.5\n"
 
     def test_out_of_memory_exits_one(self, capsys, monkeypatch):
         from wright_stein import mwright
@@ -690,3 +725,15 @@ class TestMemory:
         p = str(tmp_path / "f.csv")
         assert main(["sample", "1000000", "-o", p]) == 0
         assert _traced_peak(lambda: main(["gof", p])) <= 38
+
+    # 999,001 grid points: each column is 7.6 MiB, and the eval and plotdata
+    # texts 40 and 61 MB.  The bounds leave the grid, the value columns, the
+    # density's temporaries and a block of text; the whole text, or the
+    # columns interleaved into one array, would go over them.
+    def test_eval_verb(self, tmp_path, capsys):
+        argv = ["eval", "mwright", "--beta", "0", "--grid=0:9.99:1e-5", "-o", str(tmp_path / "f")]
+        assert _traced_peak(lambda: main(argv)) <= 40
+
+    def test_plotdata_verb(self, tmp_path, capsys):
+        argv = ["plotdata", "--betas", "0,1/2", "--grid=-5:4.99:1e-5", "-o", str(tmp_path / "f")]
+        assert _traced_peak(lambda: main(argv)) <= 48

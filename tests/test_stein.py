@@ -245,6 +245,19 @@ class TestHalfLineSolver:
         assert "x,f,f_prime,f_double_prime,residual" in text
 
 
+@pytest.mark.parametrize("symmetric, size", [(False, 400), (True, 401), (np.True_, 401)])
+def test_default_grid_sizes(symmetric, size):
+    grid = stein_mod.default_grid(symmetric)
+    assert grid.size == size and grid[-1] == 12.0 and grid[0] == (-12.0 if symmetric else 0.0)
+
+
+@pytest.mark.parametrize("symmetric", ["x", 2, None, 1.0, np.array([True])])
+def test_default_grid_refuses_a_non_bool(symmetric):
+    # Truth alone would give "x" and 2 the symmetric grid and None the half line.
+    with pytest.raises(DomainError, match="must be a bool"):
+        stein_mod.default_grid(symmetric)
+
+
 @pytest.mark.parametrize(
     "solve, grid",
     [(solve_stein, np.linspace(0.0, 12.0, 300)), (solve_stein_sym, np.linspace(-6.0, 12.0, 301))],
