@@ -11,9 +11,10 @@ import numpy as np
 
 from .specfun import _two_prod
 
-# Values per block of the array writer, and the fewest values it takes on:
+# Values per block of the array writer (its temporaries take ~450 bytes a
+# value, so a block holds ~3.5 MiB), and the fewest values it takes on:
 # below that, its fixed cost per call exceeds one % formatting call.
-_CSV_BLOCK = 1 << 15
+_CSV_BLOCK = 1 << 13
 _CSV_ARRAY_MIN = 512
 
 
@@ -209,16 +210,13 @@ def _finite_values(chunks):
     """The number on each "\n"-piece of each chunk (float() ignores the
     whitespace around it, a "\r" too), or None at the first piece that is
     not a number (or not decodable) and when a value is not finite.  One
-    chunk's strings at a time: a 1e6-line file never holds 1e6 string
-    objects."""
-    parts = [np.empty(0)]
+    chunk's strings at a time, into one growing array: a 1e6-line file never
+    holds 1e6 string objects, nor its values twice over."""
+    values = itertools.chain.from_iterable(map(float, c.split("\n")) for c in chunks)
     try:
-        for chunk in chunks:
-            pieces = chunk.split("\n")
-            parts.append(np.fromiter(map(float, pieces), dtype=float, count=len(pieces)))
+        arr = np.fromiter(values, dtype=float)
     except ValueError:  # UnicodeDecodeError is one
         return None
-    arr = np.concatenate(parts)
     return arr if np.isfinite(arr).all() else None
 
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import DomainError, RangeError
 from .mwright import SampleSet
-from .numerics import _is_int
+from .numerics import _as_floats, _is_int
 from .stein import TestFunction, _as_test_function, _locate, _solve_batch, default_grid
 
 __all__ = [
@@ -50,6 +50,8 @@ SIGN_Z_ACCEPT = 3.0
 SIGN_Z_REJECT = 5.0
 MIN_SAMPLES = 100
 CLIP_WARN_FRACTION = 0.01
+# Sample points per block of the sweep into per-cell moments.
+_SWEEP_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -157,7 +159,7 @@ def default_test_functions(k: int) -> list[TestFunction]:
 def _sample_values(samples) -> np.ndarray:
     if isinstance(samples, SampleSet):
         samples = samples.values
-    vals = np.asarray(samples, dtype=float)
+    vals = _as_floats(samples)
     if vals.ndim != 1:
         raise DomainError(f"samples must be a 1-d array, got shape {vals.shape}")
     bad = np.count_nonzero(~np.isfinite(vals))
@@ -230,10 +232,6 @@ def _report(vals, hs, grid, sign_balance=None, at_zero=0) -> DiscrepancyReport:
         raise DomainError("goodness of fit needs at least one test function")
     grid = np.array(grid, dtype=float)
     solved = _solved(_SolveKey(hs, grid, symmetric))
-    inside = (vals >= grid[0]) & (vals <= grid[-1])
-    clipped = int(n - np.count_nonzero(inside))
-    vin = vals if clipped == 0 else vals[inside]
-    sides = (np.abs(vin[vin >= 0]), -vin[vin < 0]) if symmetric else (vin,)
 
     # On each cell (A f_h)(x) = f'' - (|x|/3) f of the Hermite interpolant is
     # a degree-6 polynomial q in the cell coordinate s, and its square the
@@ -241,10 +239,21 @@ def _report(vals, hs, grid, sign_balance=None, at_zero=0) -> DiscrepancyReport:
     # side builds the per-cell moments m of s^0..s^12, and each h's sum and
     # sum of squares over the sample are q . m[:, :7] and C . m: one row-wise
     # reduction over the family each, whose row h does not depend on the
-    # other rows.  Clipped points count as A f_h = 0.
+    # other rows.  Clipped points count as A f_h = 0.  The sweep runs in
+    # blocks of _SWEEP_BLOCK points, which add their moments; a sample of
+    # one block is summed as a whole.
+    clipped, moments = 0, [0.0] * len(solved)
+    for i in range(0, n, _SWEEP_BLOCK):
+        v = vals[i : i + _SWEEP_BLOCK]
+        inside = (v >= grid[0]) & (v <= grid[-1])
+        out = v.size - np.count_nonzero(inside)
+        clipped += int(out)
+        vin = v if out == 0 else v[inside]
+        sides = (np.abs(vin[vin >= 0]), -vin[vin < 0]) if symmetric else (vin,)
+        moments = [m + _power_sums(knots, t)
+                   for m, (knots, _, _), t in zip(moments, solved, sides)]
     totals = sumsqs = 0.0
-    for (knots, q, c), t in zip(solved, sides):
-        m = _power_sums(knots, t)
+    for (_, q, c), m in zip(solved, moments):
         totals = totals + (q * m[:, :7].ravel()).sum(axis=1)
         sumsqs = sumsqs + (c * m.ravel()).sum(axis=1)
     stats = []

@@ -18,7 +18,7 @@ import numpy as np
 
 from ._csvtext import _csv_pieces
 from .errors import DomainError, RangeError
-from .numerics import GAMMA_1_3, _is_int, gamma_fn, integrate
+from .numerics import GAMMA_1_3, _as_floats, _is_int, gamma_fn, integrate
 from .specfun import _green_at, _ones, airy_many, mittag_leffler
 from .specfun import wright_m_series
 
@@ -65,7 +65,7 @@ def _as_beta(p) -> float:
 def density(p, x):
     """M_beta(x) for x >= 0; accepts scalars or arrays of x."""
     beta = _as_beta(p)
-    xs = np.asarray(x, dtype=float)
+    xs = _as_floats(x)
     scalar = xs.ndim == 0
     xs = np.atleast_1d(xs)
     if not np.all((xs >= 0) & (xs < np.inf)):
@@ -88,7 +88,7 @@ def density_prime_at_zero() -> float:
 
 def density_sym(p, x):
     """Symmetrized density (1/2) M_beta(|x|); even in x by construction."""
-    xs = np.asarray(x, dtype=float)
+    xs = _as_floats(x)
     scalar = xs.ndim == 0
     out = 0.5 * density(p, np.abs(np.atleast_1d(xs)))
     return float(out[0]) if scalar else out
@@ -102,7 +102,7 @@ def cdf(x):
     u = x 3^(-1/3)), which stays accurate where the tail is tiny.  All points
     share one Green's pass.
     """
-    xs = np.asarray(x, dtype=float)
+    xs = _as_floats(x)
     tail = _green_at(xs / _CBRT3, _ones, 1.0, "cdf")[2]
     out = np.where(xs == 0.0, 0.0, 1.0 - 3.0 * tail)
     return float(out) if out.ndim == 0 else out

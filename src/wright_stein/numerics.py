@@ -150,6 +150,24 @@ def _is_int(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
+def _as_float(x) -> float:
+    """float(x), with a number past the double range (a huge int) read as
+    the infinity of its sign, so that it is refused as that infinity is."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
+def _as_floats(x) -> np.ndarray:
+    """np.asarray(x, dtype=float), each number read as by _as_float."""
+    try:
+        return np.asarray(x, dtype=float)
+    except OverflowError:
+        obj = np.asarray(x, dtype=object)
+        return np.array([_as_float(v) for v in obj.ravel().tolist()]).reshape(obj.shape)
+
+
 # Validate the precomputed constants against gamma_fn at import time.
 for _c, _x in ((GAMMA_1_3, 1 / 3), (GAMMA_2_3, 2 / 3), (GAMMA_4_3, 4 / 3)):
     assert abs(_c - gamma_fn(_x)) <= 1e-14 * _c

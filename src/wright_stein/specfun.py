@@ -34,6 +34,8 @@ from .numerics import (
     _GL15_X,
     _K15_X,
     TOL,
+    _as_float,
+    _as_floats,
     _check_finite,
     _k15_legendre,
     _k15_partial_weights,
@@ -390,7 +392,7 @@ def airy_many(xs) -> AiryArrays:
     Unscaled fields follow e^(+-zeta) and may overflow to inf / underflow to
     zero for very large x; the scaled fields are valid everywhere.
     """
-    xs = np.asarray(xs, dtype=float)
+    xs = _as_floats(xs)
     if xs.size and not (np.min(xs) >= 0 and np.max(xs) < math.inf):
         raise DomainError("airy requires finite x >= 0")
     shape = xs.shape
@@ -477,7 +479,7 @@ def airy(x: float) -> AiryValues:
     an unscaled field leaves double range: Bi' does from x ~ 104.22 and Bi
     from x ~ 104.43.  Use airy_many / scaled fields for extreme arguments.
     """
-    x = float(x)
+    x = _as_float(x)
     if not x >= 0:
         raise DomainError(f"airy requires x >= 0, got {x}")
     a = airy_many(np.array([x]))
@@ -776,7 +778,7 @@ def _green_at(x, r: Callable, scale: float, name: str):
     points go through one pass per _GREEN_CHUNK of them, which bounds the
     memory of the 15 quadrature nodes per cell.
     """
-    xs = np.asarray(x, dtype=float)
+    xs = _as_floats(x)
     if not np.all((xs >= 0) & np.isfinite(xs)):
         raise DomainError(f"{name} requires finite x >= 0")
     if xs.size == 0:

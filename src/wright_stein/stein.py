@@ -57,7 +57,7 @@ from numpy.polynomial.polynomial import polyval
 
 from ._csvtext import _csv_pieces
 from .errors import DomainError, NonFiniteError, SolverAccuracyError
-from .numerics import GAMMA_1_3, GAMMA_2_3, _vectorized, integrate
+from .numerics import GAMMA_1_3, GAMMA_2_3, _as_float, _vectorized, integrate
 from .mwright import _DENSITY_CUT, density
 from .specfun import _GI_NORM, _GI_PRIME_NORM, _XGI_NORM
 from .specfun import _distinct, _green_at, _ones, green_pass
@@ -360,7 +360,7 @@ def stein_apply(f: Callable, x: float, second_derivative: Callable | None = None
     Without an explicit second derivative a fourth-order finite-difference
     wrapper is used (one-sided near 0 so f is never probed below 0).
     """
-    x = float(x)
+    x = _as_float(x)
     if not (0 <= x < math.inf):
         raise DomainError(f"stein_apply requires finite x >= 0, got {x}")
     d2 = second_derivative(x) if second_derivative is not None else _fd_second(f, x)
@@ -375,7 +375,7 @@ def stein_apply_sym(f: Callable, x: float, second_derivative: Callable | None = 
     the symmetric Stein equation f'' can jump at 0, so supply the one-sided
     second derivative there.
     """
-    x = float(x)
+    x = _as_float(x)
     if not math.isfinite(x):
         raise DomainError(f"stein_apply_sym requires finite x, got {x}")
     if second_derivative is not None:

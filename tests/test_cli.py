@@ -711,20 +711,26 @@ def _traced_peak(call) -> float:
 
 class TestMemory:
     # 1e6 draws are 7.6 MiB and their text 19.5 MB.  The bounds leave the
-    # sampler two arrays of draws, the sample verb those and a block of
-    # text, and gof the draws and its sweep's arrays, each with a few MiB to
-    # spare: whole-array temporaries or the whole text would go over them.
+    # sampler two arrays of draws, the sample verb those (a block of text is
+    # far smaller), and gof one array of draws, the read's spare room and one
+    # block of its sweep, each with a few MiB to spare: a second array of
+    # draws or whole-sample sweep temporaries would go over them.
     def test_sampler(self):
         assert _traced_peak(lambda: sample(10**6, 5)) <= 24
 
     def test_sample_verb(self, tmp_path, capsys):
         p = str(tmp_path / "f.csv")
-        assert _traced_peak(lambda: main(["sample", "1000000", "-o", p])) <= 30
+        assert _traced_peak(lambda: main(["sample", "1000000", "-o", p])) <= 20
 
     def test_gof_verb(self, tmp_path, capsys):
         p = str(tmp_path / "f.csv")
         assert main(["sample", "1000000", "-o", p]) == 0
-        assert _traced_peak(lambda: main(["gof", p])) <= 38
+        assert _traced_peak(lambda: main(["gof", p])) <= 14
+
+    def test_gof_sym_verb(self, tmp_path, capsys):
+        p = str(tmp_path / "f.csv")
+        assert main(["sample", "1000000", "--symmetric", "-o", p]) == 0
+        assert _traced_peak(lambda: main(["gof", p, "--symmetric"])) <= 14
 
     # 999,001 grid points: each column is 7.6 MiB, and the eval and plotdata
     # texts 40 and 61 MB.  The bounds leave the grid, the value columns, the
@@ -732,7 +738,7 @@ class TestMemory:
     # columns interleaved into one array, would go over them.
     def test_eval_verb(self, tmp_path, capsys):
         argv = ["eval", "mwright", "--beta", "0", "--grid=0:9.99:1e-5", "-o", str(tmp_path / "f")]
-        assert _traced_peak(lambda: main(argv)) <= 40
+        assert _traced_peak(lambda: main(argv)) <= 28
 
     def test_plotdata_verb(self, tmp_path, capsys):
         argv = ["plotdata", "--betas", "0,1/2", "--grid=-5:4.99:1e-5", "-o", str(tmp_path / "f")]

@@ -556,6 +556,71 @@ class TestPowerSums:
             assert all(s.std_error >= 0.0 for s in rep.per_function)
 
 
+def _whole_array_report(vals, hs, symmetric):
+    """The report of the default grid's sweep as one pass of
+    ``gof._power_sums`` over the whole sample: the reference for the
+    blockwise sweep."""
+    grid = default_grid(symmetric)
+    n = vals.size
+    inside = (vals >= grid[0]) & (vals <= grid[-1])
+    vin = vals[inside]
+    sides = (np.abs(vin[vin >= 0]), -vin[vin < 0]) if symmetric else (vin,)
+    solved = gof._solved(gof._SolveKey(tuple(hs), grid, symmetric))
+    totals = sumsqs = 0.0
+    for (knots, q, c), t in zip(solved, sides):
+        m = gof._power_sums(knots, t)
+        totals = totals + (q * m[:, :7].ravel()).sum(axis=1)
+        sumsqs = sumsqs + (c * m.ravel()).sum(axis=1)
+    stats = []
+    for h, total, sumsq in zip(hs, totals.tolist(), sumsqs.tolist()):
+        mean = total / n
+        se = math.sqrt(max(sumsq - total * mean, 0.0) / (n - 1) / n)
+        stats.append(gof.FunctionStat(h.label, mean, se, abs(mean) / se))
+    max_std = max(s.standardized for s in stats)
+    balance, at_zero, z = None, 0, 0.0
+    if symmetric:
+        frac = float(np.count_nonzero(vals >= 0)) / n
+        balance = gof.SignBalance(frac, (frac - 0.5) * 2.0 * math.sqrt(n))
+        at_zero, z = int(np.count_nonzero(vals == 0.0)), abs(balance.z_score)
+    if max_std > REJECT_THRESHOLD or z > gof.SIGN_Z_REJECT:
+        verdict = "rejected"
+    elif max_std < ACCEPT_THRESHOLD and z < gof.SIGN_Z_ACCEPT:
+        verdict = "consistent"
+    else:
+        verdict = "inconclusive"
+    clipped = n - int(np.count_nonzero(inside))
+    return gof.DiscrepancyReport(
+        tuple(stats), max_std, n, clipped, clipped > gof.CLIP_WARN_FRACTION * n,
+        verdict, balance, at_zero,
+    )
+
+
+class TestSweepBlocks:
+    """The sweep adds per-cell moments block by block; a sample of one
+    block is summed as a whole, so its report is bitwise the whole-array
+    one, and a longer sample's differs only in rounding."""
+
+    @pytest.mark.parametrize("symmetric", [False, True])
+    @pytest.mark.parametrize("n", [65_535, 65_536, 65_537, 3 * 65_536 + 1])
+    def test_against_whole_array(self, hs, n, symmetric):
+        assert gof._SWEEP_BLOCK == 65_536
+        vals = sample(n, seed=27, symmetric=symmetric).values.copy()
+        # Clipped points in the first and the last block, exact zeros
+        # mid-sample: in a block of their own from 3 blocks on.
+        vals[[5, n - 1]] = [40.0, -40.0] if symmetric else [40.0, 40.0]
+        vals[[n // 2, n // 2 + 1]] = 0.0
+        rep = (discrepancy_sym if symmetric else discrepancy)(vals, hs)
+        ref = _whole_array_report(vals, hs, symmetric)
+        assert (rep.n, rep.clipped, rep.at_zero) == (n, 2, 2 if symmetric else 0)
+        assert (rep.n, rep.clipped, rep.at_zero) == (ref.n, ref.clipped, ref.at_zero)
+        assert (rep.sign_balance, rep.verdict) == (ref.sign_balance, ref.verdict)
+        for s, r in zip(rep.per_function, ref.per_function):
+            assert abs(s.mean - r.mean) <= 1e-12 * r.std_error, s.label
+            assert abs(s.std_error - r.std_error) <= 1e-12 * r.std_error, s.label
+        if n <= gof._SWEEP_BLOCK:
+            assert rep == ref
+
+
 def test_runtime_leaves_out_scipy():
     import wright_stein
 

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+import wright_stein as ws
 from wright_stein.errors import DomainError, NonFiniteError, RangeError, ToleranceNotMetError
 from wright_stein import numerics
 from wright_stein.numerics import (
@@ -13,6 +14,8 @@ from wright_stein.numerics import (
     gamma_fn,
     integrate,
 )
+from wright_stein.gof import default_test_functions
+from wright_stein.stein import stein_apply_sym
 
 # Independent 30-digit references (high-precision series/Lanczos, computed
 # once with mpmath and frozen):
@@ -195,3 +198,55 @@ class TestKronrod:
         assert np.all(np.abs(_K15_X[1::2] - g7) <= np.spacing(np.abs(g7)))
         assert np.all(np.diff(_K15_X) > 0)
 
+
+
+
+_HS = default_test_functions(3)
+# Each function with an argument form that takes the number: a scalar, or a
+# list of 300 ones and then the number.
+_HUGE_INT_CASES = {
+    "airy": (ws.airy, False),
+    "airy_many": (ws.airy_many, True),
+    "density": (lambda x: ws.density(1 / 3, x), True),
+    "density_sym": (lambda x: ws.density_sym(1 / 3, x), True),
+    "cdf": (ws.cdf, True),
+    "scorer_gi": (ws.scorer_gi, True),
+    "stein_apply": (lambda x: ws.stein_apply(np.cos, x), False),
+    "stein_apply_sym": (lambda x: stein_apply_sym(np.cos, x), False),
+    "discrepancy": (lambda x: ws.discrepancy(x, _HS), True),
+    "discrepancy_sym": (lambda x: ws.discrepancy_sym(x, _HS), True),
+}
+
+
+class TestHugeInt:
+    """An int past the double range is refused as the infinity of its sign
+    is: the same DomainError and message, not an OverflowError."""
+
+    @pytest.mark.parametrize("name", list(_HUGE_INT_CASES))
+    @pytest.mark.parametrize("sign", [1, -1], ids=["positive", "negative"])
+    def test_refused_like_inf(self, name, sign):
+        call, listed = _HUGE_INT_CASES[name]
+        huge, inf = sign * 10**400, sign * math.inf
+        if listed:
+            huge, inf = [1.0] * 300 + [huge], [1.0] * 300 + [inf]
+        with pytest.raises(DomainError) as at_inf:
+            call(inf)
+        with pytest.raises(DomainError) as at_huge:
+            call(huge)
+        assert str(at_huge.value) == str(at_inf.value)
+
+    @pytest.mark.parametrize("name", ["airy_many", "density", "cdf", "scorer_gi"])
+    def test_scalar_to_array_functions(self, name):
+        call, _ = _HUGE_INT_CASES[name]
+        with pytest.raises(DomainError) as at_inf:
+            call(math.inf)
+        with pytest.raises(DomainError) as at_huge:
+            call(10**400)
+        assert str(at_huge.value) == str(at_inf.value)
+
+    def test_as_floats_keeps_shape_and_values(self):
+        x = numerics._as_floats([[1, 2**1024], [-(2**1024), 3]])
+        assert x.dtype == float and x.shape == (2, 2)
+        assert x.tolist() == [[1.0, math.inf], [-math.inf, 3.0]]
+        assert numerics._as_float(-(10**400)) == -math.inf
+        assert numerics._as_float(10**308) == 1e308
