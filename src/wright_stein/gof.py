@@ -230,7 +230,7 @@ def _report(vals, hs, grid, sign_balance=None, at_zero=0) -> DiscrepancyReport:
     hs = tuple(hs)
     if not hs:
         raise DomainError("goodness of fit needs at least one test function")
-    grid = np.array(grid, dtype=float)
+    grid = np.array(_as_floats(grid))
     solved = _solved(_SolveKey(hs, grid, symmetric))
 
     # On each cell (A f_h)(x) = f'' - (|x|/3) f of the Hermite interpolant is

@@ -18,7 +18,7 @@ import numpy as np
 
 from ._csvtext import _csv_pieces
 from .errors import DomainError, RangeError
-from .numerics import GAMMA_1_3, _as_floats, _is_int, gamma_fn, integrate
+from .numerics import GAMMA_1_3, _as_float, _as_floats, _is_int, gamma_fn, integrate
 from .specfun import _green_at, _ones, airy_many, mittag_leffler
 from .specfun import wright_m_series
 
@@ -47,11 +47,13 @@ _SAMPLE_BLOCK = 1 << 16
 
 @dataclass(frozen=True)
 class WrightParameter:
-    """Family parameter beta in [0, 1); {0, 1/3, 1/2} hit closed forms."""
+    """Family parameter beta in [0, 1), held as a float; {0, 1/3, 1/2} hit
+    closed forms."""
 
     beta: float
 
     def __post_init__(self):
+        object.__setattr__(self, "beta", _as_float(self.beta))
         if not (0 <= self.beta < 1):
             raise DomainError(f"beta must lie in [0, 1), got {self.beta}")
 
@@ -59,7 +61,7 @@ class WrightParameter:
 def _as_beta(p) -> float:
     if isinstance(p, WrightParameter):
         return p.beta
-    return WrightParameter(float(p)).beta
+    return WrightParameter(p).beta
 
 
 def density(p, x):
@@ -212,7 +214,7 @@ def laplace_check(t: float) -> tuple[float, float]:
     Returns (quadrature of e^{-xt} M_{1/3}(x) over the half line,
     E_{1/3}(-t)).  The two are independent code paths and must agree.
     """
-    t = float(t)
+    t = _as_float(t)
     if not (0 <= t <= 5):
         raise DomainError(f"laplace_check requires t in [0, 5], got {t}")
     r = integrate(lambda x: np.exp(-t * x) * density(1.0 / 3.0, x), 0.0, _DENSITY_CUT)

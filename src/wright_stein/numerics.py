@@ -152,18 +152,21 @@ def _is_int(x) -> bool:
 
 def _as_float(x) -> float:
     """float(x), with a number past the double range (a huge int) read as
-    the infinity of its sign, so that it is refused as that infinity is."""
+    the infinity of its sign, so that it is refused as that infinity is.
+    Anything that is not a number raises DomainError naming it."""
     try:
         return float(x)
     except OverflowError:
         return math.inf if x > 0 else -math.inf
+    except (TypeError, ValueError):
+        raise DomainError(f"expected a real number, got {x!r}") from None
 
 
 def _as_floats(x) -> np.ndarray:
     """np.asarray(x, dtype=float), each number read as by _as_float."""
     try:
         return np.asarray(x, dtype=float)
-    except OverflowError:
+    except (OverflowError, TypeError, ValueError):
         obj = np.asarray(x, dtype=object)
         return np.array([_as_float(v) for v in obj.ravel().tolist()]).reshape(obj.shape)
 
@@ -217,6 +220,7 @@ def integrate(f: Callable, a: float, b: float) -> IntegralResult:
     run out first, ToleranceNotMetError carries the best estimate.  An
     integral whose rule sums leave double range raises RangeError.
     """
+    a, b = _as_float(a), _as_float(b)
     if not (math.isfinite(a) and math.isfinite(b)):
         raise DomainError(f"integrate requires finite bounds, got a={a}, b={b}")
     if not (a <= b):

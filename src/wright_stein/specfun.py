@@ -924,12 +924,12 @@ def mittag_leffler(beta: float, z):
     with |z| <= ML_Z_MAX, and beta down to ML_BETA_MIN.  A positive z whose
     result ~ exp(z^(1/beta)) / beta leaves double range raises RangeError.
     """
+    beta = _as_float(beta)  # a 0-d array cannot key the cached layout
     if not (0 < beta <= 1):
         raise DomainError(f"mittag_leffler requires beta in (0, 1], got {beta}")
     if beta < ML_BETA_MIN:
         raise RangeError(f"mittag_leffler supports beta >= {ML_BETA_MIN}, got {beta}")
-    beta = float(beta)  # a 0-d array cannot key the cached layout
-    zs = np.asarray(z, dtype=float)
+    zs = _as_floats(z)
     flat = zs.ravel()
     if np.isnan(flat).any():
         raise DomainError("mittag_leffler requires z that is not NaN")
@@ -1020,14 +1020,14 @@ def wright_m_series(beta: float, x):
     1/Gamma(1-beta) - x/Gamma(1-2beta).  Accepts scalars (returns a float)
     or arrays of x; beta up to WRIGHT_BETA_MAX.
     """
+    beta = _as_float(beta)  # a 0-d array cannot key the cached rule
     if not (0 <= beta < 1):
         raise DomainError(f"wright_m_series requires beta in [0, 1), got {beta}")
     if beta > WRIGHT_BETA_MAX:
         raise RangeError(
             f"wright_m_series supports beta <= {WRIGHT_BETA_MAX}, got {beta}"
         )
-    beta = float(beta)  # a 0-d array cannot key the cached rule
-    xs = np.asarray(x, dtype=float)
+    xs = _as_floats(x)
     if not np.all((xs >= 0) & np.isfinite(xs)):
         raise DomainError("wright_m_series requires finite x >= 0")
     flat = xs.ravel()

@@ -57,7 +57,7 @@ from numpy.polynomial.polynomial import polyval
 
 from ._csvtext import _csv_pieces
 from .errors import DomainError, NonFiniteError, SolverAccuracyError
-from .numerics import GAMMA_1_3, GAMMA_2_3, _as_float, _vectorized, integrate
+from .numerics import GAMMA_1_3, GAMMA_2_3, _as_float, _as_floats, _vectorized, integrate
 from .mwright import _DENSITY_CUT, density
 from .specfun import _GI_NORM, _GI_PRIME_NORM, _XGI_NORM
 from .specfun import _distinct, _green_at, _ones, green_pass
@@ -337,21 +337,27 @@ def default_grid(symmetric: bool = False) -> np.ndarray:
     return np.linspace(0.0, 12.0, 400)
 
 
-def _fd_second(f: Callable, x: float, h: float = 1e-3) -> float:
-    fv = _vectorized(f)
-    if x >= 2 * h:
-        vals = fv(x + h * _C5_OFFSETS)
-        return float(np.dot(_C5_COEF, vals)) / h**2
-    vals = fv(x + h * _F6_OFFSETS)
-    return float(np.dot(_F6_COEF, vals)) / h**2
+def _apply(name: str, f: Callable, x, second_derivative, half_line: bool) -> float:
+    """f''(x) - (|x|/3) f(x) at one finite x (x >= 0 on the half line).
 
-
-def _finite_at(name: str, x: float, d2, fx) -> tuple[float, float]:
-    """f''(x) and f(x) as floats, or NonFiniteError naming x."""
-    d2, fx = float(d2), float(fx)
+    Without an explicit second derivative, f'' is a fourth-order finite
+    difference of step 1e-3: centered five-point, or forward six-point on
+    the half line below two steps, so f is never probed below 0.
+    """
+    x = _as_float(x)
+    if not (math.isfinite(x) and (x >= 0 or not half_line)):
+        raise DomainError(f"{name} requires finite x{' >= 0' if half_line else ''}, got {x}")
+    if second_derivative is not None:
+        d2 = second_derivative(x)
+    else:
+        h = 1e-3
+        fwd = half_line and x < 2 * h
+        offsets, coef = (_F6_OFFSETS, _F6_COEF) if fwd else (_C5_OFFSETS, _C5_COEF)
+        d2 = float(np.dot(coef, _vectorized(f)(x + h * offsets))) / h**2
+    d2, fx = float(d2), float(f(x))
     if not (math.isfinite(d2) and math.isfinite(fx)):
         raise NonFiniteError(f"{name}: f or f'' is not finite at x={x!r}", x=x)
-    return d2, fx
+    return d2 - (abs(x) / 3.0) * fx
 
 
 def stein_apply(f: Callable, x: float, second_derivative: Callable | None = None) -> float:
@@ -360,12 +366,7 @@ def stein_apply(f: Callable, x: float, second_derivative: Callable | None = None
     Without an explicit second derivative a fourth-order finite-difference
     wrapper is used (one-sided near 0 so f is never probed below 0).
     """
-    x = _as_float(x)
-    if not (0 <= x < math.inf):
-        raise DomainError(f"stein_apply requires finite x >= 0, got {x}")
-    d2 = second_derivative(x) if second_derivative is not None else _fd_second(f, x)
-    d2, fx = _finite_at("stein_apply", x, d2, f(x))
-    return d2 - (x / 3.0) * fx
+    return _apply("stein_apply", f, x, second_derivative, half_line=True)
 
 
 def stein_apply_sym(f: Callable, x: float, second_derivative: Callable | None = None) -> float:
@@ -375,17 +376,7 @@ def stein_apply_sym(f: Callable, x: float, second_derivative: Callable | None = 
     the symmetric Stein equation f'' can jump at 0, so supply the one-sided
     second derivative there.
     """
-    x = _as_float(x)
-    if not math.isfinite(x):
-        raise DomainError(f"stein_apply_sym requires finite x, got {x}")
-    if second_derivative is not None:
-        d2 = second_derivative(x)
-    else:
-        fv = _vectorized(f)
-        h = 1e-3
-        d2 = float(np.dot(_C5_COEF, fv(x + h * _C5_OFFSETS))) / h**2
-    d2, fx = _finite_at("stein_apply_sym", x, d2, f(x))
-    return d2 - (abs(x) / 3.0) * fx
+    return _apply("stein_apply_sym", f, x, second_derivative, half_line=False)
 
 
 def expectation_mwright(h, negate: bool = False) -> float:
@@ -489,23 +480,10 @@ def _halfline_solve(sides: list[tuple[list[TestFunction], np.ndarray]]) -> list[
     are read inside their cells.  Each h is then finished on its own rows and
     its own side's points (expectation ratio, f, f', f'', probe residual),
     so its result is bitwise independent of every other h.  Returns
-    one list of result dicts per side.
+    one list of result dicts per side.  ``_solve_batch`` checks the grids.
     """
     laid, edges, points = [], [], []
     for hs, grid in sides:
-        grid = np.asarray(grid, dtype=float)
-        if grid.ndim != 1 or grid.size == 0:
-            raise DomainError("solver grid must be a non-empty 1-d array")
-        if not np.all(np.isfinite(grid)):
-            raise DomainError("solver grid must be finite")
-        if np.any(np.diff(grid) <= 0):
-            raise DomainError("solver grid must be strictly increasing")
-        if grid[0] < 0:
-            raise DomainError("solver grid must lie in [0, x_max]")
-        if grid[-1] > X_MAX_CAP:
-            raise DomainError(
-                f"solver refuses x_max > {X_MAX_CAP} (grid reaches {grid[-1]})"
-            )
         lat, groups = _probe_groups(grid)
         laid.append((hs, grid, groups))
         head = lat[lat < grid[0]]
@@ -616,31 +594,6 @@ def _bound_report(f, fp, fpp, htilde_sup: float) -> BoundReport:
     return BoundReport(sup_f, sup_fp, sup_fpp, b1, b2, b3, ok, _BOUND_NOTE)
 
 
-def _side(sol: dict) -> tuple:
-    return sol["grid"], sol["f"], sol["f_prime"], sol["f_double_prime"]
-
-
-def _halfline_solution(tf: TestFunction, sol: dict) -> SteinSolution:
-    ht_sup = float(np.max(np.abs(sol["htilde"])))
-    report = _bound_report(sol["f"], sol["f_prime"], sol["f_double_prime"], ht_sup)
-    return SteinSolution(
-        grid=sol["grid"],
-        f=sol["f"],
-        f_prime=sol["f_prime"],
-        f_double_prime=sol["f_double_prime"],
-        kind="half-line",
-        expectation_h=sol["expectation_h"],
-        expectation_h_neg=None,
-        residual_sup=sol["residual_sup"],
-        bound_report=report,
-        residuals=sol["residuals"],
-        boundary_residual=sol["boundary_residual"],
-        error_estimate=sol["error_estimate"],
-        label=tf.label,
-        _sides=(_side(sol),),
-    )
-
-
 def _mirrored(tf: TestFunction) -> TestFunction:
     """s -> h(-s) on s >= 0: the right-hand side of the negative side."""
     hv = _vectorized(tf.fn)
@@ -651,41 +604,44 @@ def _mirrored(tf: TestFunction) -> TestFunction:
     return TestFunction(h_neg, tf.sup_norm, f"{tf.label}(-x)", tf.even)
 
 
-def _symmetric_solution(tf: TestFunction, grid: np.ndarray, sp: dict, sn: dict) -> SteinSolution:
-    """Glue the positive-side and mirrored negative-side solves."""
-    f = np.concatenate((sn["f"][1:][::-1], sp["f"]))
-    fp = np.concatenate((-sn["f_prime"][1:][::-1], sp["f_prime"]))
-    fpp = np.concatenate((sn["f_double_prime"][1:][::-1], sp["f_double_prime"]))
-    resid = np.concatenate((sn["residuals"][1:][::-1], sp["residuals"]))
+def _solution(tf: TestFunction, grid: np.ndarray, sides: list[dict]) -> SteinSolution:
+    """tf's solution on ``grid`` from its solved sides: the half line alone,
+    or the x >= 0 side and the mirrored x < 0 side.  The mirror side's
+    arrays in t = |x| are reversed onto x < 0 (f' changes sign) and meet the
+    x >= 0 side at 0, where f'' keeps the 0+ branch; the values at 0 are the
+    sides' rows there.  A lone side's arrays are the solution's own."""
+    pos, neg = sides[0], (sides[1] if len(sides) == 2 else None)
 
-    h_at_0 = float(_vectorized(tf.fn)(np.zeros(1))[0])
-    fpp_zero_plus = h_at_0 - sp["expectation_h"]
-    fpp_zero_minus = h_at_0 - sn["expectation_h"]
+    def glue(key, sign=1.0):
+        return pos[key] if neg is None else np.concatenate((sign * neg[key][:0:-1], pos[key]))
 
-    ht_sup = max(
-        float(np.max(np.abs(sp["htilde"]))), float(np.max(np.abs(sn["htilde"])))
-    )
-    report = _bound_report(f, fp, fpp, ht_sup)
-
+    f, fp, fpp = glue("f"), glue("f_prime", -1.0), glue("f_double_prime")
+    ht_sup = max(float(np.max(np.abs(s["htilde"]))) for s in sides)
+    at_zero = {}
+    if neg is not None:
+        at_zero = dict(
+            f_zero=float(pos["f"][0]),
+            fp_zero_plus=float(pos["f_prime"][0]),
+            fp_zero_minus=float(-neg["f_prime"][0]),
+            fpp_zero_plus=float(pos["f_double_prime"][0]),
+            fpp_zero_minus=float(neg["f_double_prime"][0]),
+        )
     return SteinSolution(
         grid=grid,
         f=f,
         f_prime=fp,
         f_double_prime=fpp,
-        kind="symmetric",
-        expectation_h=sp["expectation_h"],
-        expectation_h_neg=sn["expectation_h"],
-        residual_sup=float(max(sp["residual_sup"], sn["residual_sup"])),
-        bound_report=report,
-        residuals=resid,
-        f_zero=float(sp["f"][0]),
-        fp_zero_plus=float(sp["f_prime"][0]),
-        fp_zero_minus=float(-sn["f_prime"][0]),
-        fpp_zero_plus=fpp_zero_plus,
-        fpp_zero_minus=fpp_zero_minus,
-        error_estimate=sp["error_estimate"] + sn["error_estimate"],
+        kind="half-line" if neg is None else "symmetric",
+        expectation_h=pos["expectation_h"],
+        expectation_h_neg=None if neg is None else neg["expectation_h"],
+        residual_sup=max(s["residual_sup"] for s in sides),
+        bound_report=_bound_report(f, fp, fpp, ht_sup),
+        residuals=glue("residuals"),
+        boundary_residual=pos["boundary_residual"] if neg is None else None,
+        error_estimate=sum(s["error_estimate"] for s in sides),
         label=tf.label,
-        _sides=(_side(sp), _side(sn)),
+        _sides=tuple((s["grid"], s["f"], s["f_prime"], s["f_double_prime"]) for s in sides),
+        **at_zero,
     )
 
 
@@ -699,27 +655,28 @@ def _solve_batch(hs, grid: np.ndarray | None, symmetric: bool) -> list[SteinSolu
     """
     tfs = [_as_test_function(h) for h in hs]
     # A copy: the solutions freeze their grid, which must not be the caller's.
-    grid = default_grid(symmetric) if grid is None else np.array(grid, dtype=float)
-    if not symmetric:
-        (sols,) = _halfline_solve([(tfs, grid)])
-        return [_halfline_solution(tf, sol) for tf, sol in zip(tfs, sols)]
-
-    if grid.ndim != 1 or not np.all(np.isfinite(grid)) or np.any(np.diff(grid) <= 0):
-        raise DomainError("symmetric grid must be 1-d, finite and strictly increasing")
-    if 0.0 not in grid or grid[0] >= 0 or grid[-1] <= 0:
+    grid = default_grid(symmetric) if grid is None else np.array(_as_floats(grid))
+    if grid.ndim != 1 or grid.size == 0:
+        raise DomainError("solver grid must be a non-empty 1-d array")
+    if not np.all(np.isfinite(grid)):
+        raise DomainError("solver grid must be finite")
+    if np.any(np.diff(grid) <= 0):
+        raise DomainError("solver grid must be strictly increasing")
+    if symmetric and (0.0 not in grid or grid[0] >= 0 or grid[-1] <= 0):
         raise DomainError("symmetric grid must contain 0 and points of both signs")
-    if max(-grid[0], grid[-1]) > X_MAX_CAP:
-        raise DomainError(f"solver refuses |x|_max > {X_MAX_CAP}")
+    if not symmetric and grid[0] < 0:
+        raise DomainError("solver grid must lie in [0, x_max]")
+    reach = max(-grid[0], grid[-1])
+    if reach > X_MAX_CAP:
+        raise DomainError(f"solver refuses |x|_max > {X_MAX_CAP} (grid reaches {reach})")
 
-    # Mirror grid includes 0 so that for even h both half-line problems are
-    # literally identical (bitwise-equal solutions at the shared points).
-    neg_mirror = np.concatenate(([0.0], -grid[grid < 0][::-1]))
-    sps, sns = _halfline_solve(
-        [(tfs, grid[grid >= 0]), ([_mirrored(tf) for tf in tfs], neg_mirror)]
-    )
-    return [
-        _symmetric_solution(tf, grid, sp, sn) for tf, sp, sn in zip(tfs, sps, sns)
-    ]
+    sides = [(tfs, grid)]
+    if symmetric:
+        # Mirror grid includes 0 so that for even h both half-line problems
+        # are literally identical (bitwise-equal solutions at the shared points).
+        neg_mirror = np.concatenate(([0.0], -grid[grid < 0][::-1]))
+        sides = [(tfs, grid[grid >= 0]), ([_mirrored(tf) for tf in tfs], neg_mirror)]
+    return [_solution(tf, grid, s) for tf, *s in zip(tfs, *_halfline_solve(sides))]
 
 
 def solve_stein(h, grid: np.ndarray | None = None) -> SteinSolution:
@@ -818,7 +775,7 @@ def general_particular_solution(k: float, f, x):
     At k = 3^(-1/2) and f = h~ this is exactly the Stein solution kernel;
     at k = 1 and f = -1/pi it reproduces Scorer's Gi.
     """
-    k = float(k)
+    k = _as_float(k)
     if not 0 < k < math.inf:
         raise DomainError(f"general_particular_solution requires finite k > 0, got {k}")
     fn = f.fn if isinstance(f, TestFunction) else f

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from wright_stein import gof
+from wright_stein import gof, specfun
 from wright_stein.errors import DomainError, RangeError
 from wright_stein.gof import (
     ACCEPT_THRESHOLD,
@@ -219,6 +219,41 @@ class TestSymmetric:
             if rep.verdict == "rejected":
                 rejections += 1
         assert rejections == 0
+
+
+def _kanter_draws(beta, n, seed):
+    """n draws from M_beta by Kanter's method, E^(1-beta) / kappa(pi U),
+    with U, then E, from one default_rng stream."""
+    rng = np.random.default_rng(seed)
+    u = rng.random(n)
+    return rng.standard_exponential(n) ** (1.0 - beta) / specfun._kanter(beta, u, np.sinc(u))
+
+
+class TestDetectionLimits:
+    """What the half-line test (n = 2e4, k = 11) tells apart, pinned over
+    40 samples per row.  The seeds were chosen once; never re-seed them to
+    get a count."""
+
+    SEEDS = range(300_000, 300_040)
+    ROWS = {
+        "beta=0.40": lambda s: _kanter_draws(0.40, N_MC, s),
+        "1.05Y": lambda s: 1.05 * sample(N_MC, s).values,
+        # The null through the generic kappa: a check of sample's closed form.
+        "beta=1/3": lambda s: _kanter_draws(1 / 3, N_MC, s),
+    }
+
+    @pytest.mark.parametrize(
+        "row, counts",
+        [
+            ("beta=0.40", {"rejected": 40}),
+            ("1.05Y", {"rejected": 38, "inconclusive": 2}),
+            ("beta=1/3", {"consistent": 40}),
+        ],
+    )
+    def test_verdict_counts(self, hs, row, counts):
+        draw = self.ROWS[row]
+        verdicts = [discrepancy(draw(s), hs).verdict for s in self.SEEDS]
+        assert {v: verdicts.count(v) for v in set(verdicts)} == counts
 
 
 @pytest.mark.parametrize(

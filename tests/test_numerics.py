@@ -202,8 +202,10 @@ class TestKronrod:
 
 
 _HS = default_test_functions(3)
+_GOF_VALS = ws.sample(200, seed=1).values
 # Each function with an argument form that takes the number: a scalar, or a
-# list of 300 ones and then the number.
+# list of 300 ones and then the number.  The grid cases end their grid with
+# it, and the beta cases take it as beta.
 _HUGE_INT_CASES = {
     "airy": (ws.airy, False),
     "airy_many": (ws.airy_many, True),
@@ -215,12 +217,33 @@ _HUGE_INT_CASES = {
     "stein_apply_sym": (lambda x: stein_apply_sym(np.cos, x), False),
     "discrepancy": (lambda x: ws.discrepancy(x, _HS), True),
     "discrepancy_sym": (lambda x: ws.discrepancy_sym(x, _HS), True),
+    "mittag_leffler": (lambda z: ws.mittag_leffler(1 / 3, z), True),
+    "wright_m_series": (lambda x: ws.specfun.wright_m_series(0.2, x), True),
+    "density_beta": (lambda b: ws.density(b, 1.0), False),
+    "density_sym_beta": (lambda b: ws.density_sym(b, 1.0), False),
+    "integrate": (lambda b: integrate(np.cos, 0, b), False),
+    "laplace_check": (ws.laplace_check, False),
+    "general_particular_solution": (
+        lambda k: ws.general_particular_solution(k, np.cos, 1.0), False
+    ),
+    "solve_stein_grid": (lambda x: ws.solve_stein(np.cos, [0.0, 1.0, x]), False),
+    "solve_stein_sym_grid": (
+        lambda x: ws.solve_stein_sym(np.cos, [-1.0, 0.0, 1.0, x]), False
+    ),
+    "discrepancy_grid": (lambda x: ws.discrepancy(_GOF_VALS, _HS, [0.0, 1.0, x]), False),
 }
+
+
+def _refusal(call, x) -> tuple:
+    """The type and message of the WrightSteinError that call(x) raises."""
+    with pytest.raises((DomainError, RangeError)) as exc:
+        call(x)
+    return type(exc.value), str(exc.value)
 
 
 class TestHugeInt:
     """An int past the double range is refused as the infinity of its sign
-    is: the same DomainError and message, not an OverflowError."""
+    is: the same exception type and message, not an OverflowError."""
 
     @pytest.mark.parametrize("name", list(_HUGE_INT_CASES))
     @pytest.mark.parametrize("sign", [1, -1], ids=["positive", "negative"])
@@ -229,20 +252,17 @@ class TestHugeInt:
         huge, inf = sign * 10**400, sign * math.inf
         if listed:
             huge, inf = [1.0] * 300 + [huge], [1.0] * 300 + [inf]
-        with pytest.raises(DomainError) as at_inf:
-            call(inf)
-        with pytest.raises(DomainError) as at_huge:
-            call(huge)
-        assert str(at_huge.value) == str(at_inf.value)
+        assert _refusal(call, huge) == _refusal(call, inf)
+
+    def test_mittag_leffler_range_error(self):
+        # |z| past ML_Z_MAX is a range refusal, not a domain one.
+        call, _ = _HUGE_INT_CASES["mittag_leffler"]
+        assert _refusal(call, 10**400)[0] is RangeError
 
     @pytest.mark.parametrize("name", ["airy_many", "density", "cdf", "scorer_gi"])
     def test_scalar_to_array_functions(self, name):
         call, _ = _HUGE_INT_CASES[name]
-        with pytest.raises(DomainError) as at_inf:
-            call(math.inf)
-        with pytest.raises(DomainError) as at_huge:
-            call(10**400)
-        assert str(at_huge.value) == str(at_inf.value)
+        assert _refusal(call, 10**400) == _refusal(call, math.inf)
 
     def test_as_floats_keeps_shape_and_values(self):
         x = numerics._as_floats([[1, 2**1024], [-(2**1024), 3]])
@@ -250,3 +270,39 @@ class TestHugeInt:
         assert x.tolist() == [[1.0, math.inf], [-math.inf, 3.0]]
         assert numerics._as_float(-(10**400)) == -math.inf
         assert numerics._as_float(10**308) == 1e308
+
+
+# Calls that take a value that is not a number where a real is expected.
+_NON_NUMBER_CASES = {
+    "airy": (lambda: ws.airy("a"), "'a'"),
+    "airy_none": (lambda: ws.airy(None), "None"),
+    "airy_many": (lambda: ws.airy_many(["a"]), "'a'"),
+    "airy_many_ragged": (lambda: ws.airy_many([[1.0, 2.0], [3.0]]), "[1.0, 2.0]"),
+    "density": (lambda: ws.density("a", 1), "'a'"),
+    "density_x": (lambda: ws.density(1 / 3, "a"), "'a'"),
+    "stein_apply": (lambda: ws.stein_apply(np.cos, "a"), "'a'"),
+    "stein_apply_sym": (lambda: stein_apply_sym(np.cos, None), "None"),
+    "wright_parameter": (lambda: ws.WrightParameter("a"), "'a'"),
+    "mittag_leffler": (lambda: ws.mittag_leffler(None, 1), "None"),
+    "mittag_leffler_z": (lambda: ws.mittag_leffler(0.5, "a"), "'a'"),
+    "wright_m_series": (lambda: ws.specfun.wright_m_series(None, 1.0), "None"),
+    "integrate": (lambda: integrate(np.cos, 0, "a"), "'a'"),
+    "laplace_check": (lambda: ws.laplace_check(object), "<class 'object'>"),
+    "solve_stein_grid": (lambda: ws.solve_stein(np.cos, [0.0, "a"]), "'a'"),
+}
+
+
+class TestNonNumber:
+    """A value that is not a number is refused with a DomainError that
+    names it, not a TypeError or a bare ValueError."""
+
+    @pytest.mark.parametrize("name", list(_NON_NUMBER_CASES))
+    def test_refused_naming_value(self, name):
+        call, shown = _NON_NUMBER_CASES[name]
+        with pytest.raises(DomainError) as exc:
+            call()
+        assert str(exc.value) == f"expected a real number, got {shown}"
+
+    def test_numeric_strings_still_read(self):
+        assert numerics._as_float("2.5") == 2.5
+        assert numerics._as_floats(["1", 2]).tolist() == [1.0, 2.0]

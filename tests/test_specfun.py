@@ -550,7 +550,7 @@ class TestScorer:
 
     def test_no_adaptive_fallback(self, monkeypatch):
         # Every cell of these Green's passes meets the quadrature tolerance
-        # with its GL15/GL7 pair, from x = 1e-9 to 1e8: none is redone by
+        # with its nested K15/G7 pair, from x = 1e-9 to 1e8: none is redone by
         # the adaptive integrator.
         from wright_stein.mwright import cdf
 

@@ -688,8 +688,8 @@ class TestBatchedSolve:
 
     def test_kinked_tail_member_falls_back_alone(self, monkeypatch):
         # The kink at 13.3 lies inside a graded tail cell of the default
-        # grid, where GL15 and GL7 disagree: that cell is redone adaptively
-        # for this h only.
+        # grid, where the nested K15/G7 pair disagrees: that cell is redone
+        # adaptively for this h only.
         kink = TestFunction(lambda x: np.minimum(1.0, np.abs(x - 13.3)), 1.0, "kink")
         calls = []
         real = specfun.integrate
