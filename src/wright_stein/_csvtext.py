@@ -3,8 +3,10 @@ the reader of one-value-per-line sample CSVs."""
 
 from __future__ import annotations
 
+import io
 import itertools
 import operator
+import warnings
 from functools import lru_cache
 
 import numpy as np
@@ -164,60 +166,23 @@ def _csv_pieces(*cols):
         yield _csv_block(block, sep[: block.size]).decode("ascii")
 
 
-# Characters of CSV text split into lines at a time.
-_PARSE_CHUNK = 1 << 18
-
-
-def _comments_end(text: str) -> int:
-    """Where the leading comment lines of text end: lines that start with
-    "#" and are one line to splitlines() too."""
-    start = 0
-    while text.startswith("#", start):
-        stop = text.find("\n", start)
-        stop = len(text) if stop < 0 else stop
-        if len(text[start:stop].splitlines()) != 1:
+def _column(fh):
+    """The values of a file as `sample` writes it, read by numpy from fh's
+    position: leading comment lines (that start with "#" and are one line
+    to splitlines() too), then a finite number on each line.  Anything else
+    gives None or numpy's ValueError."""
+    at, head = fh.tell(), 0
+    for line in iter(fh.readline, ""):
+        if not line.startswith("#") or len(line.removesuffix("\n").splitlines()) != 1:
             break
-        start = stop + 1
-    return start
-
-
-def _chunks(reads):
-    """The text of successive reads from the end of its leading comment
-    lines, without a final "\n": each read is cut after its last "\n",
-    which is dropped, and the rest carries over.  Raises ValueError when the
-    comment lines fill the first read, whose end is then no known line
-    end."""
-    reads = iter(reads)
-    text = next(reads, "")
-    start = _comments_end(text)
-    if text and start >= len(text):
-        raise ValueError("leading comment lines longer than one read")
-    rest = []
-    while text:
-        cut = text.rfind("\n", start)
-        if cut >= 0:
-            rest.append(text[start:cut])
-            yield "".join(rest)
-            rest, start = [], cut + 1
-        rest.append(text[start:])
-        text, start = next(reads, ""), 0
-    last = "".join(rest)
-    if last:
-        yield last
-
-
-def _finite_values(chunks):
-    """The number on each "\n"-piece of each chunk (float() ignores the
-    whitespace around it, a "\r" too), or None at the first piece that is
-    not a number (or not decodable) and when a value is not finite.  One
-    chunk's strings at a time, into one growing array: a 1e6-line file never
-    holds 1e6 string objects, nor its values twice over."""
-    values = itertools.chain.from_iterable(map(float, c.split("\n")) for c in chunks)
-    try:
-        arr = np.fromiter(values, dtype=float)
-    except ValueError:  # UnicodeDecodeError is one
-        return None
-    return arr if np.isfinite(arr).all() else None
+        head += 1
+    fh.seek(at)
+    # comments=None: "1.5 # c" is not a number.  A line "1,2" reads as two
+    # columns, so it is refused by the shape.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # a file with no values
+        arr = np.loadtxt(fh, delimiter=",", comments=None, skiprows=head, ndmin=2)
+    return arr.ravel() if arr.shape[1] == 1 and np.isfinite(arr).all() else None
 
 
 def parse_samples_csv(source):
@@ -225,30 +190,31 @@ def parse_samples_csv(source):
     carrying the 1-based line number on malformed or non-finite content.
 
     ``source`` is the CSV text or an open text file, read from where it
-    stands.  A seekable file is read _PARSE_CHUNK characters at a time, so
-    its whole text is never held; on any failure, a decode error too, it is
-    read again as one text, so messages and line numbers are those of the
-    text.  Any other file is read whole first.
+    stands.  numpy's reader reads a seekable file line by line, so its
+    whole text is never held; any other file is read whole first.  Text
+    goes to the reader as a text stream over its UTF-8 bytes, a second copy
+    of one byte per ASCII character.  On any failure, a decode error too,
+    the file is read again as one text, so messages and line numbers are
+    those of the text.
     """
-    # A file as written by `sample`: leading comment lines, then a number on
-    # each "\n"-piece.
     if isinstance(source, str) or not source.seekable():
         text = source if isinstance(source, str) else source.read()
-        reads = (text[i : i + _PARSE_CHUNK] for i in range(0, len(text), _PARSE_CHUNK))
     else:
         text, at = None, source.tell()
-        reads = iter(lambda: source.read(_PARSE_CHUNK), "")
-    arr = _finite_values(_chunks(reads))
+    try:
+        arr = _column(source if text is None else io.TextIOWrapper(
+            io.BytesIO(text.encode()), encoding="utf-8", newline="\n"))
+    except ValueError:  # UnicodeError is one
+        arr = None
     if arr is not None:
         return arr
     if text is None:
         source.seek(at)
         text = source.read()
     # Anything else (blank or inner comment lines, other line breaks, a
-    # malformed or non-finite value, a decode error, comment lines that fill
-    # the first read) takes one more pass over the value lines.  The pass
-    # stops at the first malformed line, so a malformed line anywhere is
-    # reported before a non-finite value.
+    # malformed or non-finite value, a decode error) takes one more pass
+    # over the value lines.  The pass stops at the first malformed line, so
+    # a malformed line anywhere is reported before a non-finite value.
     lines = [s for s in map(str.strip, text.splitlines()) if s and not s.startswith("#")]
     rest = iter(lines)
     try:

@@ -139,62 +139,28 @@ def _airy_series_core(x: np.ndarray):
     x = np.asarray(x, dtype=float)
     x2hi, x2lo = _two_prod(x, x)
     x3hi, x3lo = _dd_mul_d(x2hi, x2lo, x)
-
-    one = np.ones_like(x)
-    zero = np.zeros_like(x)
-
-    f1 = [one.copy(), zero.copy()]
-    g1 = [x.copy(), zero.copy()]
+    one, zero = np.ones_like(x), np.zeros_like(x)
     u1hi, u1lo = _dd_div_d(x2hi, x2lo, 2.0)
-    f1p = [u1hi.copy(), u1lo.copy()]
-    g1p = [one.copy(), zero.copy()]
-
-    tf = [one.copy(), zero.copy()]
-    tg = [x.copy(), zero.copy()]
-    tu = [u1hi.copy(), u1lo.copy()]
-    tv = [one.copy(), zero.copy()]
-
+    # Rows f1, g1, f1' and g1', as sums (shi, slo) and their latest terms
+    # (thi, tlo).  Each term is the last one times x^3 over its row's
+    # denominator 3k (3k + shift): (3k-1)3k, 3k(3k+1), (3k+2)3k, 3k(3k-2).
+    shi, slo = np.stack((one, x, u1hi, one)), np.stack((zero, zero, u1lo, zero))
+    thi, tlo = shi.copy(), slo.copy()
+    shift = np.array([[-1.0], [1.0], [2.0], [-2.0]])
     for k in range(1, 400):
-        tf[0], tf[1] = _dd_mul(tf[0], tf[1], x3hi, x3lo)
-        tf[0], tf[1] = _dd_div_d(tf[0], tf[1], float((3 * k - 1) * (3 * k)))
-        f1[0], f1[1] = _dd_add(f1[0], f1[1], tf[0], tf[1])
-
-        tg[0], tg[1] = _dd_mul(tg[0], tg[1], x3hi, x3lo)
-        tg[0], tg[1] = _dd_div_d(tg[0], tg[1], float((3 * k) * (3 * k + 1)))
-        g1[0], g1[1] = _dd_add(g1[0], g1[1], tg[0], tg[1])
-
-        # f1' terms: u_{k+1} = u_k * x^3 / ((3k+2)(3k))
-        tu[0], tu[1] = _dd_mul(tu[0], tu[1], x3hi, x3lo)
-        tu[0], tu[1] = _dd_div_d(tu[0], tu[1], float((3 * k + 2) * (3 * k)))
-        f1p[0], f1p[1] = _dd_add(f1p[0], f1p[1], tu[0], tu[1])
-
-        # g1' terms: v_k = v_{k-1} * x^3 / ((3k)(3k-2))
-        tv[0], tv[1] = _dd_mul(tv[0], tv[1], x3hi, x3lo)
-        tv[0], tv[1] = _dd_div_d(tv[0], tv[1], float((3 * k) * (3 * k - 2)))
-        g1p[0], g1p[1] = _dd_add(g1p[0], g1p[1], tv[0], tv[1])
-
-        tmax = max(
-            float(np.max(np.abs(tf[0]))),
-            float(np.max(np.abs(tg[0]))),
-            float(np.max(np.abs(tu[0]))),
-            float(np.max(np.abs(tv[0]))),
-        )
-        smin = float(np.min(np.abs(f1[0])))
-        if tmax < 1e-36 * smin:
+        thi, tlo = _dd_mul(thi, tlo, x3hi, x3lo)
+        thi, tlo = _dd_div_d(thi, tlo, 3 * k * (3 * k + shift))
+        shi, slo = _dd_add(shi, slo, thi, tlo)
+        if float(np.max(np.abs(thi))) < 1e-36 * float(np.min(np.abs(shi[0]))):
             break
 
-    def combine(fc, gc):
-        # alpha*f - beta*g and sqrt3*(alpha*f + beta*g) pieces
-        afhi, aflo = _dd_mul(fc[0], fc[1], *_AI0)
-        bghi, bglo = _dd_mul(gc[0], gc[1], *_NEG_AIP0)
-        ahi, alo = _dd_add(afhi, aflo, -bghi, -bglo)
-        shi, slo = _dd_add(afhi, aflo, bghi, bglo)
-        bhi_, blo_ = _dd_mul(shi, slo, *_SQRT3)
-        return (ahi, alo), (bhi_, blo_)
-
-    ai, bi = combine(f1, g1)
-    aip, bip = combine(f1p, g1p)
-    return ai, aip, bi, bip
+    # Ai = Ai(0) f - (-Ai'(0)) g and Bi = sqrt3 (Ai(0) f + (-Ai'(0)) g), with
+    # (f1, f1') against (g1, g1') for (Ai, Ai') and (Bi, Bi').
+    fhi, flo = _dd_mul(shi[0::2], slo[0::2], *_AI0)
+    ghi, glo = _dd_mul(shi[1::2], slo[1::2], *_NEG_AIP0)
+    ahi, alo = _dd_add(fhi, flo, -ghi, -glo)
+    bhi, blo = _dd_mul(*_dd_add(fhi, flo, ghi, glo), *_SQRT3)
+    return (ahi[0], alo[0]), (ahi[1], alo[1]), (bhi[0], blo[0]), (bhi[1], blo[1])
 
 
 # Piecewise-Chebyshev cache of Ai, Ai', Bi, Bi' on [0, AIRY_SWITCH].
@@ -342,8 +308,16 @@ def _airy_rows(u: np.ndarray, rows: slice):
 
 def _scaled_pair(u: np.ndarray, primes: bool):
     """(ai_scaled, bi_scaled), or (ai_prime_scaled, bi_prime_scaled) if
-    ``primes``, at u >= 0 of any shape: two rows of ``_airy_rows`` times
-    e^(+-zeta) below the switch, over (times, for primes) u^(1/4) past it."""
+    ``primes``, at finite u >= 0 of any shape, bitwise ``airy_many(u)``'s:
+    two rows of ``_airy_rows`` times e^(+-zeta) below the switch, over
+    (times, for primes) u^(1/4) past it.
+
+    A field's arithmetic is the same whichever points travel with it, so a
+    Green's pass asks for its nodes and points together and for the
+    derivatives at its points alone.  Two rows, not four: one (4, n) block
+    crosses glibc's mmap threshold on a 320-point solve, and its page faults
+    cost the pass ~0.1 ms.
+    """
     (a, b), far = _airy_rows(u, slice(int(primes), None, 2))
     lo = ~far
     ul = u[lo]
@@ -426,29 +400,6 @@ def airy_many(xs) -> AiryArrays:
         r(flat), r(ai), r(aip), r(bi), r(bip), r(zeta),
         r(ai_s), r(bi_s), r(aip_s), r(bip_s),
     )
-
-
-def _scaled(u: np.ndarray, primes):
-    """``airy_many(u)``'s scaled fields, bitwise, at finite u >= 0 of any
-    shape: arrays shaped like u, (ai_scaled, bi_scaled) and, if ``primes``
-    (a bool, or a mask shaped like u) is set anywhere, (ai_prime_scaled,
-    bi_prime_scaled), which are defined only where it is set.  Each pair is
-    one ``_airy_rows`` pass over two rows, not four: one (4, n) block
-    crosses glibc's mmap threshold on a 320-point solve, and its page
-    faults cost the pass ~0.1 ms.
-
-    A field's arithmetic is the same whichever rows and points travel with
-    it, and the derivative rows are formed only where asked.  So a Green's
-    pass hands over its nodes and points together, and the nodes cost only
-    the two rows they read.
-    """
-    want = np.broadcast_to(primes, u.shape)
-    out = _scaled_pair(u, False)
-    if want.any():
-        ap, bp = np.empty(u.shape), np.empty(u.shape)
-        ap[want], bp[want] = _scaled_pair(u[want], True)
-        out += (ap, bp)
-    return out
 
 
 @dataclass(frozen=True)
@@ -618,15 +569,15 @@ def green_pass(grid: np.ndarray, rhs_fns: list[Callable], scale: float, points=N
     kernel value, exceed ``numerics.TOL``.  A point inside a dropped cell
     (see ``_cell_edges``) joins the grid.
 
-    One ``_scaled`` call at the 15 Kronrod nodes of every cell and at the
-    points serves every right-hand side, and the adaptive redos use the
-    same helper.  The cells depend on grid and scale only, so each
-    right-hand side's result is bitwise independent of the others.  Each
-    kernel's cells go through ``numerics._kronrod_cells``: a cell keeps its
-    K15 value, and a cell whose |K15 - G7| estimate for one right-hand side
-    misses ``numerics.TOL`` (1e-10 absolute or relative) is redone by the
-    adaptive integrator, to that same tolerance, for that right-hand side
-    alone.
+    Two ``_scaled_pair`` calls serve every right-hand side: Ai and Bi at the
+    15 Kronrod nodes of every cell and at the points, and Ai' and Bi' at the
+    points alone; the adaptive redos use the same helper.  The cells depend
+    on grid and scale only, so each right-hand side's result is bitwise
+    independent of the others.  Each kernel's cells go through
+    ``numerics._kronrod_cells``: a cell keeps its K15 value, and a cell
+    whose |K15 - G7| estimate for one right-hand side misses
+    ``numerics.TOL`` (1e-10 absolute or relative) is redone by the adaptive
+    integrator, to that same tolerance, for that right-hand side alone.
 
     Returns a dict with, per right-hand side and point (shape
     (len(rhs_fns), n)), the Green's values ``g`` = Ai P + Bi S and
@@ -675,10 +626,11 @@ def green_pass(grid: np.ndarray, rhs_fns: list[Callable], scale: float, points=N
     nodes = mid[:, None] + half * _K15_X
     k = nodes.size
     u = scale * np.concatenate((nodes.ravel(), pts))
-    fields = _scaled(u, np.repeat((False, True), (k, pts.size)))
     un, up = u[:k].reshape(nodes.shape), u[k:]
-    ai_s, bi_s = (f[:k].reshape(nodes.shape) for f in fields[:2])
-    p_ai, p_bi, p_aip, p_bip = (f[k:] for f in fields)
+    ai_s, bi_s = _scaled_pair(u, False)
+    p_ai, p_bi = ai_s[k:], bi_s[k:]
+    ai_s, bi_s = ai_s[:k].reshape(nodes.shape), bi_s[:k].reshape(nodes.shape)
+    p_aip, p_bip = _scaled_pair(up, True)
     evals = nodes.size * m
 
     # Kernels relative to the owning cell's edge: P to its right edge, S to
@@ -689,10 +641,10 @@ def green_pass(grid: np.ndarray, rhs_fns: list[Callable], scale: float, points=N
     wP[dropped] = wS[dropped] = 0.0
 
     def kernel_p(u, i):
-        return _scaled(u, False)[1] * np.exp(-_zeta_gap(ue[i + 1], u, ue[i + 1] - u))
+        return _scaled_pair(u, False)[1] * np.exp(-_zeta_gap(ue[i + 1], u, ue[i + 1] - u))
 
     def kernel_s(u, i):
-        return _scaled(u, False)[0] * np.exp(-_zeta_gap(u, ue[i], u - ue[i]))
+        return _scaled_pair(u, False)[0] * np.exp(-_zeta_gap(u, ue[i], u - ue[i]))
 
     def adaptive(kernel, rv, i, a, b):
         return integrate(lambda ts: kernel(scale * ts, i) * rv(ts), float(a), float(b))

@@ -116,10 +116,6 @@ class TestFunction:
     def __call__(self, x):
         return self.fn(x)
 
-    def check_bound(self, grid) -> bool:
-        vals = _vectorized(self.fn)(np.asarray(grid, dtype=float))
-        return bool(np.all(np.abs(vals) <= self.sup_norm * (1 + 1e-12)))
-
 
 def _as_test_function(h) -> TestFunction:
     if isinstance(h, TestFunction):
@@ -260,19 +256,25 @@ class SteinSolution:
         return tuple(_hermite(*side) for side in self._sides)
 
     def interpolators(self):
-        """Quintic Hermite interpolants (f, f'') honoring the side split.
+        """Quintic Hermite interpolants (f, f'') honoring the side split, on
+        [grid[0], grid[-1]]: a point outside it, or not a finite number,
+        raises DomainError naming the first such point.
 
         For the symmetric kind each side runs on its own points only, x < 0
         (not -0.0) on the mirror side at |x|, so f'' keeps its one-sided
         limits at 0 and even test functions give bitwise-mirrored values.
         """
-        if self.kind == "half-line":
-            (p,) = self._pieces
-            return p, partial(p, nu=2)
-        pos, neg = self._pieces
+        lo, hi = self.grid[0], self.grid[-1]
 
         def at(x, nu):
-            x = np.asarray(x, dtype=float)
+            x = _as_floats(x)
+            off = np.flatnonzero(~((x >= lo) & (x <= hi)))
+            if off.size:
+                raise DomainError(f"the solution is interpolated on [{lo:.17g}, {hi:.17g}], "
+                                  f"got x = {float(x.flat[off[0]])!r}")
+            if self.kind == "half-line":
+                return self._pieces[0](x, nu)
+            pos, neg = self._pieces
             ax, right = np.abs(x), x >= 0
             out = np.empty_like(ax)
             out[right], out[~right] = pos(ax[right], nu), neg(ax[~right], nu)

@@ -291,15 +291,22 @@ class TestGof:
     @pytest.mark.parametrize("chunk", [7, 60, None])
     def test_undecodable_leading_comment_reports_the_whole_file_offset(
             self, tmp_path, capsys, monkeypatch, chunk):
-        # The bad byte lies past the first 8 KiB the file object decodes at
-        # a time, so only a read of the whole text names its offset in the
-        # file.
+        # The bad byte lies past the first bytes the file object decodes at
+        # a time (8 KiB by default, or chunk), so only a read of the whole
+        # text names its offset in the file.
+        from wright_stein import cli
+
         p = tmp_path / "bin.csv"
         p.write_bytes(b"# " + b"x" * 10_000 + b"\xff\n1.0\n2.0\n")
         with pytest.raises(UnicodeDecodeError) as whole, open(p) as fh:
             fh.read()
         if chunk is not None:
-            monkeypatch.setattr(_csvtext, "_PARSE_CHUNK", chunk)
+            def opening(*args, **kwargs):
+                fh = open(*args, **kwargs)
+                fh._CHUNK_SIZE = chunk
+                return fh
+
+            monkeypatch.setattr(cli, "open", opening, raising=False)
         assert run(capsys, ["gof", str(p)]) == (2, "", f"error: {whole.value}\n")
 
     @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
@@ -670,16 +677,15 @@ _HEAD = "# generator=mwright-1/3 seed=1 n=3"
     keep=st.integers(0, 8),
     ending=st.sampled_from(["\n", "\r\n", "\r"]),
     final=st.booleans(),
-    chunk=st.sampled_from([1, 7, 60, _csvtext._PARSE_CHUNK]),
 )
-# "\r\n" and lone "\r" line ends, and comment lines longer than a chunk.
-@example(head=[_HEAD], lines=[], inner=[], keep=8, ending="\r\n", final=True, chunk=7)
-@example(head=[_HEAD], lines=[], inner=[], keep=8, ending="\r", final=True, chunk=60)
-@example(head=[_HEAD] * 3, lines=[], inner=[], keep=8, ending="\n", final=False, chunk=60)
-# A comment cut by the first read whose tail reads as a number.
-@example(head=["# 12"], lines=[], inner=[], keep=8, ending="\n", final=True, chunk=1)
+# "\r\n" and lone "\r" line ends, and several comment lines.
+@example(head=[_HEAD], lines=[], inner=[], keep=8, ending="\r\n", final=True)
+@example(head=[_HEAD], lines=[], inner=[], keep=8, ending="\r", final=True)
+@example(head=[_HEAD] * 3, lines=[], inner=[], keep=8, ending="\n", final=False)
+# A comment whose tail reads as a number.
+@example(head=["# 12"], lines=[], inner=[], keep=8, ending="\n", final=True)
 def test_parse_samples_csv_matches_line_by_line_reader(tmp_path_factory, head, lines, inner,
-                                                       keep, ending, final, chunk):
+                                                       keep, ending, final):
     body = _CSV_BODY[:keep]
     for pos, line in lines + inner:
         body.insert(min(pos, len(body)), line)
@@ -687,15 +693,40 @@ def test_parse_samples_csv_matches_line_by_line_reader(tmp_path_factory, head, l
     # The text as a file too, read in text mode as gof reads it.
     path = tmp_path_factory.getbasetemp() / "parse.csv"
     path.write_text(text, encoding="utf-8", newline="")
-    # Chunk edges fall inside the text.
-    default, _csvtext._PARSE_CHUNK = _csvtext._PARSE_CHUNK, chunk
-    try:
-        expected = _outcome(_parse_line_by_line, text)
-        assert _outcome(parse_samples_csv, text) == expected
-        with open(path, encoding="utf-8") as fh:
-            assert _outcome(parse_samples_csv, fh) == expected
-    finally:
-        _csvtext._PARSE_CHUNK = default
+    expected = _outcome(_parse_line_by_line, text)
+    assert _outcome(parse_samples_csv, text) == expected
+    with open(path, encoding="utf-8") as fh:
+        assert _outcome(parse_samples_csv, fh) == expected
+
+
+def _both_ways(tmp_path, text):
+    """parse_samples_csv's outcome on text, and on it as a file, which must
+    agree."""
+    path = tmp_path / "edge.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    with open(path, encoding="utf-8") as fh:
+        got = _outcome(parse_samples_csv, fh)
+    assert _outcome(parse_samples_csv, text) == got
+    return got
+
+
+# Warnings are errors: numpy's reader warns on a file with no values.
+@pytest.mark.filterwarnings("error")
+class TestReaderEdges:
+    @pytest.mark.parametrize("text", ["", _HEAD + "\n", "#\n# c"])
+    def test_no_values(self, tmp_path, text):
+        assert _both_ways(tmp_path, text) == b""
+
+    @pytest.mark.parametrize("line", ["1.5 # c", "1,2", "1 2"])
+    def test_refused_with_line_number(self, tmp_path, line):
+        for text, at in ((f"{_HEAD}\n0.5\n{line}\n2.5\n", 3), (f"{_HEAD}\n{line}\n", 2)):
+            assert _both_ways(tmp_path, text) == f"line {at}: cannot parse {line!r} as a number"
+
+    def test_comment_lines_longer_than_any_read(self, tmp_path):
+        values = sample(1000, seed=4).values
+        head = "# " + "x" * (1 << 18) + "\n"
+        text = head * 2 + "".join(f"{v:.17g}\n" for v in values.tolist())
+        assert _both_ways(tmp_path, text) == values.tobytes()
 
 
 def _traced_peak(call) -> float:

@@ -438,6 +438,27 @@ class TestLocate:
         assert (b, s) == self.searched(knots, np.float64(3.3))
 
 
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_interpolants_refuse_points_off_the_grid(symmetric):
+    sol = (solve_stein_sym if symmetric else solve_stein)(np.cos)
+    span = "[-12, 12]" if symmetric else "[0, 12]"
+    outside = [13.0, -13.0] if symmetric else [50.0, -5.0]
+    f_at, fpp_at = sol.interpolators()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for interp in (f_at, fpp_at):
+            for x, shown in [(v, repr(v)) for v in outside] + [
+                    (math.inf, "inf"), (10**400, "inf"), (math.nan, "nan"),
+                    (np.array([1.0, math.nan, 50.0]), "nan")]:
+                with pytest.raises(DomainError) as e:
+                    interp(x)
+                assert str(e.value) == f"the solution is interpolated on {span}, got x = {shown}"
+            with pytest.raises(DomainError, match="expected a real number, got 'a'"):
+                interp("a")
+            # The grid's ends are inside.
+            assert np.all(np.isfinite(interp(sol.grid[[0, -1]])))
+
+
 class TestHermiteInterpolant:
     """The per-cell quintic Hermite interpolant behind interpolators() and GoF."""
 
