@@ -172,8 +172,8 @@ def _cmd_eval(args) -> int:
         raise ValueError(f"--beta: {e}") from None
 
     if args.function in ("ai", "bi"):
-        a = specfun.airy_many(xs)
-        vals = a.ai if args.function == "ai" else a.bi
+        row = slice(0, 1) if args.function == "ai" else slice(2, 3)
+        vals = specfun._airy_fields(xs, row, False)[0]
         bad = ~np.isfinite(vals)
         if bad.any():
             raise AiryOverflowError(

@@ -276,11 +276,10 @@ def _airy_rows(u: np.ndarray, rows: slice):
     lead added, which the scaled Ai and Bi are over u^(1/4) and the scaled
     derivatives times it.
 
-    One Clenshaw recurrence in doubles over all points and the given rows,
-    each point gathering its own interval's coefficients: numpy's chebval,
-    vectorized and in place, (c0, c1) <- (coefs[k] - c1, c0 + c1 * t2),
-    then c0 + c1 * t.  Each row's arithmetic is the same whichever rows and
-    points travel with it.
+    One Clenshaw recurrence in doubles, each point gathering its own
+    interval's coefficients: numpy's chebval, vectorized and in place,
+    (c0, c1) <- (coefs[k] - c1, c0 + c1 * t2), then c0 + c1 * t.  Each row's
+    arithmetic is the same whichever rows and points travel with it.
     """
     idx = np.searchsorted(_CHEB_EDGES, u, side="right") - 1
     far = idx == _N_CHEB_INT
@@ -306,32 +305,47 @@ def _airy_rows(u: np.ndarray, rows: slice):
     return c1, far
 
 
-def _scaled_pair(u: np.ndarray, primes: bool):
-    """(ai_scaled, bi_scaled), or (ai_prime_scaled, bi_prime_scaled) if
-    ``primes``, at finite u >= 0 of any shape, bitwise ``airy_many(u)``'s:
-    two rows of ``_airy_rows`` times e^(+-zeta) below the switch, over
-    (times, for primes) u^(1/4) past it.
+_AIRY_BLOCK = 1 << 16  # points per _airy_rows call in _airy_fields
 
-    A field's arithmetic is the same whichever points travel with it, so a
-    Green's pass asks for its nodes and points together and for the
-    derivatives at its points alone.  Two rows, not four: one (4, n) block
-    crosses glibc's mmap threshold on a 320-point solve, and its page faults
-    cost the pass ~0.1 ms.
+
+def _airy_fields(xs, rows: slice, scaled: bool) -> np.ndarray:
+    """Rows ``rows`` of (Ai, Ai', Bi, Bi') at finite x >= 0 of any shape,
+    stacked in front of x's shape: scaled (Ai, Ai' times e^zeta and Bi, Bi'
+    over it) or not.  The one copy of the scaling rule.
+
+    ``_airy_rows`` runs over blocks of _AIRY_BLOCK points; a call within one
+    block returns that block uncopied.  Each caller asks only for the rows
+    it reads: four rows over a 320-point solve's quadrature nodes cross
+    glibc's mmap threshold, and their page faults cost the pass ~0.1 ms.
     """
-    (a, b), far = _airy_rows(u, slice(int(primes), None, 2))
-    lo = ~far
-    ul = u[lo]
-    ez = np.exp((2.0 / 3.0) * ul * np.sqrt(ul))
-    a[lo] *= ez
-    b[lo] /= ez
-    q = np.power(u[far], 0.25)
-    if primes:
-        a[far] *= q
-        b[far] *= q
-    else:
-        a[far] /= q
-        b[far] /= q
-    return a, b
+    x = _as_floats(xs)
+    if x.size and not (x.min() >= 0 and x.max() < math.inf):
+        raise DomainError("airy requires finite x >= 0")
+    flat = x.ravel()
+    ids = range(4)[rows]
+    out = None if flat.size <= _AIRY_BLOCK else np.empty((len(ids), flat.size))
+    for i in range(0, max(flat.size, 1), _AIRY_BLOCK):
+        u = flat[i : i + _AIRY_BLOCK]
+        f, far = _airy_rows(u, rows)
+        lo, uf = ~far, u[far]
+        q = np.power(uf, 0.25)
+        for row, r in zip(f, ids):
+            row[far] = row[far] * q if r % 2 else row[far] / q
+        if scaled:
+            ul = u[lo]
+            ez = np.exp((2.0 / 3.0) * ul * np.sqrt(ul))
+            for row, r in zip(f, ids):
+                row[lo] = row[lo] * ez if r < 2 else row[lo] / ez
+        else:
+            with np.errstate(over="ignore", under="ignore"):  # e^zeta is inf past x ~ 104.3
+                z = (2.0 / 3.0) * uf * np.sqrt(uf)
+                ez = np.exp(z)
+                for row, r in zip(f, ids):
+                    row[far] = row[far] / ez if r < 2 else _times_exp(row[far], z, ez)
+        if out is None:
+            return f.reshape(f.shape[:1] + x.shape)
+        out[:, i : i + u.size] = f
+    return out.reshape(out.shape[:1] + x.shape)
 
 
 def _times_exp(scaled, z, ez):
@@ -364,42 +378,17 @@ def airy_many(xs) -> AiryArrays:
     points; any other point raises DomainError.
 
     Unscaled fields follow e^(+-zeta) and may overflow to inf / underflow to
-    zero for very large x; the scaled fields are valid everywhere.
+    zero for very large x; the scaled fields are valid everywhere, within
+    2.9e-16 relative of 40-digit references at x = 1 to 100.  Past the
+    switch the unscaled Ai and Bi are within about zeta * eps relative
+    (2.0e-14 at x = 50, 1.5e-13 at x = 100), the conditioning of e^(-+zeta).
     """
-    xs = _as_floats(xs)
-    if xs.size and not (np.min(xs) >= 0 and np.max(xs) < math.inf):
-        raise DomainError("airy requires finite x >= 0")
-    shape = xs.shape
-    flat = xs.ravel()
+    x = _as_floats(xs)
+    fields = _airy_fields(x, slice(None), False)
+    ai_s, aip_s, bi_s, bip_s = _airy_fields(x, slice(None), True)
     with np.errstate(over="ignore"):  # inf past x ~ 1e205, as e^zeta is
-        zeta = (2.0 / 3.0) * flat * np.sqrt(flat)
-    # Below the switch the unscaled fields come straight from the cache, and
-    # the scaled ones are formed as in _scaled_pair.
-    v, far = _airy_rows(flat, slice(None))  # ai, aip, bi, bip
-    lo = ~far
-    sc = np.empty_like(v)
-    ez = np.exp(zeta[lo])
-    sc[:2, lo] = v[:2, lo] * ez
-    sc[2:, lo] = v[2:, lo] / ez
-    q = np.power(flat[far], 0.25)
-    sc[0::2, far] = v[0::2, far] / q
-    sc[1::2, far] = v[1::2, far] * q
-    z = zeta[far]
-    with np.errstate(over="ignore", under="ignore"):
-        ez = np.exp(z)
-        v[:2, far] = sc[:2, far] / ez
-        v[2, far] = _times_exp(sc[2, far], z, ez)
-        v[3, far] = _times_exp(sc[3, far], z, ez)
-    ai, aip, bi, bip = v
-    ai_s, aip_s, bi_s, bip_s = sc
-
-    def r(v):
-        return v.reshape(shape)
-
-    return AiryArrays(
-        r(flat), r(ai), r(aip), r(bi), r(bip), r(zeta),
-        r(ai_s), r(bi_s), r(aip_s), r(bip_s),
-    )
+        zeta = (2.0 / 3.0) * x * np.sqrt(x)
+    return AiryArrays(x, *fields, zeta, ai_s, bi_s, aip_s, bip_s)
 
 
 @dataclass(frozen=True)
@@ -569,11 +558,11 @@ def green_pass(grid: np.ndarray, rhs_fns: list[Callable], scale: float, points=N
     kernel value, exceed ``numerics.TOL``.  A point inside a dropped cell
     (see ``_cell_edges``) joins the grid.
 
-    Two ``_scaled_pair`` calls serve every right-hand side: Ai and Bi at the
-    15 Kronrod nodes of every cell and at the points, and Ai' and Bi' at the
-    points alone; the adaptive redos use the same helper.  The cells depend
-    on grid and scale only, so each right-hand side's result is bitwise
-    independent of the others.  Each kernel's cells go through
+    Two ``_airy_fields`` calls serve every right-hand side: the scaled Ai and
+    Bi at the 15 Kronrod nodes of every cell, and all four scaled fields at
+    the points; an adaptive redo asks it for its kernel's one row.  The
+    cells depend on grid and scale only, so each right-hand side's result is
+    bitwise independent of the others.  Each kernel's cells go through
     ``numerics._kronrod_cells``: a cell keeps its K15 value, and a cell
     whose |K15 - G7| estimate for one right-hand side misses
     ``numerics.TOL`` (1e-10 absolute or relative) is redone by the adaptive
@@ -624,13 +613,9 @@ def green_pass(grid: np.ndarray, rhs_fns: list[Callable], scale: float, points=N
 
     # One row per cell: its 15 Kronrod nodes, every other one a GL7 node.
     nodes = mid[:, None] + half * _K15_X
-    k = nodes.size
-    u = scale * np.concatenate((nodes.ravel(), pts))
-    un, up = u[:k].reshape(nodes.shape), u[k:]
-    ai_s, bi_s = _scaled_pair(u, False)
-    p_ai, p_bi = ai_s[k:], bi_s[k:]
-    ai_s, bi_s = ai_s[:k].reshape(nodes.shape), bi_s[:k].reshape(nodes.shape)
-    p_aip, p_bip = _scaled_pair(up, True)
+    un, up = scale * nodes, scale * pts
+    ai_s, bi_s = _airy_fields(un, slice(0, None, 2), True)
+    p_ai, p_aip, p_bi, p_bip = _airy_fields(up, slice(None), True)
     evals = nodes.size * m
 
     # Kernels relative to the owning cell's edge: P to its right edge, S to
@@ -641,10 +626,12 @@ def green_pass(grid: np.ndarray, rhs_fns: list[Callable], scale: float, points=N
     wP[dropped] = wS[dropped] = 0.0
 
     def kernel_p(u, i):
-        return _scaled_pair(u, False)[1] * np.exp(-_zeta_gap(ue[i + 1], u, ue[i + 1] - u))
+        bi_s = _airy_fields(u, slice(2, 3), True)[0]
+        return bi_s * np.exp(-_zeta_gap(ue[i + 1], u, ue[i + 1] - u))
 
     def kernel_s(u, i):
-        return _scaled_pair(u, False)[0] * np.exp(-_zeta_gap(u, ue[i], u - ue[i]))
+        ai_s = _airy_fields(u, slice(0, 1), True)[0]
+        return ai_s * np.exp(-_zeta_gap(u, ue[i], u - ue[i]))
 
     def adaptive(kernel, rv, i, a, b):
         return integrate(lambda ts: kernel(scale * ts, i) * rv(ts), float(a), float(b))

@@ -565,7 +565,7 @@ class TestErrorExit:
 
     # The library call each verb makes, and the exit code of each refusal.
     @pytest.mark.parametrize("verb, module, name, codes", [
-        ("eval", "specfun", "airy_many", (1, 1, 1, 1)),
+        ("eval", "specfun", "_airy_fields", (1, 1, 1, 1)),
         ("solve", "stein", "solve_stein", (2, 1, 1, 1)),
         ("sample", "mwright", "sample", (2, 1, 1, 1)),
         ("gof", "gof", "discrepancy", (2, 2, 1, 1)),
@@ -766,10 +766,20 @@ class TestMemory:
     # 999,001 grid points: each column is 7.6 MiB, and the eval and plotdata
     # texts 40 and 61 MB.  The bounds leave the grid, the value columns, the
     # density's temporaries and a block of text; the whole text, or the
-    # columns interleaved into one array, would go over them.
+    # columns interleaved into one array, would go over them.  An Airy column
+    # (eval ai and bi, and M_{1/3} behind the density) also leaves one block
+    # of Airy rows, and M_{1/3} its x / 3^(1/3): all ten Airy fields over the
+    # grid would take ~150 MiB.
     def test_eval_verb(self, tmp_path, capsys):
         argv = ["eval", "mwright", "--beta", "0", "--grid=0:9.99:1e-5", "-o", str(tmp_path / "f")]
         assert _traced_peak(lambda: main(argv)) <= 28
+
+    @pytest.mark.parametrize("argv, bound", [
+        (["ai"], 28), (["bi"], 28), (["mwright", "--beta", "1/3"], 34),
+    ], ids=["ai", "bi", "mwright-1/3"])
+    def test_airy_eval_verb(self, tmp_path, capsys, argv, bound):
+        argv = ["eval", *argv, "--grid=0:9.99:1e-5", "-o", str(tmp_path / "f")]
+        assert _traced_peak(lambda: main(argv)) <= bound
 
     def test_plotdata_verb(self, tmp_path, capsys):
         argv = ["plotdata", "--betas", "0,1/2", "--grid=-5:4.99:1e-5", "-o", str(tmp_path / "f")]

@@ -287,31 +287,35 @@ class TestAiryStructure:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             a = airy_many(xs)
-            fields = specfun._scaled_pair(xs, False) + specfun._scaled_pair(xs, True)
+            _assert_fields_are_the_rule(xs)
         for f in (a.ai_scaled, a.bi_scaled, a.ai_prime_scaled, a.bi_prime_scaled):
             assert np.all(np.isfinite(f)) and np.all(f != 0)
-        assert [_bits(f) for f in fields] == [
-            _bits(a.ai_scaled), _bits(a.bi_scaled),
-            _bits(a.ai_prime_scaled), _bits(a.bi_prime_scaled),
-        ]
         assert np.all(a.ai == 0) and np.all(a.ai_prime == 0)
 
     def test_node_fields_match_airy_many(self):
-        # The Green's pass's fields are airy_many's, bit for bit, on both
-        # sides of the switch and at it, for the value pair and the
-        # derivative pair alike.
+        # Every row set a caller may ask for, scaled and unscaled, is the
+        # rule's and airy_many's, bit for bit, on both sides of the switch,
+        # at it and where Bi leaves double range.
         rng = np.random.default_rng(11)
         u = np.concatenate((
-            rng.uniform(0.0, 2.0 * AIRY_SWITCH, 2984),
+            rng.uniform(0.0, 2.0 * AIRY_SWITCH, 2983),
             np.geomspace(2.0 * AIRY_SWITCH, 1e8, 10),
             [0.0, 5e-324, np.nextafter(AIRY_SWITCH, 0.0), AIRY_SWITCH,
-             np.nextafter(AIRY_SWITCH, 10.0), 1e300],
+             np.nextafter(AIRY_SWITCH, 10.0), 104.43, 1e300],
         )).reshape(200, 15)
-        a = airy_many(u)
-        for primes, want in ((False, (a.ai_scaled, a.bi_scaled)),
-                             (True, (a.ai_prime_scaled, a.bi_prime_scaled))):
-            fields = specfun._scaled_pair(u, primes)
-            assert [_bits(f) for f in fields] == [_bits(w) for w in want]
+        _assert_fields_are_the_rule(u)
+
+    def test_fields_over_several_blocks(self):
+        # A call longer than two blocks equals its blocks called one at a
+        # time, across the switch.
+        n = specfun._AIRY_BLOCK
+        xs = np.linspace(0.0, 2.0 * AIRY_SWITCH, 2 * n + 7)
+        for scaled in (False, True):
+            got = specfun._airy_fields(xs, slice(None), scaled)
+            parts = [specfun._airy_fields(xs[i : i + n], slice(None), scaled)
+                     for i in range(0, xs.size, n)]
+            assert got.shape == (4, xs.size)
+            assert _bits(got) == _bits(np.concatenate(parts, axis=1))
 
     def test_bessel_cross_check(self):
         # Ai(x) = (1/pi) sqrt(x/3) K_{1/3}(zeta) for x > 0.
@@ -319,6 +323,48 @@ class TestAiryStructure:
             zeta = (2.0 / 3.0) * x ** 1.5
             ref = math.sqrt(x / 3.0) / math.pi * kv(1.0 / 3.0, zeta)
             assert abs(airy(x).ai - ref) <= 1e-8
+
+
+_ROW_SETS = [slice(r, r + 1) for r in range(4)] + [
+    slice(0, None, 2), slice(1, None, 2), slice(0, 2), slice(2, None), slice(None)]
+
+
+def _rule_fields(u):
+    """(ai, aip, bi, bip) unscaled and scaled from ``_airy_rows``, by the
+    scaling rule written out here once more: below the switch the rows
+    times e^zeta (Ai, Ai') or over it (Bi, Bi'); past it the scaled Ai, Bi
+    over u^(1/4) and Ai', Bi' times it, then the unscaled Ai, Ai' over e^zeta
+    and Bi, Bi' times it."""
+    flat = u.ravel()
+    v, far = specfun._airy_rows(flat, slice(None))
+    lo = ~far
+    sc = np.empty_like(v)
+    ez = np.exp((2.0 / 3.0) * flat[lo] * np.sqrt(flat[lo]))
+    sc[:2, lo] = v[:2, lo] * ez
+    sc[2:, lo] = v[2:, lo] / ez
+    q = np.power(flat[far], 0.25)
+    sc[0::2, far] = v[0::2, far] / q
+    sc[1::2, far] = v[1::2, far] * q
+    with np.errstate(over="ignore", under="ignore"):
+        zeta = (2.0 / 3.0) * flat[far] * np.sqrt(flat[far])
+        ez = np.exp(zeta)
+        v[:2, far] = sc[:2, far] / ez
+        for r in (2, 3):
+            v[r, far] = specfun._times_exp(sc[r, far], zeta, ez)
+    return v.reshape((4,) + u.shape), sc.reshape((4,) + u.shape)
+
+
+def _assert_fields_are_the_rule(u):
+    a = airy_many(u)
+    unscaled, scaled = _rule_fields(u)
+    for want, names, flag in (
+        (unscaled, ("ai", "ai_prime", "bi", "bi_prime"), False),
+        (scaled, ("ai_scaled", "ai_prime_scaled", "bi_scaled", "bi_prime_scaled"), True),
+    ):
+        assert [_bits(getattr(a, n)) for n in names] == [_bits(w) for w in want]
+        for rows in _ROW_SETS:
+            got = specfun._airy_fields(u, rows, flag)
+            assert [_bits(g) for g in got] == [_bits(w) for w in want[rows]], (rows, flag)
 
 
 def _airy_series(x):
