@@ -3,10 +3,8 @@ the reader of one-value-per-line sample CSVs."""
 
 from __future__ import annotations
 
-import io
 import itertools
 import operator
-import warnings
 from functools import lru_cache
 
 import numpy as np
@@ -61,8 +59,8 @@ def _csv_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 _LEADING, _TRAILING = 10000, 20000
-_POW10 = 10.0 ** np.arange(22)  # exact doubles up to 1e21
-_POW10_INT = 10 ** np.arange(18, dtype=np.int64)
+_POW10 = 10.0 ** np.arange(24)  # exact doubles up to 1e22, then 1e23
+_POW10_INT = 10 ** np.arange(19, dtype=np.int64)
 
 
 def _digit_groups(n):
@@ -71,6 +69,28 @@ def _digit_groups(n):
     lo = n - hi * 10**8
     g0, g2 = hi // 10**4, lo // 10**4
     return g0, hi - g0 * 10**4, g2, lo - g2 * 10**4
+
+
+def _digits17(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The digits of ``"%.17g" % a`` for each a in [1e-4, 1e16), for the
+    writer and the reader: d = round(a * 10**p), ties to even, and p, with
+    p = 16 - floor(log10 a) moved so that the exact product a * 10**p
+    (Dekker's TwoProduct) lies in [10**16, 10**17)."""
+    p = 16 - np.floor(np.log10(a)).astype(np.int64)
+    hi, lo = _two_prod(a, _POW10.take(p))
+    while True:
+        up = (hi < 1e16) | ((hi == 1e16) & (lo < 0))
+        down = (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
+        off = np.flatnonzero(up | down)
+        if not off.size:
+            break
+        p[off] += np.where(up[off], 1, -1)
+        hi[off], lo[off] = _two_prod(a[off], _POW10.take(p[off]))
+    # hi >= 2**53 is an even integer, so hi + rint(lo) rounds the exact
+    # product to an integer, ties to even.  It never carries to 10**17: no
+    # double in [1e-4, 1e16) lies within 0.8 units of the 17th digit below
+    # a power of ten.
+    return hi.astype(np.int64) + np.rint(lo).astype(np.int64), p
 
 
 def _csv_block(v: np.ndarray, sep: np.ndarray) -> bytes:
@@ -86,23 +106,7 @@ def _csv_block(v: np.ndarray, sep: np.ndarray) -> bytes:
     a = np.abs(v)
     slow = np.flatnonzero(~((a >= 1e-4) & (a < 1e16)))
     a[slow] = 1.0
-    # p = 16 - floor(log10 a), then each a * 10**p is moved into
-    # [10**16, 10**17), judged on the exact product.
-    p = 16 - np.floor(np.log10(a)).astype(np.int64)
-    hi, lo = _two_prod(a, _POW10.take(p))
-    while True:
-        up = (hi < 1e16) | ((hi == 1e16) & (lo < 0))
-        down = (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
-        off = np.flatnonzero(up | down)
-        if not off.size:
-            break
-        p[off] += np.where(up[off], 1, -1)
-        hi[off], lo[off] = _two_prod(a[off], _POW10.take(p[off]))
-    # hi >= 2**53 is an even integer, so hi + rint(lo) rounds the exact
-    # product to an integer, ties to even.  It never carries to 10**17: no
-    # double in [1e-4, 1e16) lies within 0.8 units of the 17th digit below
-    # a power of ten.
-    d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    d, p = _digits17(a)
     # |x| = d / 10**p: the integer part (0 below 1) and the fraction's
     # digits as a 17-digit integer, left-aligned.
     scale = _POW10_INT.take(np.minimum(p, 17))
@@ -135,8 +139,7 @@ def _csv_block(v: np.ndarray, sep: np.ndarray) -> bytes:
         raw[raw == 32] = 0
         rows[:, 11] = sep[slow]
         cells[slow] = rows
-    out = cells.view(np.uint8).ravel()
-    return np.compress(out != 0, out).tobytes()
+    return cells.tobytes().translate(None, b"\0")
 
 
 def _csv_pieces(*cols):
@@ -166,23 +169,142 @@ def _csv_pieces(*cols):
         yield _csv_block(block, sep[: block.size]).decode("ascii")
 
 
-def _column(fh):
-    """The values of a file as `sample` writes it, read by numpy from fh's
-    position: leading comment lines (that start with "#" and are one line
-    to splitlines() too), then a finite number on each line.  Anything else
-    gives None or numpy's ValueError."""
-    at, head = fh.tell(), 0
-    for line in iter(fh.readline, ""):
-        if not line.startswith("#") or len(line.removesuffix("\n").splitlines()) != 1:
-            break
-        head += 1
-    fh.seek(at)
-    # comments=None: "1.5 # c" is not a number.  A line "1,2" reads as two
-    # columns, so it is refused by the shape.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # a file with no values
-        arr = np.loadtxt(fh, delimiter=",", comments=None, skiprows=head, ndmin=2)
-    return arr.ravel() if arr.shape[1] == 1 and np.isfinite(arr).all() else None
+# Characters per block of the array reader; its temporaries take ~10 bytes
+# a character.  It reads a line from the 24 bytes before its "\n" as three
+# uint64 words, one character a byte: column c is byte c % 8 of word c // 8.
+# Bytes k to k + 24 of _TAIL mask the last k columns.
+_READ_BLOCK = 1 << 17
+_TAIL = bytes(24) + b"\xff" * 24
+
+
+def _compare17(y, D, p):
+    """-1, 0 or 1 as ``"%.17g" % y``, y in [1e-4, 1e16), denotes a decimal
+    below, equal to or above D / 10**p, D < 10**17: d / 10**q against it is
+    d against D * 10**(q - p), which is below 10**16 <= d for q < p."""
+    d, q = _digits17(y)
+    s = np.clip(q - p, 0, 17)
+    fits = D < _POW10_INT.take(17 - s)
+    return np.where(q < p, 1, np.where(fits, np.sign(d - D * _POW10_INT.take(s)), -1))
+
+
+def _float_lines(lines):
+    """float() of each line, or None if one does not read as a finite
+    number.  float() strips what str.strip() strips, and refuses a blank or
+    a comment line.  Each line break of str.splitlines() is whitespace to
+    it, so a line it reads holds them only where the line pass sees blank
+    lines."""
+    try:
+        vals = np.fromiter(map(float, lines), float, len(lines))
+    except ValueError:
+        return None
+    return vals if np.isfinite(vals).all() else None
+
+
+def _read_block(block: str) -> np.ndarray | None:
+    """The values of block, whole lines of text, or None for the line pass.
+
+    A line ``-?digits(.digits)?`` (one run may be empty) of at most 24
+    characters after its sign reads as D / 10**p, D < 10**17 the integer of
+    its digits.  With D < 2**53 and p <= 22 one division rounds it
+    correctly (Clinger, PLDI 1990).  Otherwise, within [1e-4, 1e16),
+    float(D) / 10**p (two roundings off) or its neighbour toward D / 10**p
+    is taken if the writer's kernel gives it that decimal's 17 digits: as
+    17 digits round-trip, that double is the decimal correctly rounded.
+    Every other line goes to ``_float_lines``.
+    """
+    if not block.isascii():
+        return None
+    buf = np.frombuffer(("\n" * 24 + block + "\n" * (not block.endswith("\n"))).encode(), np.uint8)
+    ends = np.flatnonzero(buf[24:] == 10) + 24
+    starts = np.concatenate(([24], ends[:-1] + 1))
+    neg = buf.take(starts) == 45  # "-"; an empty line starts at its "\n"
+    k = ends - starts - neg  # characters after the sign
+    # Each line's 24 bytes as one item, then as words; the bytes before the
+    # line, its sign too, read as "0".
+    x = np.ndarray((buf.size - 23,), "V24", buf, 0, (1,))[ends - 24].view("<u8").reshape(-1, 3)
+    x ^= np.uint64(0x3030303030303030)
+    x &= np.ndarray((25,), "V24", _TAIL, 0, (1,))[np.minimum(k, 24)].view("<u8").reshape(-1, 3)
+    # Per byte of x ^ "0" (< 0x80, so no carry between bytes): + 0x76 sets
+    # the high bit unless it is a digit, and ^ 0x1E + 0x7F unless it is a
+    # point.  A point counts 1 and any other non-digit 2; a line's sum of
+    # counts, the top byte of their sum times 0x0101..., must be at most 1.
+    pts = (x + np.uint64(0x7676767676767676)) & np.uint64(0x8080808080808080)
+    other = pts & ((x ^ np.uint64(0x1E1E1E1E1E1E1E1E)) + np.uint64(0x7F7F7F7F7F7F7F7F))
+    pts = (pts ^ other) >> 7
+    other = (other >> 6) | pts
+    counts = ((other[:, 0] + other[:, 1] + other[:, 2]) * np.uint64(0x0101010101010101)) >> 56
+    ok = (counts <= 1) & (k > counts) & (k <= 24)
+    # Each word's eight digits, the point read as 0, as one number: three
+    # multiply-shift steps join neighbouring groups (Lemire, Softw. Pract.
+    # Exper. 51, 2021).
+    x = ((x ^ pts * 0x1E) * 2561) >> 8  # 10 * 2**8 + 1
+    x = ((x & 0x00FF00FF00FF00FF) * 6553601) >> 16  # 100 * 2**16 + 1
+    x = ((x & 0x0000FFFF0000FFFF) * 42949672960001) >> 32  # 10**4 * 2**32 + 1
+    # The point's column + 1: word w with its byte j set to 1, times a word
+    # whose byte i is 8w + 8 - i, has 8w + j + 1 in its top byte.
+    q = (pts[:, 0] * 0x0102030405060708 + pts[:, 1] * 0x090A0B0C0D0E0F10
+         + pts[:, 2] * 0x1112131415161718) >> 56
+    q = np.minimum(q, 24)
+    p = np.where(q > 0, 24 - q, 0).astype(np.intp)
+    # N, the digits and the point's 0, is below 10**18; D drops that 0.
+    ok &= x[:, 0] < 100
+    N = ((x[:, 0] * 10**8 + x[:, 1]) * 10**8 + x[:, 2]).astype(np.int64)
+    right = N % _POW10_INT.take(np.minimum(p, 18))
+    D = np.where(q > 0, (N - right) // 10 + right, N)
+    del x, pts, other, N, right
+    ok &= D < 10**17
+    vals = D.astype(float) / _POW10.take(p)
+    taken = ok & (D < 2**53) & (p <= 22)
+    check = np.flatnonzero(ok & ~taken & (vals >= 1e-4) & (vals < 1e16))
+    y, Dc, pc = vals[check], D[check], p[check]
+    side = _compare17(y, Dc, pc)
+    step = np.flatnonzero(side)
+    y2 = np.nextafter(y[step], np.where(side[step] < 0, np.inf, -np.inf))
+    inside = (y2 >= 1e-4) & (y2 < 1e16)
+    hit = inside & (_compare17(np.where(inside, y2, 1.0), Dc[step], pc[step]) == 0)
+    vals[check[step[hit]]] = y2[hit]
+    side[step[hit]] = 0
+    taken[check[side == 0]] = True
+    np.negative(vals, out=vals, where=neg)
+    rest = np.flatnonzero(~taken)
+    if rest.size:
+        more = _float_lines([block[a:b] for a, b in zip((starts[rest] - 24).tolist(),
+                                                        (ends[rest] - 24).tolist())])
+        if more is None:
+            return None
+        vals[rest] = more
+    return vals
+
+
+def _value_blocks(blocks):
+    """The blocks from the first line that is not a leading comment line,
+    which starts with "#" and is one line to str.splitlines()."""
+    blocks = iter(blocks)
+    for block in blocks:
+        at = 0
+        while block.startswith("#", at):
+            end = block.find("\n", at) + 1 or len(block)
+            if len(block[at:end].removesuffix("\n").splitlines()) != 1:
+                break
+            at = end
+        if at < len(block):
+            return itertools.chain([block[at:]], blocks)
+    return ()
+
+
+def _text_blocks(text):
+    """text in blocks of about _READ_BLOCK characters that each end a line."""
+    at = 0
+    while at < len(text):
+        end = text.find("\n", at + _READ_BLOCK) + 1 or len(text)
+        yield text[at:end]
+        at = end
+
+
+def _file_blocks(fh):
+    """fh's text from where it stands, in blocks that each end a line."""
+    for block in iter(lambda: fh.read(_READ_BLOCK), ""):
+        yield block if block.endswith("\n") else block + fh.readline()
 
 
 def parse_samples_csv(source):
@@ -190,24 +312,33 @@ def parse_samples_csv(source):
     carrying the 1-based line number on malformed or non-finite content.
 
     ``source`` is the CSV text or an open text file, read from where it
-    stands.  numpy's reader reads a seekable file line by line, so its
-    whole text is never held; any other file is read whole first.  Text
-    goes to the reader as a text stream over its UTF-8 bytes, a second copy
-    of one byte per ASCII character.  On any failure, a decode error too,
-    the file is read again as one text, so messages and line numbers are
-    those of the text.
+    stands.  A seekable file is read in blocks of about _READ_BLOCK
+    characters that each end a line, so its whole text is never held; any
+    other file is read whole first.  Past the leading comment lines,
+    ``_read_block`` reads each block into one array.  On any failure, a
+    decode error too, the file is read again as one text, so messages and
+    line numbers are those of the text.
     """
     if isinstance(source, str) or not source.seekable():
         text = source if isinstance(source, str) else source.read()
+        blocks = _text_blocks(text)
     else:
         text, at = None, source.tell()
+        blocks = _file_blocks(source)
+    out = np.empty(0)
     try:
-        arr = _column(source if text is None else io.TextIOWrapper(
-            io.BytesIO(text.encode()), encoding="utf-8", newline="\n"))
-    except ValueError:  # UnicodeError is one
-        arr = None
-    if arr is not None:
-        return arr
+        for block in _value_blocks(blocks):
+            vals = _read_block(block)
+            if vals is None:
+                break
+            # One array, grown in place: no view of it outlives this loop.
+            n = out.size
+            out.resize(n + vals.size, refcheck=False)
+            out[n:] = vals
+        else:
+            return out
+    except UnicodeDecodeError:
+        pass
     if text is None:
         source.seek(at)
         text = source.read()

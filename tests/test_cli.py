@@ -605,7 +605,13 @@ def test_arbitrary_grid_specs_keep_exit_contract(start, stop, step, fn):
     assert code in (0, 1, 2, 3)
 
 
+# Positional decimals of 1-21 digits, with or without a sign and a point:
+# the lines the array path reads by arithmetic, and some it leaves to float().
+_DECIMAL = st.builds(
+    lambda sign, digits, at: sign + (digits if at > len(digits) else f"{digits[:at]}.{digits[at:]}"),
+    st.sampled_from(["", "-"]), st.text("0123456789", min_size=1, max_size=21), st.integers(0, 22))
 _CSV_LINE = st.one_of(
+    _DECIMAL,
     st.text(st.characters(codec="utf-8", exclude_characters="\x00"), max_size=12),
     st.floats().map(repr),
     st.floats(allow_nan=False, allow_infinity=False).map(lambda v: f"{v:.17g}"),
@@ -710,7 +716,6 @@ def _both_ways(tmp_path, text):
     return got
 
 
-# Warnings are errors: numpy's reader warns on a file with no values.
 @pytest.mark.filterwarnings("error")
 class TestReaderEdges:
     @pytest.mark.parametrize("text", ["", _HEAD + "\n", "#\n# c"])
@@ -729,6 +734,137 @@ class TestReaderEdges:
         assert _both_ways(tmp_path, text) == values.tobytes()
 
 
+def _stdin_outcome(text):
+    """parse_samples_csv's outcome on text piped into a child interpreter's
+    /dev/stdin, opened as gof opens it."""
+    import wright_stein
+
+    src = os.path.dirname(os.path.dirname(wright_stein.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys\n"
+            "from wright_stein._csvtext import parse_samples_csv\n"
+            "try:\n"
+            "    out = parse_samples_csv(open('/dev/stdin')).tobytes().hex()\n"
+            "except ValueError as e:\n"
+            "    out = 'error ' + str(e)\n"
+            "sys.stdout.write(out)\n")
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         input=text.encode(), timeout=120)
+    assert run.returncode == 0, run.stderr
+    out = run.stdout.decode()
+    return out.removeprefix("error ") if out.startswith("error ") else bytes.fromhex(out)
+
+
+def _writer_text(values):
+    return "".join(_csv_pieces(np.asarray(values, dtype=float)))
+
+
+# Doubles at the edges of the arithmetic path: zeros, the ends of the
+# writer's positional range and their neighbours, 2**53 and its neighbours,
+# 0.1 and the smallest subnormal.
+_EDGE_DOUBLES = np.array([0.0, 1e-4, np.nextafter(1e-4, 0), np.nextafter(1e-4, 1), 1e16,
+                          np.nextafter(1e16, 0), 2.0**53, 2.0**53 + 2, 2.0**53 - 1, 0.1, 5e-324])
+_EDGE_DOUBLES = np.concatenate([_EDGE_DOUBLES, -_EDGE_DOUBLES])
+
+
+def _block_edge_text(edge, bad):
+    """A 20,000-draw file of about three blocks whose header is sized so
+    that a line ends at index edge, with its last line malformed if bad and
+    no final "\n"."""
+    lines = [f"{v:.17g}" for v in sample(20_000, seed=8, symmetric=True).values.tolist()]
+    if bad:
+        lines[-2] = "1.5.5"
+    body = "\n".join(lines)
+    end = body.rfind("\n", 0, edge - 100)
+    text = "# " + "x" * (edge - end - 3) + "\n" + body
+    assert text[edge] == "\n" and len(text) > 2 * _csvtext._READ_BLOCK
+    return text
+
+
+@pytest.mark.filterwarnings("error")
+class TestArrayReader:
+    """The array path of parse_samples_csv, bitwise against the line-by-line
+    reader: every value, refusal text and line number."""
+
+    @pytest.mark.parametrize("symmetric", [False, True], ids=["half", "sym"])
+    @pytest.mark.parametrize("seed", [1, 123, 99991])
+    def test_million_draws(self, tmp_path, seed, symmetric):
+        text = sample(10**6, seed=seed, symmetric=symmetric).to_csv()
+        expected = _parse_line_by_line(text).tobytes()
+        assert _both_ways(tmp_path, text) == expected
+
+    @pytest.mark.parametrize("lo, hi", [(-300, 300), (-5, 17), (-4, 1), (15, 17)])
+    def test_writer_text(self, lo, hi):
+        # Doubles drawn from 10**[lo, hi], either sign, as the writer prints
+        # them: each reads back as itself.
+        rng = np.random.default_rng(hi - lo)
+        values = 10.0 ** rng.uniform(lo, hi, 301_008) * rng.choice([-1.0, 1.0], 301_008)
+        values = np.concatenate([values, _EDGE_DOUBLES])
+        text = _writer_text(values)
+        got = parse_samples_csv(text).tobytes()
+        assert got == _parse_line_by_line(text).tobytes() == values.tobytes()
+
+    def test_writer_positional_text_needs_no_float(self, monkeypatch):
+        # Each positional line of the writer's text, |x| in [1e-4, 1e16), is
+        # taken by arithmetic: by Clinger's path, or as the candidate or its
+        # neighbour toward the line's decimal.  float() reads exponent forms.
+        real = _csvtext._float_lines
+
+        def exponent_forms_only(lines):
+            assert all("e" in line for line in lines), [line for line in lines if "e" not in line]
+            return real(lines)
+
+        monkeypatch.setattr(_csvtext, "_float_lines", exponent_forms_only)
+        rng = np.random.default_rng(16)
+        values = 10.0 ** rng.uniform(-4, 16, 100_000) * rng.choice([-1.0, 1.0], 100_000)
+        for text in (sample(10**5, seed=1).to_csv(), sample(10**5, seed=2, symmetric=True).to_csv(),
+                     _writer_text(np.concatenate([values, _EDGE_DOUBLES[abs(_EDGE_DOUBLES) < 1e16]]))):
+            assert parse_samples_csv(text).tobytes() == _parse_line_by_line(text).tobytes()
+
+    def test_hand_typed_decimals(self, tmp_path):
+        # Decimals of 1-20 digits with a point anywhere or none, a sign or
+        # none: Clinger's path below 2**53, the kernel check above it, and
+        # float() past 17 digits or 24 characters.
+        rng = np.random.default_rng(34)
+        fixed = ["9007199254740993", "9007199254740992", "0.10000000000000002", "123456789012345678",
+                 "999999999999999999", "-0", "-0.0", "0.0", "-.5", ".5", "5.", "0.000",
+                 ".00000000000000000000011", ".00000000000000000000007", "-00000000000000000000012.5",
+                 "0.00010000000000000001", "9999999999999999.5", "1e5", "+1.5"]
+        count = 200_006 - len(fixed)
+        digits = (rng.integers(0, 10, (count, 20)) + 48).astype(np.uint8).tobytes().decode()
+        lines = []
+        for i, (n, at, minus) in enumerate(zip(rng.integers(1, 21, count).tolist(),
+                                               rng.integers(-1, 21, count).tolist(),
+                                               (rng.random(count) < 0.3).tolist())):
+            line = digits[20 * i : 20 * i + n]
+            if 0 <= at <= n:
+                line = f"{line[:at]}.{line[at:]}"
+            lines.append("-" + line if minus else line)
+        text = "\n".join(fixed + lines) + "\n"
+        assert _both_ways(tmp_path, text) == _parse_line_by_line(text).tobytes()
+
+    @pytest.mark.parametrize("bad", [False, True], ids=["good", "malformed"])
+    @pytest.mark.parametrize("edge", ["file", "text"])
+    def test_block_edges(self, tmp_path, edge, bad):
+        # A file reads blocks of _READ_BLOCK characters, then to the line's
+        # end; text ends each block at the first "\n" from that index on.
+        block = _csvtext._READ_BLOCK
+        text = _block_edge_text(block - 1 if edge == "file" else block, bad)
+        expected = _outcome(_parse_line_by_line, text)
+        assert (expected == "line 20000: cannot parse '1.5.5' as a number") == bad
+        assert _both_ways(tmp_path, text) == expected
+        if os.path.exists("/dev/stdin"):
+            assert _stdin_outcome(text) == expected
+
+    @pytest.mark.parametrize("size", [1, 7, 64])
+    def test_small_blocks(self, tmp_path, monkeypatch, size):
+        # Blocks of a line or a few: every line starts and ends a block.
+        monkeypatch.setattr(_csvtext, "_READ_BLOCK", size)
+        text = _HEAD + "\n" + _writer_text(np.concatenate([sample(200, seed=2).values, _EDGE_DOUBLES]))
+        for last in ("", "-0.5", "2.5\n# c\n", "1.5.5\n"):
+            assert _both_ways(tmp_path, text + last) == _outcome(_parse_line_by_line, text + last)
+
+
 def _traced_peak(call) -> float:
     """The most memory call held at once, in MiB; numpy reports its
     buffers to tracemalloc."""
@@ -743,9 +879,10 @@ def _traced_peak(call) -> float:
 class TestMemory:
     # 1e6 draws are 7.6 MiB and their text 19.5 MB.  The bounds leave the
     # sampler two arrays of draws, the sample verb those (a block of text is
-    # far smaller), and gof one array of draws, the read's spare room and one
-    # block of its sweep, each with a few MiB to spare: a second array of
-    # draws or whole-sample sweep temporaries would go over them.
+    # far smaller), and gof and a read of text one array of draws and one
+    # block of the read or the sweep, each with a few MiB to spare: a second
+    # array of draws, a copy of the text or whole-sample sweep temporaries
+    # would go over them.
     def test_sampler(self):
         assert _traced_peak(lambda: sample(10**6, 5)) <= 24
 
@@ -757,6 +894,10 @@ class TestMemory:
         p = str(tmp_path / "f.csv")
         assert main(["sample", "1000000", "-o", p]) == 0
         assert _traced_peak(lambda: main(["gof", p])) <= 14
+
+    def test_parse_text(self):
+        text = sample(10**6, seed=5).to_csv()
+        assert _traced_peak(lambda: parse_samples_csv(text)) <= 12
 
     def test_gof_sym_verb(self, tmp_path, capsys):
         p = str(tmp_path / "f.csv")
