@@ -2,20 +2,16 @@
 facilities.
 
 The package has one quadrature tolerance, ``TOL``: an integral is accepted
-when its error estimate is at most ``TOL * max(1, |value|)``.  The adaptive
-rule is a Gauss-Legendre 7/15 pair: the 15-point value is kept, the
-|GL15 - GL7| gap is the embedded error estimate, and the worst interval is
-bisected until the global estimate meets ``TOL`` or ``MAX_SUBDIVISIONS``
-run out.  Tables of cell integrals (the Green's passes in ``specfun`` and
-``cell_integrals``) are screened cell by cell with the nested Gauss-Kronrod
-7/15 pair instead (QUADPACK's qk15: the 7 Gauss nodes are among the 15
-Kronrod nodes, so |K15 - G7| costs no extra evaluation), and the rare cell
-that misses ``TOL`` is handed to ``integrate``.
+when its error estimate is at most ``TOL * max(1, |value|)``.  It has one
+rule, the nested Gauss-Kronrod 7/15 pair (QUADPACK's qk15, Piessens et al.
+1983), whose 7 Gauss nodes are among its 15 Kronrod nodes, so |K15 - G7|
+costs no extra evaluation.  ``_kronrod_cells`` screens tables of cells with
+it, and ``_adaptive`` settles whatever the screen misses, and
+``integrate``'s intervals, with the same pair in array rounds.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -40,6 +36,7 @@ __all__ = [
 
 # The one quadrature tolerance: error <= TOL * max(1, |value|).
 TOL = 1e-10
+# Halvings one interval may take before ToleranceNotMetError.
 MAX_SUBDIVISIONS = 2000
 
 
@@ -55,7 +52,7 @@ class IntegralResult:
 
 
 # Gauss-Legendre nodes/weights on [-1, 1]; machine precision via numpy.
-_GL7_X, _GL7_W = np.polynomial.legendre.leggauss(7)
+_GL7_W = np.polynomial.legendre.leggauss(7)[1]
 _GL15_X, _GL15_W = np.polynomial.legendre.leggauss(15)
 
 # Gauss-Kronrod 7/15 on [-1, 1], QUADPACK qk15 (Piessens et al. 1983): the
@@ -198,27 +195,79 @@ def _check_finite(xs: np.ndarray, ys: np.ndarray) -> None:
         raise NonFiniteError(f"integrand returned a non-finite value at x={x0!r}", x=x0)
 
 
-def _gl_pair(fv: Callable, a: float, b: float) -> tuple[float, float, int]:
-    """GL15 value and |GL15-GL7| error estimate on [a, b]."""
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    xs = np.concatenate((mid + half * _GL15_X, mid + half * _GL7_X))
-    ys = fv(xs)
-    _check_finite(xs, ys)
-    with np.errstate(over="ignore", invalid="ignore"):
-        i15 = half * float(np.dot(_GL15_W, ys[:15]))
-        i7 = half * float(np.dot(_GL7_W, ys[15:]))
-    err = abs(i15 - i7) + 1e-300
-    return i15, err, xs.size
+def _kronrod_cells(ys: np.ndarray, half: np.ndarray):
+    """Screen cells with the nested K15/G7 pair: ``ys`` holds each cell's
+    integrand at ``mid + half * _K15_X`` on its last axis, ``half`` the
+    half-widths, shaped like ``ys @ _K15_W``.  Returns the K15 values, the
+    |K15 - G7| estimates and the mask of estimates over ``TOL``."""
+    vals = half * (ys @ _K15_W)
+    errs = np.abs(vals - half * (ys[..., 1::2] @ _GL7_W))
+    return vals, errs, errs > TOL * np.maximum(1.0, np.abs(vals))
+
+
+def _adaptive(f: Callable, a: np.ndarray, b: np.ndarray):
+    """Integrate over every interval [a[k], b[k]] at once, in array rounds.
+
+    ``f(t, k)`` gives the integrand at nodes ``t`` of shape (pieces, 15) of
+    pieces of the intervals ``k``.  Each round applies the K15/G7 pair to
+    the new pieces.  An interval is done when its pieces' estimates sum to
+    at most its budget, ``TOL * max(1, |value|)``; otherwise each piece
+    above its width's share of the budget is halved (the budget split of
+    scipy's ``quad_vec``).  Halvings are counted and pieces summed per
+    interval, so no interval's value, estimate or refusal depends on the
+    others.  Returns values, estimates and evaluations per interval.  Sums
+    that leave double range raise RangeError, and an interval that needs
+    more than ``MAX_SUBDIVISIONS`` halvings ToleranceNotMetError with its
+    best estimate.
+    """
+    n = a.size
+    vals, errs = np.zeros(n), np.zeros(n)
+    evals, halvings = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
+    kept = (np.zeros(0, dtype=int),) + (np.zeros(0),) * 4  # k, lo, hi, value, estimate
+    kn, lo, hi = np.arange(n), a, b  # the pieces to evaluate
+    while kn.size:
+        half = 0.5 * (hi - lo)
+        t = (0.5 * (hi + lo))[:, None] + half[:, None] * _K15_X
+        ys = f(t, kn)
+        _check_finite(t, ys)
+        evals += 15 * np.bincount(kn, minlength=n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            # One row per product: BLAS rounds a row by where it falls among
+            # the others, which would make pieces depend on their neighbours.
+            v, e, _ = _kronrod_cells(ys[:, None], half[:, None])
+            k, lo, hi, v, e = map(np.concatenate, zip(kept, (kn, lo, hi, v[:, 0], e[:, 0])))
+            tv, te = np.bincount(k, v, n), np.bincount(k, e, n)
+            vals[k], errs[k] = tv[k], te[k]
+            budget = TOL * np.maximum(1.0, np.abs(tv))
+            bad = ~(np.isfinite(tv) & np.isfinite(te))
+            live = (te > budget) & ~bad
+            split = live[k] & (e > budget[k] * ((hi - lo) / (b - a)[k]))
+            # Rounded piece widths can leave none above its share: halve all.
+            split |= (live & (np.bincount(k[split], minlength=n) == 0))[k]
+        if bad.any():
+            i = np.argmax(bad)
+            raise RangeError(f"the integral over [{a[i]}, {b[i]}] leaves double range")
+        more = np.bincount(k[split], minlength=n)
+        if np.any(halvings + more > MAX_SUBDIVISIONS):
+            i = np.argmax(halvings + more > MAX_SUBDIVISIONS)
+            best = IntegralResult(float(vals[i]), float(errs[i]), int(evals[i]))
+            raise ToleranceNotMetError(
+                f"tolerance not met after {halvings[i]} subdivisions (best value "
+                f"{best.value!r}, error estimate {best.error_estimate:.3e})", best)
+        halvings += more
+        keep = live[k] & ~split
+        kept = (k[keep], lo[keep], hi[keep], v[keep], e[keep])
+        mid = 0.5 * (lo[split] + hi[split])
+        kn, lo, hi = np.tile(k[split], 2), np.r_[lo[split], mid], np.r_[mid, hi[split]]
+    return vals, errs, evals
 
 
 def integrate(f: Callable, a: float, b: float) -> IntegralResult:
-    """Adaptive integration of f over [a, b].
-
-    Both bounds must be finite.  On success the reported error estimate
-    satisfies ``error <= TOL * max(1, |value|)``.  If ``MAX_SUBDIVISIONS``
-    run out first, ToleranceNotMetError carries the best estimate.  An
-    integral whose rule sums leave double range raises RangeError.
+    """Adaptive integration of f over [a, b] by ``_adaptive``; both bounds
+    must be finite.  On success the reported error estimate satisfies
+    ``error <= TOL * max(1, |value|)``.  If the interval needs more than
+    ``MAX_SUBDIVISIONS`` halvings, ToleranceNotMetError carries the best
+    estimate; rule sums that leave double range raise RangeError.
     """
     a, b = _as_float(a), _as_float(b)
     if not (math.isfinite(a) and math.isfinite(b)):
@@ -227,81 +276,25 @@ def integrate(f: Callable, a: float, b: float) -> IntegralResult:
         raise DomainError(f"integrate requires a <= b, got a={a}, b={b}")
     if a == b:
         return IntegralResult(0.0, 0.0, 0)
-
     fv = _vectorized(f)
-    val, err, n_eval = _gl_pair(fv, a, b)
-    # Max-heap on interval error, via negated key.
-    heap = [(-err, a, b, val, err)]
-    total_val, total_err = val, err
-    subdivisions = 0
-
-    while total_err > TOL * max(1.0, abs(total_val)):
-        if subdivisions >= MAX_SUBDIVISIONS:
-            best = IntegralResult(total_val, total_err, n_eval)
-            raise ToleranceNotMetError(
-                f"tolerance not met after {subdivisions} subdivisions "
-                f"(best value {total_val!r}, error estimate {total_err:.3e})",
-                best,
-            )
-        _, ia, ib, ival, ierr = heapq.heappop(heap)
-        im = 0.5 * (ia + ib)
-        lv, le, n1 = _gl_pair(fv, ia, im)
-        rv, re, n2 = _gl_pair(fv, im, ib)
-        n_eval += n1 + n2
-        total_val += lv + rv - ival
-        total_err += le + re - ierr
-        heapq.heappush(heap, (-le, ia, im, lv, le))
-        heapq.heappush(heap, (-re, im, ib, rv, re))
-        subdivisions += 1
-
-    # An overflowing rule sum stops the loop with an inf or NaN total.
-    if not (math.isfinite(total_val) and math.isfinite(total_err)):
-        raise RangeError(f"the integral over [{a!r}, {b!r}] leaves double range")
-    return IntegralResult(total_val, total_err, n_eval)
-
-
-def _kronrod_cells(
-    ys: np.ndarray, half: np.ndarray, redo: Callable[[int], IntegralResult]
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Screen a table of cells with the nested Gauss-Kronrod 7/15 pair.
-
-    ``ys`` holds one row of integrand values per cell at its 15 nodes
-    ``mid + half * _K15_X``, and ``half`` the cells' half-widths.  Each cell
-    gets its K15 value and the |K15 - G7| estimate; a cell whose estimate
-    misses ``TOL`` takes value and estimate from ``redo(i)`` instead.
-    Returns (values, error estimates, evaluations made by ``redo``).
-    """
-    vals = half * (ys @ _K15_W)
-    errs = np.abs(vals - half * (ys[:, 1::2] @ _GL7_W))
-    n_eval = 0
-    for i in np.nonzero(errs > TOL * np.maximum(1.0, np.abs(vals)))[0]:
-        r = redo(i)
-        vals[i], errs[i] = r.value, r.error_estimate
-        n_eval += r.evaluations
-    return vals, errs, n_eval
+    v, e, n = _adaptive(lambda t, k: fv(t.ravel()).reshape(t.shape), np.array([a]), np.array([b]))
+    return IntegralResult(float(v[0]), float(e[0]), int(n[0]))
 
 
 def cell_integrals(f: Callable, edges: np.ndarray) -> tuple[np.ndarray, float, int]:
-    """Per-cell integrals of f over consecutive intervals of a sorted grid.
+    """Per-cell integrals of f over consecutive intervals of a grid, whose
+    edges must be finite and strictly increasing (else DomainError).
 
-    Returns (cell_values, total_error_estimate, evaluations).  All cells are
-    evaluated in one vectorized pass at their 15 Kronrod nodes and screened
-    like the cells of a Green's pass (``_kronrod_cells``): the rare cell
-    that misses ``TOL`` falls back to ``integrate``.  Cumulative integrals
-    over an n-point grid thus cost O(n) evaluations (the tests tabulate the
-    M_{1/3} CDF this way).
+    Returns (cell_values, total_error_estimate, evaluations) from one
+    ``_adaptive`` call over all cells.  Its first round takes every cell at
+    its 15 Kronrod nodes, so cumulative integrals over an n-point grid cost
+    O(n) evaluations (the tests tabulate the M_{1/3} CDF this way).
     """
-    edges = np.asarray(edges, dtype=float)
+    edges = _as_floats(edges)
     if edges.ndim != 1 or edges.size < 2:
         raise DomainError("cell_integrals needs at least two grid edges")
+    if not (np.all(np.isfinite(edges)) and np.all(np.diff(edges) > 0)):
+        raise DomainError("cell_integrals edges must be finite and strictly increasing")
     fv = _vectorized(f)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    xs = (0.5 * (edges[1:] + edges[:-1]))[:, None] + half[:, None] * _K15_X
-    ys = fv(xs.ravel())
-    _check_finite(xs.ravel(), ys)
-    vals, errs, n_redo = _kronrod_cells(
-        ys.reshape(xs.shape),
-        half,
-        lambda i: integrate(fv, float(edges[i]), float(edges[i + 1])),
-    )
-    return vals, float(np.sum(errs)), xs.size + n_redo
+    vals, errs, n = _adaptive(lambda t, k: fv(t.ravel()).reshape(t.shape), edges[:-1], edges[1:])
+    return vals, float(np.sum(errs)), int(n.sum())

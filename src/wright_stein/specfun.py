@@ -34,6 +34,7 @@ from .numerics import (
     _GL15_X,
     _K15_X,
     TOL,
+    _adaptive,
     _as_float,
     _as_floats,
     _check_finite,
@@ -41,7 +42,6 @@ from .numerics import (
     _k15_partial_weights,
     _kronrod_cells,
     _vectorized,
-    integrate,
 )
 
 __all__ = [
@@ -551,22 +551,22 @@ def green_pass(grid: np.ndarray, rhs_fns: list[Callable], scale: float, points=N
         S(p) = e^{zeta(p) - zeta(b)} S(b) + e^{zeta(p) - zeta(a)} int_p^b wS r
 
     with wP, wS the cell's two kernels at its nodes and the weights of
-    ``numerics._k15_partial_weights``.  A tap takes both partial integrals
-    from the adaptive integrator instead where its cell was redone for that
-    right-hand side, or where the interpolant of r has not converged: its
-    top two Legendre coefficients, times the cell's half-width and largest
-    kernel value, exceed ``numerics.TOL``.  A point inside a dropped cell
-    (see ``_cell_edges``) joins the grid.
+    ``numerics._k15_partial_weights``.  A point inside a dropped cell (see
+    ``_cell_edges``) joins the grid.
 
-    Two ``_airy_fields`` calls serve every right-hand side: the scaled Ai and
-    Bi at the 15 Kronrod nodes of every cell, and all four scaled fields at
-    the points; an adaptive redo asks it for its kernel's one row.  The
-    cells depend on grid and scale only, so each right-hand side's result is
-    bitwise independent of the others.  Each kernel's cells go through
-    ``numerics._kronrod_cells``: a cell keeps its K15 value, and a cell
-    whose |K15 - G7| estimate for one right-hand side misses
-    ``numerics.TOL`` (1e-10 absolute or relative) is redone by the adaptive
-    integrator, to that same tolerance, for that right-hand side alone.
+    Two ``_airy_fields`` calls serve every right-hand side's screen: the
+    scaled Ai and Bi at the 15 Kronrod nodes of every cell, and all four
+    scaled fields at the points.  A cell keeps its K15 value
+    (``numerics._kronrod_cells``) unless its |K15 - G7| estimate misses
+    ``numerics.TOL`` (1e-10 absolute or relative) for that right-hand side.
+    So does a tap's pair of partial integrals, also where the interpolant of
+    r has not converged (its top two Legendre coefficients, times the cell's
+    half-width and largest kernel value, exceed ``numerics.TOL``).  One
+    ``numerics._adaptive`` call settles all misses to that tolerance, each
+    round forming the scaled Ai and Bi of all its pieces in one
+    ``_airy_fields`` call.  The cells depend on grid and scale only and each
+    integral is settled on its own, so each right-hand side's result is
+    bitwise independent of the others.
 
     Returns a dict with, per right-hand side and point (shape
     (len(rhs_fns), n)), the Green's values ``g`` = Ai P + Bi S and
@@ -625,22 +625,12 @@ def green_pass(grid: np.ndarray, rhs_fns: list[Callable], scale: float, points=N
     wS = ai_s * np.exp(-_zeta_gap(un, ue[:-1, None], scale * half * (1 + _K15_X)))
     wP[dropped] = wS[dropped] = 0.0
 
-    def kernel_p(u, i):
-        bi_s = _airy_fields(u, slice(2, 3), True)[0]
-        return bi_s * np.exp(-_zeta_gap(ue[i + 1], u, ue[i + 1] - u))
-
-    def kernel_s(u, i):
-        ai_s = _airy_fields(u, slice(0, 1), True)[0]
-        return ai_s * np.exp(-_zeta_gap(u, ue[i], u - ue[i]))
-
-    def adaptive(kernel, rv, i, a, b):
-        return integrate(lambda ts: kernel(scale * ts, i) * rv(ts), float(a), float(b))
-
     # The taps' partial-integral weights, kernels and exponentials folded
     # in: one (2, taps, 15) array that every right-hand side reads.  A
-    # tap-free pass skips this and the two blocks below.
+    # tap-free pass skips this block.
     ct = cell[inside]
     tp = pts[inside]
+    part = np.empty((2, m, tp.size))
     if tp.size:
         d_pa = _zeta_gap(scale * tp, ue[ct], scale * (tp - edges[ct]))
         d_bp = _zeta_gap(ue[ct + 1], scale * tp, scale * (edges[ct + 1] - tp))
@@ -650,36 +640,52 @@ def green_pass(grid: np.ndarray, rhs_fns: list[Callable], scale: float, points=N
         # How far a Legendre coefficient of r on a tap's cell moves its
         # partial integrals.
         reach = half[ct, 0] * np.maximum(wP[ct], wS[ct]).max(axis=1)
-        part = np.empty((2, m, tp.size))
 
-    cellP = np.empty((m, half.size))
-    cellS = np.empty((m, half.size))
+    cells = np.empty((2, m, half.size))  # P's cells, then S's
     err = np.zeros(m)
+    todo = []  # integrals to settle: (rhs, kernel, cell, tap or -1, a, b)
     for j, rv in enumerate(rvs):
         hv = rv(nodes.ravel())
         _check_finite(nodes.ravel(), hv)
         hv = hv.reshape(nodes.shape)
-        redone = np.zeros(half.size, dtype=bool)
-        for tgt, w, kernel in ((cellP[j], wP, kernel_p), (cellS[j], wS, kernel_s)):
-
-            def redo(i, kernel=kernel, rv=rv):
-                redone[i] = True
-                return adaptive(kernel, rv, i, edges[i], edges[i + 1])
-
-            tgt[:], e, n_redo = _kronrod_cells(w * hv, half[:, 0], redo)
+        missed = np.zeros(half.size, dtype=bool)
+        for q, w in enumerate((wP, wS)):
+            cells[q, j], e, miss = _kronrod_cells(w * hv, half[:, 0])
+            missed |= miss
+            if miss.any():
+                e[miss] = 0.0  # the settled estimate replaces it
+                i = np.nonzero(miss)[0]
+                todo.append((j, q, i, -1, edges[i], edges[i + 1]))
             err[j] += float(np.sum(e))
-            evals += n_redo
         if tp.size:
             ht = hv[ct]
             part[:, j] = (wt * ht).sum(axis=2)
             top = np.abs(ht @ _k15_legendre()[13:].T).sum(axis=1)
-            for t in np.nonzero(redone[ct] | (reach * top > TOL))[0]:
-                i = ct[t]
-                lo = adaptive(kernel_p, rv, i, edges[i], tp[t])
-                hi = adaptive(kernel_s, rv, i, tp[t], edges[i + 1])
-                part[:, j, t] = lo.value * math.exp(d_bp[t]), hi.value * math.exp(d_pa[t])
-                err[j] += lo.error_estimate + hi.error_estimate
-                evals += lo.evaluations + hi.evaluations
+            t = np.nonzero(missed[ct] | (reach * top > TOL))[0]
+            if t.size:
+                todo.append((j, 0, ct[t], t, edges[ct[t]], tp[t]))
+                todo.append((j, 1, ct[t], t, tp[t], edges[ct[t] + 1]))
+
+    def kernel_times_rhs(t, k):
+        # P's kernel relative to the interval's right end, S's to its left,
+        # which folds a tap's exponential factors into its partial integrals.
+        u, p = scale * t, Q[k, None] == 0
+        end = scale * np.where(p, B[k, None], A[k, None])
+        hi, lo = np.where(p, end, u), np.where(p, u, end)
+        r = np.empty_like(t)
+        for j in _distinct(J[k]):
+            r[J[k] == j] = rvs[j](t[J[k] == j].ravel()).reshape(-1, 15)
+        ai_s, bi_s = _airy_fields(u, slice(0, None, 2), True)
+        return np.where(p, bi_s, ai_s) * np.exp(-_zeta_gap(hi, lo, hi - lo)) * r
+
+    if todo:
+        J, Q, C, T, A, B = map(np.concatenate, zip(*(np.broadcast_arrays(*g) for g in todo)))
+        v, e, n = _adaptive(kernel_times_rhs, A, B)
+        evals += int(n.sum())
+        err += np.bincount(J, e, m)
+        c = T < 0
+        cells[Q[c], J[c], C[c]] = v[c]
+        part[Q[~c], J[~c], T[~c]] = v[~c]
     # Beyond the cutoff and in each dropped cell the kernels are below e^-45
     # of their values at the nearest kept edge.
     err += math.exp(-_ZETA_CUT) * (1 + np.count_nonzero(dropped))
@@ -687,8 +693,8 @@ def green_pass(grid: np.ndarray, rhs_fns: list[Callable], scale: float, points=N
     decay = np.exp(-_zeta_gap(ue[1:], ue[:-1], scale * 2.0 * half[:, 0]))
     Pe = np.zeros((m, edges.size))
     Se = np.zeros((m, edges.size))
-    Pe[:, 1:] = _scan(cellP, decay)
-    Se[:, -2::-1] = _scan(cellS[:, ::-1], decay[::-1])
+    Pe[:, 1:] = _scan(cells[0], decay)
+    Se[:, -2::-1] = _scan(cells[1, :, ::-1], decay[::-1])
 
     P, S = Pe[:, cell], Se[:, cell]
     if tp.size:

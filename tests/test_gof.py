@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from wright_stein import gof, specfun
+from wright_stein import gof, numerics, specfun
 from wright_stein.errors import DomainError, RangeError
 from wright_stein.gof import (
     ACCEPT_THRESHOLD,
@@ -325,19 +325,21 @@ class TestOnePassPerFamily:
     @pytest.mark.parametrize("symmetric", [False, True])
     def test_no_adaptive_quadrature(self, hs, monkeypatch, symmetric):
         # Every Green's integral, tail and head included, comes from the
-        # one vectorized pass: no module calls the adaptive integrator.
+        # one vectorized pass: no module hands an interval to the adaptive
+        # routine.
         vals = sample(200, seed=5, symmetric=symmetric)
-        calls = []
+        intervals = []
+        real = numerics._adaptive
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return integrate(*args, **kwargs)
+        def counting(f, a, b):
+            intervals.append(a.size)
+            return real(f, a, b)
 
         for name, mod in list(sys.modules.items()):
-            if name.startswith("wright_stein") and getattr(mod, "integrate", None) is integrate:
-                monkeypatch.setattr(mod, "integrate", counting)
+            if name.startswith("wright_stein") and getattr(mod, "_adaptive", None) is real:
+                monkeypatch.setattr(mod, "_adaptive", counting)
         (discrepancy_sym if symmetric else discrepancy)(vals, hs)
-        assert calls == []
+        assert sum(intervals) == 0
 
 
 class TestSolveMemo:

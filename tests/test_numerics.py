@@ -185,6 +185,74 @@ class TestCellIntegrals:
         with pytest.raises(DomainError):
             cell_integrals(lambda x: x, np.array([1.0]))
 
+    @pytest.mark.parametrize(
+        "edges", [[0.0, np.inf], [0.0, np.nan, 1.0], [0.0, 1.0, 0.5]],
+        ids=["infinite", "nan", "decreasing"],
+    )
+    def test_bad_edges_refused(self, edges):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="finite and strictly increasing"):
+                cell_integrals(np.cos, np.array(edges))
+
+
+def _family(t, which):
+    """One integrand per interval: smooth, a jump at 1.3, fast oscillation,
+    a square-root cusp at 0.7, and sign(sin(1/t)), which no budget settles."""
+    w = which[:, None]
+    with np.errstate(divide="ignore"):
+        wild = np.sign(np.sin(1.0 / t))
+    return np.select(
+        [w == 0, w == 1, w == 2, w == 3],
+        [np.exp(-t), (t <= 1.3) * 1.0, np.cos(40.0 * t), np.abs(t - 0.7) ** 0.5],
+        wild,
+    )
+
+
+class TestAdaptive:
+    """``numerics._adaptive`` settles many intervals in one call."""
+
+    A = np.array([0.0, 0.0, 2.0, 0.0, 0.0])
+    B = np.array([1.0, 3.0, 7.0, 2.0, 1.0])
+    TRUTH = [
+        1.0 - math.exp(-1.0),
+        1.3,
+        (math.sin(280.0) - math.sin(80.0)) / 40.0,
+        (0.7**1.5 + 1.3**1.5) / 1.5,
+    ]
+
+    def run(self, ids):
+        ids = np.asarray(ids)
+        return numerics._adaptive(lambda t, k: _family(t, ids[k]), self.A[ids], self.B[ids])
+
+    def test_values_within_tolerance(self):
+        vals, errs, evals = self.run([0, 1, 2, 3])
+        for v, e, truth in zip(vals, errs, self.TRUTH):
+            budget = numerics.TOL * max(1.0, abs(v))
+            assert e <= budget
+            assert abs(v - truth) <= budget
+        assert evals[0] == 15 and np.all(evals[1:] > 15)
+
+    def test_each_interval_as_if_alone(self):
+        # Bit for bit, in any order and company.
+        together = self.run([0, 1, 2, 3])
+        backwards = self.run([3, 2, 1, 0])
+        for i in range(4):
+            alone = self.run([i])
+            for got, rev, want in zip(together, backwards, alone):
+                assert got[i].tobytes() == want[0].tobytes() == rev[3 - i].tobytes()
+
+    def test_refusal_as_if_alone(self):
+        refusals = []
+        for ids in ([4], [0, 4, 1], [2, 3, 4]):
+            with pytest.raises(ToleranceNotMetError) as exc:
+                self.run(ids)
+            refusals.append((str(exc.value), exc.value.result))
+        assert refusals[0] == refusals[1] == refusals[2]
+        best = refusals[0][1]
+        assert best.value == pytest.approx(0.5587, abs=1e-3)
+        assert best.error_estimate > numerics.TOL
+
 
 class TestKronrod:
     def test_exact_to_degree_22(self):

@@ -38,6 +38,30 @@ H_CONST = TestFunction(
 HALF_FAMILY = [H_COS, H_SIN, H_EXP, H_INVQ]
 
 
+def count_settled(monkeypatch):
+    """Count the integrals Green's passes hand to the adaptive routine:
+    ``cells`` have both ends on the pass's cell edges, and ``taps`` (two
+    per tap) end at a point inside a cell."""
+    counts = {"cells": 0, "taps": 0}
+    real_edges, real_adaptive = specfun._cell_edges, specfun._adaptive
+    last = []
+
+    def cell_edges(grid, scale):
+        out = real_edges(grid, scale)
+        last[:] = [out[0]]
+        return out
+
+    def adaptive(f, a, b):
+        on_edges = np.isin(a, last[0]) & np.isin(b, last[0])
+        counts["cells"] += int(np.count_nonzero(on_edges))
+        counts["taps"] += int(np.count_nonzero(~on_edges))
+        return real_adaptive(f, a, b)
+
+    monkeypatch.setattr(specfun, "_cell_edges", cell_edges)
+    monkeypatch.setattr(specfun, "_adaptive", adaptive)
+    return counts
+
+
 @pytest.fixture(scope="module")
 def sol_cos():
     return solve_stein(H_COS)
@@ -709,22 +733,17 @@ class TestBatchedSolve:
 
     def test_kinked_tail_member_falls_back_alone(self, monkeypatch):
         # The kink at 13.3 lies inside a graded tail cell of the default
-        # grid, where the nested K15/G7 pair disagrees: that cell is redone
-        # adaptively for this h only.
+        # grid, where the nested K15/G7 pair disagrees: that cell is settled
+        # by the adaptive routine for this h only, and each member is its
+        # own solve, bit for bit.
         kink = TestFunction(lambda x: np.minimum(1.0, np.abs(x - 13.3)), 1.0, "kink")
-        calls = []
-        real = specfun.integrate
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(specfun, "integrate", counting)
+        counts = count_settled(monkeypatch)
         cos_sol, kink_sol, sin_sol = stein_mod._solve_batch([H_COS, kink, H_SIN], None, False)
-        assert calls
-        monkeypatch.setattr(specfun, "integrate", real)
+        assert counts["cells"] >= 1
+        monkeypatch.undo()
         self.assert_same(cos_sol, solve_stein(H_COS))
         self.assert_same(sin_sol, solve_stein(H_SIN))
+        self.assert_same(kink_sol, solve_stein(kink))
         # Reference with the kink on a cell edge: no cell sees it.
         eh = kink_sol.expectation_h
         xs = np.array([kink_sol.grid[200], 12.0, 13.3])
@@ -830,37 +849,23 @@ class TestProbeLattice:
 
     def test_head_on_the_grid_step(self, monkeypatch):
         # A grid from 0.875: the pass integrates [0, 0.875] on the grid's
-        # lattice, so the sharp invquad2 never needs the adaptive integrator.
+        # lattice, so the sharp invquad2 never needs the adaptive routine.
         from wright_stein.cli import _parse_grid, _solve_family
 
-        calls = []
-        real = specfun.integrate
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(specfun, "integrate", counting)
+        counts = count_settled(monkeypatch)
         sol = solve_stein(_solve_family()["invquad2"], _parse_grid("0.875:15.7:0.046875"))
-        assert calls == []
+        assert counts == {"cells": 0, "taps": 0}
         assert sol.residual_sup <= stein_mod.RESIDUAL_TOL
 
     def test_cli_family_without_fallback(self, monkeypatch):
         # Every cell of the CLI family's passes meets the tolerance with its
         # Kronrod pair, cells two e-folds wide included: on the default
         # grids and on grids shaped like the benchmark's solves (320 points
-        # from 0 or 1 on the half line, 401 on the line), no solve calls the
-        # adaptive integrator.
+        # from 0 or 1 on the half line, 401 on the line), no solve hands an
+        # integral to the adaptive routine.
         from wright_stein.cli import _solve_family
 
-        calls = []
-        real = specfun.integrate
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(specfun, "integrate", counting)
+        counts = count_settled(monkeypatch)
         fam = list(_solve_family().values())
         cases = [
             (stein_mod.default_grid(False), False),
@@ -873,7 +878,7 @@ class TestProbeLattice:
         for grid, symmetric in cases:
             sols = stein_mod._solve_batch(fam, grid, symmetric)
             assert len(sols) == 17
-        assert calls == []
+        assert counts == {"cells": 0, "taps": 0}
 
 
 class TestTapPass:
@@ -958,24 +963,9 @@ class TestTapPass:
     def test_kinks_inside_cells(self, monkeypatch, symmetric):
         # h = max(0, x - c)^p e^-|x| has a C^(p-1) kink at c inside a grid
         # cell.  Taps whose cell interpolant has not converged take their
-        # partial integrals from the adaptive integrator; each solve is
+        # partial integrals from the adaptive routine; each solve is
         # solved or refused as with every probe a cell edge, and f agrees.
-        cell_redos, calls = [], []
-        real_cells, real_integrate = specfun._kronrod_cells, specfun.integrate
-
-        def counting_cells(ys, half, redo):
-            def counted(i):
-                cell_redos.append(i)
-                return redo(i)
-
-            return real_cells(ys, half, counted)
-
-        def counting_integrate(*args, **kwargs):
-            calls.append(1)
-            return real_integrate(*args, **kwargs)
-
-        monkeypatch.setattr(specfun, "_kronrod_cells", counting_cells)
-        monkeypatch.setattr(specfun, "integrate", counting_integrate)
+        counts = count_settled(monkeypatch)
         real_pass = stein_mod.green_pass
 
         def all_edges(cells, fns, scale, points=None):
@@ -992,13 +982,13 @@ class TestTapPass:
                 outcomes = []
                 for pass_fn in (real_pass, all_edges):
                     monkeypatch.setattr(stein_mod, "green_pass", pass_fn)
-                    del calls[:], cell_redos[:]
+                    counts.update(cells=0, taps=0)
                     try:
                         outcomes.append(solve(h).f)
                     except SolverAccuracyError:
                         outcomes.append(None)
                     if pass_fn is real_pass:
-                        tap_redos += (len(calls) - len(cell_redos)) // 2
+                        tap_redos += counts["taps"] // 2
                 taps, edges = outcomes
                 assert (taps is None) == (edges is None), h.label
                 if taps is not None:
