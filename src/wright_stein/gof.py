@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import DomainError, RangeError
 from .mwright import SampleSet
-from .numerics import _as_floats, _is_int
+from .numerics import _BLOCK, _as_floats, _is_int
 from .stein import TestFunction, _as_test_function, _locate, _solve_batch, default_grid
 
 __all__ = [
@@ -50,8 +50,6 @@ SIGN_Z_ACCEPT = 3.0
 SIGN_Z_REJECT = 5.0
 MIN_SAMPLES = 100
 CLIP_WARN_FRACTION = 0.01
-# Sample points per block of the sweep into per-cell moments.
-_SWEEP_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -240,11 +238,11 @@ def _report(vals, hs, grid, sign_balance=None, at_zero=0) -> DiscrepancyReport:
     # sum of squares over the sample are q . m[:, :7] and C . m: one row-wise
     # reduction over the family each, whose row h does not depend on the
     # other rows.  Clipped points count as A f_h = 0.  The sweep runs in
-    # blocks of _SWEEP_BLOCK points, which add their moments; a sample of
+    # blocks of _BLOCK points, which add their moments; a sample of
     # one block is summed as a whole.
     clipped, moments = 0, [0.0] * len(solved)
-    for i in range(0, n, _SWEEP_BLOCK):
-        v = vals[i : i + _SWEEP_BLOCK]
+    for i in range(0, n, _BLOCK):
+        v = vals[i : i + _BLOCK]
         inside = (v >= grid[0]) & (v <= grid[-1])
         out = v.size - np.count_nonzero(inside)
         clipped += int(out)

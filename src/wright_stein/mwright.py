@@ -18,7 +18,7 @@ import numpy as np
 
 from ._csvtext import _csv_pieces
 from .errors import DomainError, RangeError
-from .numerics import GAMMA_1_3, _as_float, _as_floats, _is_int, gamma_fn, integrate
+from .numerics import _BLOCK, GAMMA_1_3, _as_float, _as_floats, _is_int, gamma_fn, integrate
 from .specfun import _airy_fields, _green_at, _ones, mittag_leffler
 from .specfun import wright_m_series
 
@@ -41,8 +41,6 @@ MOMENT_MAX = 12
 # Upper limit standing in for +inf in quadratures against M_{1/3}, whose
 # density is below 1e-42 beyond it.
 _DENSITY_CUT = 40.0
-# Draws per block of the sampler's temporaries.
-_SAMPLE_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -180,7 +178,7 @@ def sample(n: int, seed: int, symmetric: bool = False) -> SampleSet:
     # exponentials the draws.  Blocks of signs from the stream are the
     # doubles of one call.
     kappa = rng.random(n)
-    blocks = [slice(i, i + _SAMPLE_BLOCK) for i in range(0, n, _SAMPLE_BLOCK)]
+    blocks = [slice(i, i + _BLOCK) for i in range(0, n, _BLOCK)]
     for b in blocks:
         kappa[b] = _kappa_third(kappa[b])
     xs = rng.standard_exponential(n)

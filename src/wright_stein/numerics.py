@@ -38,6 +38,10 @@ __all__ = [
 TOL = 1e-10
 # Halvings one interval may take before ToleranceNotMetError.
 MAX_SUBDIVISIONS = 2000
+# Elements (points, quadrature nodes or draws) per block of an array loop's
+# temporaries.  The CSV blocks are their own, each sized by measurement: a
+# written value holds ~450 B of temporaries, and a read block counts characters.
+_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,7 @@ import numpy as np
 
 from .errors import AiryOverflowError, DomainError, RangeError
 from .numerics import (
+    _BLOCK,
     _GL15_W,
     _GL15_X,
     _K15_X,
@@ -305,27 +306,25 @@ def _airy_rows(u: np.ndarray, rows: slice):
     return c1, far
 
 
-_AIRY_BLOCK = 1 << 16  # points per _airy_rows call in _airy_fields
-
-
 def _airy_fields(xs, rows: slice, scaled: bool) -> np.ndarray:
     """Rows ``rows`` of (Ai, Ai', Bi, Bi') at finite x >= 0 of any shape,
     stacked in front of x's shape: scaled (Ai, Ai' times e^zeta and Bi, Bi'
     over it) or not.  The one copy of the scaling rule.
 
-    ``_airy_rows`` runs over blocks of _AIRY_BLOCK points; a call within one
-    block returns that block uncopied.  Each caller asks only for the rows
-    it reads: four rows over a 320-point solve's quadrature nodes cross
-    glibc's mmap threshold, and their page faults cost the pass ~0.1 ms.
+    ``_airy_rows`` runs over blocks of ``numerics._BLOCK`` points; a call
+    within one block (a Green's pass block's nodes) returns it uncopied.
+    Each caller asks only for the rows it reads: four rows over a 320-point
+    solve's quadrature nodes cross glibc's mmap threshold, and their page
+    faults cost the pass ~0.1 ms.
     """
     x = _as_floats(xs)
     if x.size and not (x.min() >= 0 and x.max() < math.inf):
         raise DomainError("airy requires finite x >= 0")
     flat = x.ravel()
     ids = range(4)[rows]
-    out = None if flat.size <= _AIRY_BLOCK else np.empty((len(ids), flat.size))
-    for i in range(0, max(flat.size, 1), _AIRY_BLOCK):
-        u = flat[i : i + _AIRY_BLOCK]
+    out = None if flat.size <= _BLOCK else np.empty((len(ids), flat.size))
+    for i in range(0, max(flat.size, 1), _BLOCK):
+        u = flat[i : i + _BLOCK]
         f, far = _airy_rows(u, rows)
         lo, uf = ~far, u[far]
         q = np.power(uf, 0.25)
@@ -445,9 +444,6 @@ _ZETA_CUT = 45.0
 # Largest scale * x a Green's pass accepts: beyond ~1e10 a zeta step of 2
 # moves u by only a few ulps and the grading collapses.
 GREEN_U_MAX = 1e8
-# Points per pass in _green_at; a pass holds ~3 kB per cell at its peak, and
-# a dense grid has about one cell per point.
-_GREEN_CHUNK = 4096
 
 
 def _zeta_gap(ua, ub, du):
@@ -554,19 +550,21 @@ def green_pass(grid: np.ndarray, rhs_fns: list[Callable], scale: float, points=N
     ``numerics._k15_partial_weights``.  A point inside a dropped cell (see
     ``_cell_edges``) joins the grid.
 
-    Two ``_airy_fields`` calls serve every right-hand side's screen: the
-    scaled Ai and Bi at the 15 Kronrod nodes of every cell, and all four
-    scaled fields at the points.  A cell keeps its K15 value
-    (``numerics._kronrod_cells``) unless its |K15 - G7| estimate misses
-    ``numerics.TOL`` (1e-10 absolute or relative) for that right-hand side.
-    So does a tap's pair of partial integrals, also where the interpolant of
-    r has not converged (its top two Legendre coefficients, times the cell's
-    half-width and largest kernel value, exceed ``numerics.TOL``).  One
-    ``numerics._adaptive`` call settles all misses to that tolerance, each
-    round forming the scaled Ai and Bi of all its pieces in one
-    ``_airy_fields`` call.  The cells depend on grid and scale only and each
-    integral is settled on its own, so each right-hand side's result is
-    bitwise independent of the others.
+    The cells go in blocks of ``numerics._BLOCK // 16`` (4,096), so the
+    quadrature's temporaries are one block's; a power of two, so each row's
+    products round as in one whole-array product.  Each block takes one
+    ``_airy_fields`` call for the scaled Ai and Bi at its Kronrod nodes, and
+    one more gives the scaled fields at the points.  A cell keeps its K15
+    value (``numerics._kronrod_cells``) unless its |K15 - G7| estimate
+    misses ``numerics.TOL`` (1e-10 absolute or relative) for that
+    right-hand side.  So does a tap's pair of partial integrals, also where
+    the interpolant of r has not converged (its top two Legendre
+    coefficients, times the cell's half-width and largest kernel value,
+    exceed ``numerics.TOL``).  One ``numerics._adaptive`` call settles all
+    misses to that tolerance, each round forming the scaled Ai and Bi of all
+    its pieces in one ``_airy_fields`` call.  The cells depend on grid and
+    scale only and each integral is settled on its own, so each right-hand
+    side's result is bitwise independent of the others.
 
     Returns a dict with, per right-hand side and point (shape
     (len(rhs_fns), n)), the Green's values ``g`` = Ai P + Bi S and
@@ -610,61 +608,64 @@ def green_pass(grid: np.ndarray, rhs_fns: list[Callable], scale: float, points=N
     ue = scale * edges
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])[:, None]
-
-    # One row per cell: its 15 Kronrod nodes, every other one a GL7 node.
-    nodes = mid[:, None] + half * _K15_X
-    un, up = scale * nodes, scale * pts
-    ai_s, bi_s = _airy_fields(un, slice(0, None, 2), True)
+    up = scale * pts
     p_ai, p_aip, p_bi, p_bip = _airy_fields(up, slice(None), True)
-    evals = nodes.size * m
-
-    # Kernels relative to the owning cell's edge: P to its right edge, S to
-    # its left, every exponent <= 0.  Exponents come from each node's offset
-    # within its cell, so far-out nodes lose nothing to their rounding.
-    wP = bi_s * np.exp(-_zeta_gap(ue[1:, None], un, scale * half * (1 - _K15_X)))
-    wS = ai_s * np.exp(-_zeta_gap(un, ue[:-1, None], scale * half * (1 + _K15_X)))
-    wP[dropped] = wS[dropped] = 0.0
-
-    # The taps' partial-integral weights, kernels and exponentials folded
-    # in: one (2, taps, 15) array that every right-hand side reads.  A
-    # tap-free pass skips this block.
     ct = cell[inside]
     tp = pts[inside]
-    part = np.empty((2, m, tp.size))
-    if tp.size:
-        d_pa = _zeta_gap(scale * tp, ue[ct], scale * (tp - edges[ct]))
-        d_bp = _zeta_gap(ue[ct + 1], scale * tp, scale * (edges[ct + 1] - tp))
-        wt = _k15_partial_weights((tp - mid[ct]) / half[ct, 0]) * half[ct]
-        wt[0] *= np.exp(d_bp)[:, None] * wP[ct]
-        wt[1] *= np.exp(d_pa)[:, None] * wS[ct]
-        # How far a Legendre coefficient of r on a tap's cell moves its
-        # partial integrals.
-        reach = half[ct, 0] * np.maximum(wP[ct], wS[ct]).max(axis=1)
+    d_pa = _zeta_gap(scale * tp, ue[ct], scale * (tp - edges[ct]))
+    d_bp = _zeta_gap(ue[ct + 1], scale * tp, scale * (edges[ct + 1] - tp))
 
     cells = np.empty((2, m, half.size))  # P's cells, then S's
+    part = np.empty((2, m, tp.size))  # the taps' partial integrals
     err = np.zeros(m)
+    evals = 15 * half.size * m
     todo = []  # integrals to settle: (rhs, kernel, cell, tap or -1, a, b)
-    for j, rv in enumerate(rvs):
-        hv = rv(nodes.ravel())
-        _check_finite(nodes.ravel(), hv)
-        hv = hv.reshape(nodes.shape)
-        missed = np.zeros(half.size, dtype=bool)
-        for q, w in enumerate((wP, wS)):
-            cells[q, j], e, miss = _kronrod_cells(w * hv, half[:, 0])
-            missed |= miss
-            if miss.any():
-                e[miss] = 0.0  # the settled estimate replaces it
-                i = np.nonzero(miss)[0]
-                todo.append((j, q, i, -1, edges[i], edges[i + 1]))
-            err[j] += float(np.sum(e))
-        if tp.size:
-            ht = hv[ct]
-            part[:, j] = (wt * ht).sum(axis=2)
-            top = np.abs(ht @ _k15_legendre()[13:].T).sum(axis=1)
-            t = np.nonzero(missed[ct] | (reach * top > TOL))[0]
-            if t.size:
-                todo.append((j, 0, ct[t], t, edges[ct[t]], tp[t]))
-                todo.append((j, 1, ct[t], t, tp[t], edges[ct[t] + 1]))
+    for first in range(0, half.size, _BLOCK // 16):
+        c = slice(first, first + _BLOCK // 16)
+        # One row per cell: its 15 Kronrod nodes, every other one a GL7 node.
+        nodes = mid[c, None] + half[c] * _K15_X
+        un = scale * nodes
+        ai_s, bi_s = _airy_fields(un, slice(0, None, 2), True)
+
+        # Kernels relative to the owning cell's edge: P to its right edge, S
+        # to its left, every exponent <= 0, formed from each node's offset in
+        # its cell, so far-out nodes lose nothing to their rounding.
+        wP = bi_s * np.exp(-_zeta_gap(ue[1:][c, None], un, scale * half[c] * (1 - _K15_X)))
+        wS = ai_s * np.exp(-_zeta_gap(un, ue[:-1][c, None], scale * half[c] * (1 + _K15_X)))
+        wP[dropped[c]] = wS[dropped[c]] = 0.0
+
+        # The block's taps' partial-integral weights, kernels and exponentials
+        # folded in: one (2, taps, 15) array that every right-hand side reads.
+        t0, t1 = np.searchsorted(ct, (c.start, c.stop))
+        tc, k = ct[t0:t1], ct[t0:t1] - first
+        if tc.size:
+            wt = _k15_partial_weights((tp[t0:t1] - mid[tc]) / half[tc, 0]) * half[tc]
+            wt[0] *= np.exp(d_bp[t0:t1])[:, None] * wP[k]
+            wt[1] *= np.exp(d_pa[t0:t1])[:, None] * wS[k]
+            # How far a Legendre coefficient of r moves a tap's partials.
+            reach = half[tc, 0] * np.maximum(wP[k], wS[k]).max(axis=1)
+
+        for j, rv in enumerate(rvs):
+            hv = rv(nodes.ravel())
+            _check_finite(nodes.ravel(), hv)
+            hv = hv.reshape(nodes.shape)
+            missed = np.zeros(nodes.shape[0], dtype=bool)
+            for q, w in enumerate((wP, wS)):
+                cells[q, j, c], e, miss = _kronrod_cells(w * hv, half[c, 0])
+                missed |= miss
+                if miss.any():
+                    e[miss] = 0.0  # the settled estimate replaces it
+                    i = first + np.nonzero(miss)[0]
+                    todo.append((j, q, i, -1, edges[i], edges[i + 1]))
+                err[j] += float(np.sum(e))
+            if tc.size:
+                ht = hv[k]
+                part[:, j, t0:t1] = (wt * ht).sum(axis=2)
+                top = np.abs(ht @ _k15_legendre()[13:].T).sum(axis=1)
+                t = t0 + np.nonzero(missed[k] | (reach * top > TOL))[0]
+                if t.size:
+                    todo.append((j, 0, ct[t], t, edges[ct[t]], tp[t]))
+                    todo.append((j, 1, ct[t], t, tp[t], edges[ct[t] + 1]))
 
     def kernel_times_rhs(t, k):
         # P's kernel relative to the interval's right end, S's to its left,
@@ -697,9 +698,8 @@ def green_pass(grid: np.ndarray, rhs_fns: list[Callable], scale: float, points=N
     Se[:, -2::-1] = _scan(cells[1, :, ::-1], decay[::-1])
 
     P, S = Pe[:, cell], Se[:, cell]
-    if tp.size:
-        P[:, inside] = np.exp(-d_pa) * Pe[:, ct] + part[0]
-        S[:, inside] = np.exp(-d_bp) * Se[:, ct + 1] + part[1]
+    P[:, inside] = np.exp(-d_pa) * Pe[:, ct] + part[0]
+    S[:, inside] = np.exp(-d_bp) * Se[:, ct + 1] + part[1]
     return {
         "g": p_ai * P + p_bi * S,
         "g_prime": p_aip * P + p_bip * S,
@@ -720,8 +720,8 @@ def _green_at(x, r: Callable, scale: float, name: str):
     Returns floats for a scalar x, else arrays shaped like x (empty, with no
     pass, for an empty x): the pass's ``g``, ``g_prime`` and ``tail``.  Gi
     and Gi' are the first two at r = 1, scale = 1.  The sorted distinct
-    points go through one pass per _GREEN_CHUNK of them, which bounds the
-    memory of the 15 quadrature nodes per cell.
+    points go through one pass per ``numerics._BLOCK // 16`` of them, since
+    a pass's per-cell and per-point arrays grow with its points.
     """
     xs = _as_floats(x)
     if not np.all((xs >= 0) & np.isfinite(xs)):
@@ -730,7 +730,7 @@ def _green_at(x, r: Callable, scale: float, name: str):
         return tuple(np.empty(xs.shape) for _ in range(3))
     uniq, inv = np.unique(xs.ravel(), return_inverse=True)
     parts = []
-    for chunk in np.array_split(uniq, max(1, -(-uniq.size // _GREEN_CHUNK))):
+    for chunk in np.array_split(uniq, max(1, -(-uniq.size // (_BLOCK // 16)))):
         out = green_pass(chunk, [r], scale)
         parts.append((out["g"][0], out["g_prime"][0], out["tail"][0]))
     combos = (np.concatenate(c)[inv].reshape(xs.shape) for c in zip(*parts))
@@ -790,8 +790,6 @@ _ML_U_FOLDS = 40
 _ML_OCTAVES = 60
 # Below this |z|, z / Gamma(1 + beta) is under half an ulp of 1.
 _ML_Z_ROUNDS_TO_ONE = 2.0**-60
-# Node evaluations per block of points, here and in wright_m_series.
-_BLOCK_NODES = 1 << 18
 
 
 @lru_cache(maxsize=16)
@@ -896,7 +894,7 @@ def mittag_leffler(beta: float, z):
         out = np.ones_like(flat)
         live = np.flatnonzero(np.abs(flat) >= _ML_Z_ROUNDS_TO_ONE)
         edges = sum(e.size for e in _ml_layout(beta)[2:])
-        step = max(1, _BLOCK_NODES // (15 * edges))
+        step = max(1, _BLOCK // (15 * edges))
         for i in range(0, live.size, step):
             idx = live[i : i + step]
             lead = np.where(flat[idx] > 0, np.exp(u[idx]) / beta, 0.0)
@@ -982,7 +980,7 @@ def wright_m_series(beta: float, x):
     kappa, wk = _kanter_rule(beta)
     a = 1.0 / (1.0 - beta)
     far = np.nonzero(flat >= _WRIGHT_SMALL_X)[0]
-    step = max(1, _BLOCK_NODES // kappa.size)
+    step = max(1, _BLOCK // kappa.size)
     for i in range(0, far.size, step):
         idx = far[i : i + step]
         # Where z overflows, e^-z is 0 anyway; capping z at 750 (e^-750 = 0

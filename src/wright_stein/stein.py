@@ -452,7 +452,8 @@ def _probe_groups(grid: np.ndarray) -> tuple[np.ndarray, list]:
     mult = np.maximum(np.floor((PROBE_DELTA + tol) / gap), 1)
     delta = mult * gap
 
-    idx = at[:, None] + mult.astype(int)[:, None] * _C5_OFFSETS.astype(int)
+    # A multiple past the lattice leaves the stencil uneven: clip it to fit an int.
+    idx = at[:, None] + np.minimum(mult, lat.size).astype(int)[:, None] * _C5_OFFSETS.astype(int)
     on = lat[np.clip(idx, 0, lat.size - 1)]
     even = (idx[:, 0] >= 0) & (idx[:, -1] < lat.size) & (np.ptp(np.diff(on), axis=1) <= tol)
     steps = np.where(even, (on[:, -1] - on[:, 0]) / 4.0, delta)
@@ -531,7 +532,7 @@ def _halfline_solve(sides: list[tuple[list[TestFunction], np.ndarray]]) -> list[
             )
         residual_sup = float(np.max(resid))
         error_estimate = float(out["error_estimate"][j] + out["error_estimate"][-1])
-        if residual_sup > RESIDUAL_TOL:
+        if not residual_sup <= RESIDUAL_TOL:  # a NaN residual is refused too
             raise SolverAccuracyError(
                 f"Stein solve for h={tf.label}: residual {residual_sup:.3e} "
                 f"exceeds tolerance {RESIDUAL_TOL:.1e}",

@@ -167,6 +167,23 @@ class TestSolve:
         _, rows = parse_csv(out)
         assert rows.shape[0] == 121
 
+    @pytest.mark.parametrize("argv", [
+        ["--grid", "0:1e-300:1e-301"],
+        ["--grid", "0:1e-20:1e-21"],
+        ["--symmetric", "--grid=-1e-300:1e-300:1e-301"],
+    ], ids=["half-1e-301", "half-1e-21", "sym-1e-301"])
+    def test_tiny_grid_solves(self, capsys, argv):
+        # PROBE_DELTA spans 2e299 steps of 1e-301: the stencil multiple must
+        # not overflow an int into garbage probe indices, nor a NaN residual
+        # pass the check.
+        code, out, err = run(capsys, ["solve", "--h", "cos", *argv])
+        assert (code, err) == (0, "")
+        line = [l for l in out.splitlines() if l.startswith("# residual_sup=")][0]
+        assert float(line.split("=")[1]) <= 1e-6
+        _, rows = parse_csv(out)
+        assert rows.shape[0] == (21 if "--symmetric" in argv else 11)
+        assert np.all(np.isfinite(rows))
+
     @pytest.mark.parametrize("spec", ["-3:12:0.05", "-10:10:0.0625", "-2.5:7:0.1"])
     def test_grid_mirrors_exactly(self, spec):
         # A start that is a whole number of steps puts every negative
@@ -921,6 +938,12 @@ class TestMemory:
     def test_airy_eval_verb(self, tmp_path, capsys, argv, bound):
         argv = ["eval", *argv, "--grid=0:9.99:1e-5", "-o", str(tmp_path / "f")]
         assert _traced_peak(lambda: main(argv)) <= bound
+
+    # 100,001 grid points: a solve's Green's pass holds one block of cells'
+    # quadrature at a time.  Over all its cells at once it held 148 MiB.
+    def test_solve_verb(self, tmp_path, capsys):
+        argv = ["solve", "--h", "cos", "--grid", "0:2:2e-5", "-o", str(tmp_path / "f")]
+        assert _traced_peak(lambda: main(argv)) <= 60
 
     def test_plotdata_verb(self, tmp_path, capsys):
         argv = ["plotdata", "--betas", "0,1/2", "--grid=-5:4.99:1e-5", "-o", str(tmp_path / "f")]

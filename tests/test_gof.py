@@ -645,7 +645,7 @@ class TestSweepBlocks:
     @pytest.mark.parametrize("symmetric", [False, True])
     @pytest.mark.parametrize("n", [65_535, 65_536, 65_537, 3 * 65_536 + 1])
     def test_against_whole_array(self, hs, n, symmetric):
-        assert gof._SWEEP_BLOCK == 65_536
+        assert numerics._BLOCK == 65_536
         vals = sample(n, seed=27, symmetric=symmetric).values.copy()
         # Clipped points in the first and the last block, exact zeros
         # mid-sample: in a block of their own from 3 blocks on.
@@ -659,7 +659,7 @@ class TestSweepBlocks:
         for s, r in zip(rep.per_function, ref.per_function):
             assert abs(s.mean - r.mean) <= 1e-12 * r.std_error, s.label
             assert abs(s.std_error - r.std_error) <= 1e-12 * r.std_error, s.label
-        if n <= gof._SWEEP_BLOCK:
+        if n <= numerics._BLOCK:
             assert rep == ref
 
 

@@ -13,7 +13,7 @@ from scipy.special import kv
 
 from wright_stein.errors import AiryOverflowError, DomainError, RangeError
 from wright_stein.numerics import GAMMA_2_3, gamma_fn
-from wright_stein import specfun
+from wright_stein import numerics, specfun
 from wright_stein.specfun import (
     _CHEB_EDGES,
     AIRY_SWITCH,
@@ -308,7 +308,7 @@ class TestAiryStructure:
     def test_fields_over_several_blocks(self):
         # A call longer than two blocks equals its blocks called one at a
         # time, across the switch.
-        n = specfun._AIRY_BLOCK
+        n = numerics._BLOCK
         xs = np.linspace(0.0, 2.0 * AIRY_SWITCH, 2 * n + 7)
         for scaled in (False, True):
             got = specfun._airy_fields(xs, slice(None), scaled)
@@ -744,6 +744,41 @@ class TestGreenPassTaps:
         for key in ("g", "g_prime", "tail", "full_line"):
             assert np.array_equal(out[key], want[key])
 
+    @pytest.mark.parametrize("symmetric", [False, True])
+    def test_blocks_equal_one_block(self, monkeypatch, symmetric):
+        # A solve's pass layout over more than three blocks of cells, with
+        # taps (its probes off an uneven grid) in every block, is bitwise the
+        # same pass taken as one block; |sin 3x| has kinks, whose cells and
+        # taps are settled, in several blocks.
+        from wright_stein import stein
+
+        rng = np.random.default_rng(37)
+        side = np.sort(rng.uniform(0.0, 19.0, 13_000))
+        grid = np.concatenate((-side[::-1], [0.0], side) if symmetric else ([0.0], side))
+        calls = []
+        real = stein.green_pass
+
+        def recording(*args, **kwargs):
+            calls.append((args, kwargs))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(stein, "green_pass", recording)
+        stein._solve_batch([np.cos], grid, symmetric)
+        ((cells, rhs, scale), kwargs), = calls
+        rhs = rhs + [lambda x: np.abs(np.sin(3.0 * x))]
+        blocked = real(cells, rhs, scale, **kwargs)
+        edges = specfun._cell_edges(cells, scale)[0]
+        pts = kwargs["points"]
+        at = np.searchsorted(edges, pts, side="right") - 1
+        per = numerics._BLOCK // 16
+        assert edges.size - 1 > 3 * per
+        taps = at[edges[at] != pts]
+        assert np.array_equal(np.unique(taps // per), np.arange(-(-(edges.size - 1) // per)))
+        monkeypatch.setattr(specfun, "_BLOCK", 16 * 2 ** math.ceil(math.log2(edges.size)))
+        whole = real(cells, rhs, scale, **kwargs)
+        for key in ("g", "g_prime", "tail", "full_line"):
+            assert np.array_equal(blocked[key], whole[key]), key
+
     @pytest.mark.parametrize(
         "points", [[], [1.0, 0.5], [-0.5, 1.0], [1.0, 2.5], [[0.5, 1.0]], [0.5, np.nan]]
     )
@@ -942,7 +977,7 @@ class TestMittagLeffler:
         beta = 1.0 / 3.0
         zs = np.concatenate((np.linspace(-30.0, 8.0, 397), [0.0, -1e-300]))
         per_point = 15 * sum(e.size for e in specfun._ml_layout(beta)[2:])
-        assert zs.size > 3 * (specfun._BLOCK_NODES // per_point)
+        assert zs.size > 3 * (numerics._BLOCK // per_point)
         together = mittag_leffler(beta, zs)
         alone = np.array([mittag_leffler(beta, float(z)) for z in zs])
         assert np.array_equal(together, alone)
@@ -1151,7 +1186,7 @@ class TestWrightMKanter:
         beta = 1.0 / 7.0
         xs = np.concatenate(([0.0, 1e-9], np.linspace(1e-6, 30.0, 997)))
         kappa, _ = specfun._kanter_rule(beta)
-        assert xs.size > 3 * (specfun._BLOCK_NODES // kappa.size)
+        assert xs.size > 3 * (numerics._BLOCK // kappa.size)
         together = wright_m_series(beta, xs)
         alone = np.array([wright_m_series(beta, float(x)) for x in xs])
         assert np.array_equal(together, alone)

@@ -258,6 +258,14 @@ class TestHalfLineSolver:
             solve_stein(H_COS)
         assert "residual_sup" in exc.value.diagnostics
 
+    def test_nan_residual_refused(self, monkeypatch):
+        # NaN fails every comparison: a check that refused only residuals
+        # above the tolerance let it through.
+        monkeypatch.setattr(stein_mod, "_C5_COEF", np.full(5, math.nan))
+        with pytest.raises(SolverAccuracyError) as exc:
+            solve_stein(H_COS)
+        assert math.isnan(exc.value.diagnostics["residual_sup"])
+
     def test_plain_callable_accepted(self):
         sol = solve_stein(np.cos, grid=np.linspace(0.0, 6.0, 100))
         assert sol.residual_sup <= 1e-6
