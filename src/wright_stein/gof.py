@@ -154,18 +154,6 @@ def default_test_functions(k: int) -> list[TestFunction]:
     return list(_FAMILY[: int(k)])
 
 
-def _sample_values(samples) -> np.ndarray:
-    if isinstance(samples, SampleSet):
-        samples = samples.values
-    vals = _as_floats(samples)
-    if vals.ndim != 1:
-        raise DomainError(f"samples must be a 1-d array, got shape {vals.shape}")
-    bad = np.count_nonzero(~np.isfinite(vals))
-    if bad:
-        raise DomainError(f"samples must be finite; {bad} are NaN or infinite")
-    return vals
-
-
 class _SolveKey:
     """Memo key of one solve: test functions by identity, the grid by value
     and shape, and the kind.  Identity, not hash, so a TestFunction around an
@@ -219,16 +207,30 @@ def _power_sums(knots, t) -> np.ndarray:
     return np.stack(sums, axis=1)
 
 
-def _report(vals, hs, grid, sign_balance=None, at_zero=0) -> DiscrepancyReport:
-    """Operator means of every h over the sample, and the verdict; the
-    symmetric kind (given with its sign balance) also tests |z|.  Samples
-    outside [grid[0], grid[-1]], where nothing was solved, are clipped."""
-    symmetric = sign_balance is not None
+def _report(samples, hs, grid, symmetric: bool) -> DiscrepancyReport:
+    """The body of ``discrepancy`` and ``discrepancy_sym``: refuse a bad
+    sample or an empty family, then take the operator means of every h over
+    the sample, and the verdict; the symmetric kind also tests its sign
+    balance.  Samples outside [grid[0], grid[-1]], where nothing was
+    solved, are clipped."""
+    if isinstance(samples, SampleSet):
+        samples = samples.values
+    vals = _as_floats(samples)
+    if vals.ndim != 1:
+        raise DomainError(f"samples must be a 1-d array, got shape {vals.shape}")
+    bad = np.count_nonzero(~np.isfinite(vals))
+    if bad:
+        raise DomainError(f"samples must be finite; {bad} are NaN or infinite")
     n = vals.size
+    if n < MIN_SAMPLES:
+        name = "discrepancy_sym" if symmetric else "discrepancy"
+        raise DomainError(f"{name} requires n >= {MIN_SAMPLES}, got {n}")
+    if not symmetric and np.any(vals < 0):
+        raise DomainError("half-line discrepancy requires non-negative samples")
     hs = tuple(hs)
     if not hs:
         raise DomainError("goodness of fit needs at least one test function")
-    grid = np.array(_as_floats(grid))
+    grid = np.array(_as_floats(default_grid(symmetric) if grid is None else grid))
     solved = _solved(_SolveKey(hs, grid, symmetric))
 
     # On each cell (A f_h)(x) = f'' - (|x|/3) f of the Hermite interpolant is
@@ -265,7 +267,11 @@ def _report(vals, hs, grid, sign_balance=None, at_zero=0) -> DiscrepancyReport:
         stats.append(FunctionStat(_as_test_function(h).label, mean, se, standardized))
 
     max_std = max(s.standardized for s in stats)
-    z = abs(sign_balance.z_score) if symmetric else 0.0
+    sign_balance, at_zero, z = None, 0, 0.0
+    if symmetric:
+        frac = float(np.count_nonzero(vals >= 0)) / n
+        sign_balance = SignBalance(frac, (frac - 0.5) * 2.0 * math.sqrt(n))
+        at_zero, z = int(np.count_nonzero(vals == 0.0)), abs(sign_balance.z_score)
     if max_std > REJECT_THRESHOLD or z > SIGN_Z_REJECT:
         verdict = "rejected"
     elif max_std < ACCEPT_THRESHOLD and z < SIGN_Z_ACCEPT:
@@ -293,12 +299,7 @@ def discrepancy(samples, hs, grid: np.ndarray | None = None) -> DiscrepancyRepor
     later calls that pass the same function objects (by identity) and an
     equal grid.
     """
-    vals = _sample_values(samples)
-    if vals.size < MIN_SAMPLES:
-        raise DomainError(f"discrepancy requires n >= {MIN_SAMPLES}, got {vals.size}")
-    if np.any(vals < 0):
-        raise DomainError("half-line discrepancy requires non-negative samples")
-    return _report(vals, hs, default_grid() if grid is None else grid)
+    return _report(samples, hs, grid, symmetric=False)
 
 
 def discrepancy_sym(samples, hs, grid: np.ndarray | None = None) -> DiscrepancyReport:
@@ -311,13 +312,4 @@ def discrepancy_sym(samples, hs, grid: np.ndarray | None = None) -> DiscrepancyR
     ``discrepancy``, a sample that is not 1-d raises ``DomainError``, and
     test functions are treated as pure and their solutions reused.
     """
-    vals = _sample_values(samples)
-    if vals.size < MIN_SAMPLES:
-        raise DomainError(f"discrepancy_sym requires n >= {MIN_SAMPLES}, got {vals.size}")
-    if grid is None:
-        grid = default_grid(symmetric=True)
-    n = vals.size
-    frac = float(np.count_nonzero(vals >= 0)) / n
-    z = (frac - 0.5) * 2.0 * math.sqrt(n)
-    at_zero = int(np.count_nonzero(vals == 0.0))
-    return _report(vals, hs, grid, SignBalance(frac, z), at_zero)
+    return _report(samples, hs, grid, symmetric=True)

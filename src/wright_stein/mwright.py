@@ -87,11 +87,8 @@ def density_prime_at_zero() -> float:
 
 
 def density_sym(p, x):
-    """Symmetrized density (1/2) M_beta(|x|); even in x by construction."""
-    xs = _as_floats(x)
-    scalar = xs.ndim == 0
-    out = 0.5 * density(p, np.abs(np.atleast_1d(xs)))
-    return float(out[0]) if scalar else out
+    """Symmetrized density (1/2) M_beta(|x|), even in x: ``density`` at |x|."""
+    return 0.5 * density(p, np.abs(_as_floats(x)))
 
 
 def cdf(x):
@@ -119,7 +116,7 @@ class SampleSet:
     values: np.ndarray
     seed: int
     generator: str
-    size: int = field(default=0)
+    size: int = field(init=False)
 
     def __post_init__(self):
         vals = np.array(self.values, dtype=float)

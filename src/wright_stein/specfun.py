@@ -22,7 +22,6 @@ multi-precision arithmetic is needed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
@@ -357,8 +356,14 @@ def _times_exp(scaled, z, ez):
     return v
 
 
-class AiryArrays(NamedTuple):
-    """Vectorized Airy bundle; all fields are arrays aligned with x."""
+class AiryValues(NamedTuple):
+    """Ai, Bi and derivatives with exponentially scaled forms: arrays aligned
+    with x from ``airy_many``, floats from ``airy``.
+
+    ``ai_scaled = ai * e^zeta`` and ``bi_scaled = bi * e^-zeta`` with
+    zeta = (2/3) x^(3/2); cross products Ai(a)Bi(b) for a > b are formed as
+    exp(zeta_b - zeta_a) * ai_scaled(a) * bi_scaled(b) without overflow.
+    """
 
     x: np.ndarray
     ai: np.ndarray
@@ -372,9 +377,9 @@ class AiryArrays(NamedTuple):
     bi_prime_scaled: np.ndarray
 
 
-def airy_many(xs) -> AiryArrays:
-    """Evaluate Ai, Bi and derivatives on an array of finite non-negative
-    points; any other point raises DomainError.
+def airy_many(xs) -> AiryValues:
+    """``AiryValues`` of arrays on an array of finite non-negative points;
+    any other point raises DomainError.
 
     Unscaled fields follow e^(+-zeta) and may overflow to inf / underflow to
     zero for very large x; the scaled fields are valid everywhere, within
@@ -387,32 +392,11 @@ def airy_many(xs) -> AiryArrays:
     ai_s, aip_s, bi_s, bip_s = _airy_fields(x, slice(None), True)
     with np.errstate(over="ignore"):  # inf past x ~ 1e205, as e^zeta is
         zeta = (2.0 / 3.0) * x * np.sqrt(x)
-    return AiryArrays(x, *fields, zeta, ai_s, bi_s, aip_s, bip_s)
-
-
-@dataclass(frozen=True)
-class AiryValues:
-    """Ai, Bi and derivatives at one point, with exponentially scaled forms.
-
-    ``ai_scaled = ai * e^zeta`` and ``bi_scaled = bi * e^-zeta`` with
-    zeta = (2/3) x^(3/2); cross products Ai(a)Bi(b) for a > b are formed as
-    exp(zeta_b - zeta_a) * ai_scaled(a) * bi_scaled(b) without overflow.
-    """
-
-    x: float
-    ai: float
-    ai_prime: float
-    bi: float
-    bi_prime: float
-    zeta: float
-    ai_scaled: float
-    bi_scaled: float
-    ai_prime_scaled: float
-    bi_prime_scaled: float
+    return AiryValues(x, *fields, zeta, ai_s, bi_s, aip_s, bip_s)
 
 
 def airy(x: float) -> AiryValues:
-    """Airy bundle at a single non-negative point.
+    """``airy_many`` at one non-negative point: an ``AiryValues`` of floats.
 
     Raises DomainError for x < 0 or non-finite x and AiryOverflowError when
     an unscaled field leaves double range: Bi' does from x ~ 104.22 and Bi
@@ -427,7 +411,7 @@ def airy(x: float) -> AiryValues:
             f"unscaled Bi or Bi' overflows at x={x!r}; "
             "use airy_many and the scaled fields"
         )
-    return AiryValues(*(float(v[0]) for v in a))
+    return AiryValues._make(float(v[0]) for v in a)
 
 
 # ---------------------------------------------------------------------------

@@ -125,6 +125,19 @@ class TestEval:
 
         assert rows[0, 1] == airy(0.7).bi  # bit-exact through the CSV
 
+    def test_no_grid_refused(self, capsys):
+        assert run(capsys, ["eval", "ai"]) == (
+            2, "", "error: eval needs a grid (positional or --grid=start:stop:step)\n")
+
+    def test_mwright_sym_prints_density_sym(self, capsys):
+        from wright_stein.mwright import density_sym
+
+        code, out, _ = run(capsys, ["eval", "mwright-sym", "--beta", "1/3", "--grid=-3:3:0.125"])
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert np.array_equal(rows[:, 0], np.arange(-24, 25) * 0.125)
+        assert rows[:, 1].tobytes() == density_sym(1 / 3, rows[:, 0]).tobytes()
+
     def test_two_grids_refused(self, capsys):
         for argv in (["eval", "ai", "0:1:1", "--grid=0:2:1"],
                      ["eval", "ml", "--beta", "1/3", "--grid=0:1:1", "0:2:1"]):
@@ -366,6 +379,9 @@ class TestPlotdata:
 
     def test_beta_out_of_range(self, capsys):
         assert run(capsys, ["plotdata", "--betas", "0.6"])[0] == 2
+
+    def test_no_betas_refused(self, capsys):
+        assert run(capsys, ["plotdata", "--betas", ","]) == (2, "", "error: no betas given\n")
 
     def test_header_skips_empty_betas(self, capsys):
         code, out, _ = run(capsys, ["plotdata", "--betas", "0,,1/3", "--grid=-1:1:1"])

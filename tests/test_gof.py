@@ -461,6 +461,45 @@ def test_empty_family_refused(test):
         test(np.full(200, 0.7), [])
 
 
+_NAN_GRID = [-1.0, 0.0, math.nan]
+_SMALL = "discrepancy requires n >= 100, got 50"
+_SMALL_SYM = "discrepancy_sym requires n >= 100, got 50"
+# Inputs with several faults, and the first refusal of each entry: the sample's
+# shape, its values, its size, its sign (half line), the family, the grid.
+# Rows: samples, family size, grid, half-line message, symmetric message.
+_FAULTS = {
+    "2d-neg-empty": (np.full((5, 4), -1.0), 0, None,
+                     "samples must be a 1-d array, got shape (5, 4)", None),
+    "2d-nan": (np.array([[math.nan, -1.0]] * 10), 2, None,
+               "samples must be a 1-d array, got shape (10, 2)", None),
+    "nan-small-neg-empty": (np.array([math.nan, -1.0] * 10), 0, None,
+                            "samples must be finite; 10 are NaN or infinite", None),
+    "text-small-empty": (["a", -1.0], 0, None, "expected a real number, got 'a'", None),
+    "small-neg-empty": (np.full(50, -1.0), 0, None, _SMALL, _SMALL_SYM),
+    "sampleset-small-neg": (SampleSet(np.full(50, -1.0), 0, "x"), 2, _NAN_GRID,
+                            _SMALL, _SMALL_SYM),
+    "neg-empty-nan-grid": (np.full(200, -1.0), 0, _NAN_GRID,
+                           "half-line discrepancy requires non-negative samples",
+                           "goodness of fit needs at least one test function"),
+    "neg-nan-grid": (np.full(200, -1.0), 2, _NAN_GRID,
+                     "half-line discrepancy requires non-negative samples",
+                     "solver grid must be finite"),
+    "empty-nan-grid": (np.full(200, 0.5), 0, _NAN_GRID,
+                       "goodness of fit needs at least one test function", None),
+}
+
+
+@pytest.mark.parametrize("case", list(_FAULTS))
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_first_of_several_faults_refused(hs, case, symmetric):
+    samples, k, grid, half_message, sym_message = _FAULTS[case]
+    test = discrepancy_sym if symmetric else discrepancy
+    with pytest.raises(DomainError) as exc:
+        test(samples, hs[:k], grid)
+    message = (sym_message or half_message) if symmetric else half_message
+    assert type(exc.value) is DomainError and str(exc.value) == message
+
+
 @pytest.mark.parametrize("test", [discrepancy, discrepancy_sym])
 def test_plain_callable_is_labelled_by_name(test):
     rep = test(np.full(200, 0.7), [np.cos])

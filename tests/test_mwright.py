@@ -114,6 +114,17 @@ class TestDensitySym:
         for x in (0.3, 1.7, 2.0, 11.0):
             assert density_sym(THIRD, x) == density_sym(THIRD, -x)
 
+    @pytest.mark.parametrize("beta", [0.0, 1 / 7, 0.25, THIRD, 0.5])
+    @pytest.mark.parametrize("shape", [(), (7,), (3, 5)])
+    def test_is_half_density_at_abs(self, beta, shape):
+        x = np.linspace(-6.5, 4.0, max(math.prod(shape), 1)).reshape(shape)
+        if not shape:
+            x = float(x)
+        got = density_sym(beta, x)
+        ref = 0.5 * density(beta, np.abs(x))
+        assert type(got) is type(ref) and np.shape(got) == shape
+        assert np.asarray(got).tobytes() == np.asarray(ref).tobytes()
+
 
 class TestCdf:
     def test_at_zero(self):
@@ -314,6 +325,12 @@ class TestSampler:
         assert g.flags.writeable
         g[0] = 3.0
         assert s.values[0] == 0.0 and not s.values.flags.writeable
+
+    def test_sampleset_size_is_not_an_argument(self):
+        # A size argument used to be accepted and then overwritten.
+        with pytest.raises(TypeError, match="size"):
+            SampleSet(np.ones(3), 1, "x", size=99)
+        assert SampleSet(np.ones(3), 1, "x").size == 3
 
     @pytest.mark.parametrize("shape", [(), (2, 3), (2, 300)])
     def test_sampleset_refuses_values_not_1d(self, shape):

@@ -126,6 +126,16 @@ class TestAiryPointValues:
         with pytest.raises(AiryOverflowError, match="x=104.3"):
             airy(104.3)
 
+    @pytest.mark.parametrize("x", [0.0, 9.0, 104.0])
+    def test_point_is_the_array_entry(self, x):
+        # One record for both entries: floats from airy, arrays from airy_many.
+        v, a = airy(x), airy_many([x])
+        assert type(v) is type(a) is specfun.AiryValues
+        assert v._fields == a._fields and len(v) == 10
+        for name, got, arr in zip(v._fields, v, a):
+            assert type(got) is float and arr.shape == (1,), name
+            assert np.float64(got).tobytes() == arr.tobytes(), name
+
     def test_zeta_field(self):
         v = airy(4.0)
         assert v.zeta == pytest.approx((2.0 / 3.0) * 8.0, rel=1e-15)

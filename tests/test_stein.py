@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -265,6 +266,22 @@ class TestHalfLineSolver:
         with pytest.raises(SolverAccuracyError) as exc:
             solve_stein(H_COS)
         assert math.isnan(exc.value.diagnostics["residual_sup"])
+
+    def test_non_finite_h_at_a_node_refused(self):
+        # h is NaN at one grid point and finite at every quadrature node, so
+        # the Green's pass is finite and f'' = (x/3) f + h - E[h] is not.
+        x_bad = float(stein_mod.default_grid()[50])
+
+        def h(x):
+            x = np.asarray(x, dtype=float)
+            return np.where(x == x_bad, math.nan, np.cos(x))
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError) as exc:
+                solve_stein(h)
+        assert str(exc.value).startswith(f"non-finite f_double_prime at x={x_bad!r} ")
+        assert exc.value.x == x_bad
 
     def test_plain_callable_accepted(self):
         sol = solve_stein(np.cos, grid=np.linspace(0.0, 6.0, 100))
@@ -603,6 +620,46 @@ class TestCheckDomain:
 
     def test_symmetric_solution(self, sol_atan_sym):
         assert bool(check_domain(sol_atan_sym))
+
+    @pytest.mark.parametrize("which", [0, 1, 2])
+    def test_non_finite_callable_named(self, which):
+        names = ("f", "f'", "f''")
+        zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
+        nan_at_6 = lambda x: np.where(np.asarray(x, dtype=float) == 6.0, math.nan, 0.0)
+        fns = [zero, zero, zero]
+        fns[which] = nan_at_6
+        dc = check_domain(tuple(fns))
+        assert not dc
+        assert dc.reasons == (f"{names[which]} is not finite on the working grid",)
+
+    def test_all_reasons_of_a_solution(self, sol_cos):
+        bad = np.full_like(sol_cos.f, math.nan)
+        dc = check_domain(dataclasses.replace(
+            sol_cos, f=bad, f_prime=bad, f_double_prime=bad, boundary_residual=2e-8))
+        assert dc.reasons == (
+            "f is not finite on the working grid",
+            "f' is not finite on the working grid",
+            "f'' is not finite on the working grid",
+            "boundary identity f'(0)/Gamma(2/3) - f(0)/Gamma(1/3) = 2e-08 exceeds 1.0e-08",
+        )
+
+    @pytest.mark.parametrize("value, ok", [(1e-8, True), (-1e-8, True), (1.5e-8, False),
+                                           (math.nan, False), (math.inf, False)])
+    def test_boundary_identity_of_a_solution(self, sol_cos, value, ok):
+        # A NaN identity fails: it is not within the tolerance.
+        dc = check_domain(dataclasses.replace(sol_cos, boundary_residual=value))
+        assert bool(dc) is ok
+        if not ok:
+            assert dc.reasons == (
+                f"boundary identity f'(0)/Gamma(2/3) - f(0)/Gamma(1/3) = {value:.10g} "
+                "exceeds 1.0e-08",
+            )
+
+    @pytest.mark.parametrize("value, ok", [(1e-10, True), (-3e-10, False), (math.nan, False)])
+    def test_symmetric_f_zero(self, sol_atan_sym, value, ok):
+        dc = check_domain(dataclasses.replace(sol_atan_sym, f_zero=value))
+        assert bool(dc) is ok
+        assert dc.reasons == (() if ok else (f"f(0) = {value:.10g} exceeds 1.0e-10",))
 
     @pytest.mark.parametrize("bad", [None, 3.0, (np.cos,), (np.cos, 1.0), "ab"])
     def test_refuses_what_it_cannot_check(self, bad):
